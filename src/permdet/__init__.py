@@ -23,7 +23,12 @@ from .cycles import (
     four_k_plus_two_cycles,
     max_disjoint,
 )
-from .determinant import DetCache, det_after_removal, determinant
+from .determinant import (
+    DetCache,
+    biadjacency_det_after_removal,
+    det_after_removal,
+    determinant,
+)
 from .engine import (
     EfficiencyReport,
     FamilyTerm,
@@ -40,6 +45,7 @@ from .errors import (
     CycleCapExceeded,
     EnumerationCapExceeded,
     GraphTooLarge,
+    InternalInvariantError,
     NotAPerfectSquare,
     NotBipartiteError,
     ParseError,
@@ -91,6 +97,7 @@ __all__ = [
     "FamilyTerm",
     "Graph",
     "GraphTooLarge",
+    "InternalInvariantError",
     "NotAPerfectSquare",
     "NotBipartiteError",
     "PATH_COROLLARY",
@@ -105,6 +112,7 @@ __all__ = [
     "VerificationMismatch",
     "VertexSet",
     "adjacency_after_removal",
+    "biadjacency_det_after_removal",
     "bipartition",
     "check_parity_identity",
     "check_removal_identity",

@@ -6,7 +6,7 @@ Input is a file path or "-" for stdin, in one of three formats
 records, one object per line.
 
 Exit codes: 0 success, 1 parse error, 2 not bipartite, 3 cap or size
-guard exceeded, 4 verification mismatch.
+guard exceeded, 4 verification mismatch, 5 internal invariant broken.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     CycleCapExceeded,
     EnumerationCapExceeded,
     GraphTooLarge,
+    InternalInvariantError,
     NotBipartiteError,
     ParseError,
     SizeGuardExceeded,
@@ -67,6 +68,7 @@ EXIT_PARSE = 1
 EXIT_NOT_BIPARTITE = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
+EXIT_INTERNAL = 5
 
 FORMATS = ("edge-list", "adjacency", "biadjacency")
 
@@ -90,11 +92,6 @@ def _add_guards(sp):
     sp.add_argument("--guard-subsets", type=int, default=SUBSET_GUARD)
 
 
-def _add_threads(sp):
-    sp.add_argument("--threads", default="1", metavar="N|auto",
-                    help="determinant worker threads (default 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permdet",
@@ -105,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     per = sub.add_parser("per", help="permanent of a bipartite graph")
     _add_common(per)
-    _add_threads(per)
     per.add_argument("--show-terms", action="store_true",
                      help="print the per-family term table")
 
@@ -117,11 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pmc = sub.add_parser("pm-count", help="perfect matchings from a biadjacency matrix")
     _add_common(pmc, formats=("biadjacency",), default_format="biadjacency")
-    _add_threads(pmc)
 
     ver = sub.add_parser("verify", help="cross-check the engine against oracles")
     _add_common(ver)
-    _add_threads(ver)
     _add_guards(ver)
     ver.add_argument("--m", type=int, default=None,
                      help="truncation size for the induced-subgraph check "
@@ -132,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="time the engine against the oracles")
     _add_common(ben)
-    _add_threads(ben)
     _add_guards(ben)
 
     return parser
@@ -153,15 +146,6 @@ def _load_graph(text: str, fmt: str) -> Graph:
     return graph_from_biadjacency(parse_biadjacency(text))
 
 
-def _threads_arg(raw):
-    if raw == "auto":
-        return "auto"
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"--threads expects an integer or 'auto', got {raw!r}")
-
-
 def _set_text(vs) -> str:
     return "{" + ",".join(str(x) for x in vs.labels()) + "}"
 
@@ -172,8 +156,7 @@ def _record(**kw) -> str:
 
 def _cmd_per(args, text: str) -> int:
     g = _load_graph(text, args.format)
-    report = permanent_auto(g, cycle_cap=args.cycle_cap,
-                            threads=_threads_arg(args.threads))
+    report = permanent_auto(g, cycle_cap=args.cycle_cap)
     if args.output == "records":
         print(_record(record="permanent", value=report.value, n=report.n,
                       m=report.m, num_4k_cycles=report.num_4k_cycles,
@@ -271,8 +254,7 @@ def _cmd_cycles(args, text: str) -> int:
 
 def _cmd_pm_count(args, text: str) -> int:
     rows = parse_biadjacency(text)
-    value = count_perfect_matchings(rows, cycle_cap=args.cycle_cap,
-                                    threads=_threads_arg(args.threads))
+    value = count_perfect_matchings(rows, cycle_cap=args.cycle_cap)
     if args.output == "records":
         print(_record(record="pm-count", value=value, rows=len(rows),
                       cols=len(rows[0]) if rows else 0))
@@ -283,9 +265,8 @@ def _cmd_pm_count(args, text: str) -> int:
 
 def _cmd_verify(args, text: str) -> int:
     g = _load_graph(text, args.format)
-    threads = _threads_arg(args.threads)
-    report = permanent_auto(g, cycle_cap=args.cycle_cap, threads=threads)
-    full = permanent_theorem1(g, cycle_cap=args.cycle_cap, threads=threads)
+    report = permanent_auto(g, cycle_cap=args.cycle_cap)
+    full = permanent_theorem1(g, cycle_cap=args.cycle_cap)
     checks = []
 
     def record(name, ok, value=None):
@@ -366,11 +347,10 @@ def _cmd_classify(args, text: str) -> int:
 
 def _cmd_bench(args, text: str) -> int:
     g = _load_graph(text, args.format)
-    threads = _threads_arg(args.threads)
     rows = []
 
     start = time.perf_counter()
-    report = permanent_auto(g, cycle_cap=args.cycle_cap, threads=threads)
+    report = permanent_auto(g, cycle_cap=args.cycle_cap)
     rows.append(("engine", report.value, time.perf_counter() - start))
 
     if g.n <= args.guard_ryser:
@@ -452,6 +432,9 @@ def main(argv=None) -> int:
     except VerificationMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except InternalInvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -8,13 +8,21 @@ For bipartite G on an even number of vertices,
 the empty family contributing det(G).  Odd n gives 0 outright, and a
 graph with no 4k-cycles collapses to per(G) = (-1)^(n/2) det(G), which
 gets its own fast path.  All arithmetic is exact.
+
+Every determinant is taken on the biadjacency block.  Ordering the
+vertices left side first turns A(G) into [[0, B], [B^T, 0]], and removing
+a vertex set keeps that shape: with kept sides L' and R',
+det(G minus S) = (-1)^|L'| det(B[L', R'])^2 when |L'| = |R'|, and 0
+without any elimination otherwise.  A 4k-cycle takes 2k vertices from
+each side, so every term's remainder is balanced exactly when G is.
+The bipartition is computed once per solve.  The full-order Bareiss in
+``determinant`` stays the reference for the ``det`` command and the
+oracles; the engine never calls it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cycles import (
@@ -23,9 +31,16 @@ from .cycles import (
     enumerate_disjoint_families,
     four_k_cycles,
 )
-from .determinant import DetCache, det_after_removal, determinant
-from .errors import NotAPerfectSquare, NotBipartiteError
-from .graphs import EMPTY_SET, Graph, VertexSet, bipartition, graph_from_biadjacency
+from .determinant import DetCache, biadjacency_det_after_removal
+from .errors import InternalInvariantError, NotAPerfectSquare, NotBipartiteError
+from .graphs import (
+    EMPTY_SET,
+    Bipartition,
+    Graph,
+    VertexSet,
+    bipartition,
+    graph_from_biadjacency,
+)
 
 PATH_ODD = "odd_shortcut"
 PATH_COROLLARY = "corollary_fast_path"
@@ -59,24 +74,13 @@ class PermanentReport:
     cache_misses: int = 0
 
 
-def _resolve_threads(threads) -> int:
-    if threads is None:
-        return 1
-    if threads == "auto":
-        return max(os.cpu_count() or 1, 1)
-    count = int(threads)
-    if count < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return count
-
-
 def _signed(n: int, total: int) -> int:
     return -total if (n // 2) & 1 else total
 
 
 def _check_nonnegative(value: int, where: str) -> None:
     if value < 0:
-        raise AssertionError(f"negative permanent {value} from {where}; this is a bug")
+        raise InternalInvariantError(f"negative permanent {value} from {where}; this is a bug")
 
 
 def _odd_report(g: Graph) -> PermanentReport:
@@ -84,55 +88,37 @@ def _odd_report(g: Graph) -> PermanentReport:
     return PermanentReport(0, g.n, 0, 0, (), PATH_ODD)
 
 
-def _assert_even_cycles(cycles) -> None:
+def _check_even_cycles(cycles) -> None:
     # The host was already bipartition-checked, so an odd cycle here can
     # only mean a bug in the enumerator.
     for cyc in cycles:
-        assert cyc.length % 2 == 0, f"odd cycle {cyc.labels()} in bipartite host"
+        if cyc.length % 2:
+            raise InternalInvariantError(f"odd cycle {cyc.labels()} in bipartite host")
 
 
-def _expand(g: Graph, c4k, threads) -> tuple:
-    families = enumerate_disjoint_families(c4k)
+def _even_cycles(g: Graph, cycle_cap: int) -> tuple:
+    cycles = enumerate_cycles(g, cap=cycle_cap)
+    _check_even_cycles(cycles)
+    return cycles, four_k_cycles(cycles)
+
+
+def _expansion_report(g: Graph, parts: Bipartition, cycles, c4k) -> PermanentReport:
     cache = DetCache()
-    nthreads = _resolve_threads(threads)
-    masks = sorted({fam.covered.mask for fam in families})
-    if nthreads > 1 and len(masks) > 1:
-        # Warm the cache in parallel; the sequential pass below then only
-        # reads.  The total is assembled in a fixed order either way, so
-        # output is independent of thread count.
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(lambda mk: det_after_removal(g, VertexSet(mk), cache), masks))
     terms = []
     total = 0
-    for fam in families:
-        d = det_after_removal(g, fam.covered, cache)
+    for fam in enumerate_disjoint_families(c4k):
+        d = biadjacency_det_after_removal(g, parts, fam.covered, cache)
         coeff = 4**fam.size
         terms.append(FamilyTerm(fam.size, fam.covered, d, coeff))
         total += coeff * d
-    return _signed(g.n, total), tuple(terms), cache
-
-
-def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP, threads=1) -> PermanentReport:
-    """Full expansion over disjoint 4k-cycle families, no shortcuts.
-
-    Raises NotBipartiteError for non-bipartite input and propagates
-    CycleCapExceeded from enumeration.
-    """
-    bipartition(g)
-    if g.n % 2:
-        return _odd_report(g)
-    cycles = enumerate_cycles(g, cap=cycle_cap)
-    _assert_even_cycles(cycles)
-    c4k = four_k_cycles(cycles)
-    value, terms, cache = _expand(g, c4k, threads)
+    value = _signed(g.n, total)
     _check_nonnegative(value, "theorem expansion")
-    m = max((term.z for term in terms), default=0)
     return PermanentReport(
         value,
         g.n,
-        m,
+        max((term.z for term in terms), default=0),
         len(c4k),
-        terms,
+        tuple(terms),
         PATH_THEOREM1,
         num_cycles=len(cycles),
         cache_hits=cache.hits,
@@ -140,38 +126,36 @@ def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP, threads=1) 
     )
 
 
-def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP, threads=1) -> PermanentReport:
+def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
+    """Full expansion over disjoint 4k-cycle families, no shortcuts.
+
+    Raises NotBipartiteError for non-bipartite input and propagates
+    CycleCapExceeded from enumeration.
+    """
+    parts = bipartition(g)
+    if g.n % 2:
+        return _odd_report(g)
+    cycles, c4k = _even_cycles(g, cycle_cap)
+    return _expansion_report(g, parts, cycles, c4k)
+
+
+def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
     """Like permanent_theorem1, but short-circuits: odd n gives 0 without
     enumerating anything, and a 4k-cycle-free graph is finished with a
     single determinant.
     """
-    bipartition(g)
+    parts = bipartition(g)
     if g.n % 2:
         return _odd_report(g)
-    cycles = enumerate_cycles(g, cap=cycle_cap)
-    _assert_even_cycles(cycles)
-    c4k = four_k_cycles(cycles)
-    if not c4k:
-        d = determinant(g.adj)
-        value = _signed(g.n, d)
-        _check_nonnegative(value, "corollary fast path")
-        term = FamilyTerm(0, EMPTY_SET, d, 1)
-        return PermanentReport(
-            value, g.n, 0, 0, (term,), PATH_COROLLARY, num_cycles=len(cycles)
-        )
-    value, terms, cache = _expand(g, c4k, threads)
-    _check_nonnegative(value, "theorem expansion")
-    m = max((term.z for term in terms), default=0)
+    cycles, c4k = _even_cycles(g, cycle_cap)
+    if c4k:
+        return _expansion_report(g, parts, cycles, c4k)
+    d = biadjacency_det_after_removal(g, parts, EMPTY_SET)
+    value = _signed(g.n, d)
+    _check_nonnegative(value, "corollary fast path")
+    term = FamilyTerm(0, EMPTY_SET, d, 1)
     return PermanentReport(
-        value,
-        g.n,
-        m,
-        len(c4k),
-        terms,
-        PATH_THEOREM1,
-        num_cycles=len(cycles),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
+        value, g.n, 0, 0, (term,), PATH_COROLLARY, num_cycles=len(cycles)
     )
 
 
@@ -200,7 +184,7 @@ def _symmetric_hollow(rows) -> bool:
     )
 
 
-def count_perfect_matchings(b, cycle_cap: int = DEFAULT_CYCLE_CAP, threads=1) -> int:
+def count_perfect_matchings(b, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:
     """Number of perfect matchings of the bipartite graph with biadjacency b.
 
     Equals per(b).  A non-square b has no perfect matching, so 0.  When b
@@ -222,10 +206,8 @@ def count_perfect_matchings(b, cycle_cap: int = DEFAULT_CYCLE_CAP, threads=1) ->
         except NotBipartiteError:
             pass
         else:
-            return permanent_auto(h, cycle_cap=cycle_cap, threads=threads).value
-    big = permanent_auto(
-        graph_from_biadjacency(rows), cycle_cap=cycle_cap, threads=threads
-    ).value
+            return permanent_auto(h, cycle_cap=cycle_cap).value
+    big = permanent_auto(graph_from_biadjacency(rows), cycle_cap=cycle_cap).value
     root = math.isqrt(big)
     if root * root != big:
         raise NotAPerfectSquare(big)
@@ -253,7 +235,7 @@ def classify_efficient(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Efficien
     """
     bipartition(g)
     cycles = enumerate_cycles(g, cap=cycle_cap)
-    _assert_even_cycles(cycles)
+    _check_even_cycles(cycles)
     if not cycles:
         return EfficiencyReport(True, None, g.n, 0, True)
     masks = [cy.vertex_set.mask for cy in cycles]

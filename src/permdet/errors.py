@@ -67,7 +67,15 @@ class GraphTooLarge(PermdetError):
         super().__init__(f"graph has {n} vertices; supported maximum is {limit}")
 
 
-class NotAPerfectSquare(PermdetError):
+class InternalInvariantError(PermdetError):
+    """A result broke an invariant that holds for every valid input.
+
+    Raised in place of ``assert``, which ``python -O`` strips; reaching it
+    means a bug in this package, not bad input.
+    """
+
+
+class NotAPerfectSquare(InternalInvariantError):
     """Internal consistency failure: per(A(G_b)) should be a square."""
 
     def __init__(self, value):

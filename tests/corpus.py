@@ -61,6 +61,27 @@ def complete_bipartite(p: int, q: int) -> Graph:
     return Graph.from_edges(p + q, [(i, p + j) for i in range(p) for j in range(q)])
 
 
+def bridged_c8_chain(blocks: int) -> Graph:
+    """8-cycles in a row, consecutive ones joined by a single bridge edge.
+
+    Bridges lie in no perfect matching, so per = 4^blocks.
+    """
+    edges = []
+    for b in range(blocks):
+        base = 8 * b
+        edges.extend((base + i, base + (i + 1) % 8) for i in range(8))
+        if b:
+            edges.append((base - 1, base))
+    return Graph.from_edges(8 * blocks, edges)
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid; cell (i, j) is vertex i * cols + j."""
+    edges = [(i * cols + j, i * cols + j + 1) for i in range(rows) for j in range(cols - 1)]
+    edges += [(i * cols + j, (i + 1) * cols + j) for i in range(rows - 1) for j in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

@@ -211,11 +211,11 @@ def test_exit_code_cap_exceeded(capsys):
     assert "cap" in err
 
 
-def test_threads_flag(capsys):
-    code, out, _ = run(capsys, "per", fixture("cactus40.edges"),
-                       "--threads", "auto")
-    assert code == 0
-    assert "permanent: 1024" in out
-    code, _, err = run(capsys, "per", fixture("c4.edges"), "--threads", "zzz")
-    assert code == 1
-    assert "--threads" in err
+def test_exit_code_internal_invariant(capsys, monkeypatch):
+    from permdet import engine
+
+    monkeypatch.setattr(engine, "biadjacency_det_after_removal", lambda *args: -1)
+    code, out, err = run(capsys, "per", fixture("c4.edges"))
+    assert code == 5
+    assert out == ""
+    assert "negative permanent" in err

@@ -2,7 +2,17 @@ import random
 
 import corpus
 import pytest
-from permdet import DetCache, VertexSet, det_after_removal, determinant
+from permdet import (
+    DetCache,
+    VertexSet,
+    biadjacency_det_after_removal,
+    bipartition,
+    det_after_removal,
+    determinant,
+    enumerate_cycles,
+    enumerate_disjoint_families,
+    four_k_cycles,
+)
 
 
 def laplace_det(m):
@@ -88,3 +98,55 @@ def test_det_after_removal_full_graph_gives_one():
 def test_det_after_removal_without_cache():
     g = corpus.example10()
     assert det_after_removal(g, VertexSet(0)) == 0
+
+
+def test_biadjacency_det_matches_full_order_on_every_family_mask():
+    masks_checked = 0
+    for g in corpus.connected_bipartite_upto(8):
+        parts = bipartition(g)
+        families = enumerate_disjoint_families(four_k_cycles(enumerate_cycles(g)))
+        for mask in sorted({fam.covered.mask for fam in families}):
+            removed = VertexSet(mask)
+            assert biadjacency_det_after_removal(g, parts, removed) == det_after_removal(
+                g, removed
+            ), (g.edges, mask)
+            masks_checked += 1
+    assert masks_checked > 1000
+
+
+def test_biadjacency_det_matches_full_order_on_random_masks():
+    # Arbitrary removal sets, not just cycle families, so the kept sides
+    # are often unbalanced and |L'| is often odd.
+    rng = random.Random(40417)
+    seen = {"disconnected": 0, "odd_n": 0, "unbalanced": 0, "odd_k_nonzero": 0}
+    for _ in range(150):
+        g = corpus.random_bipartite(rng.randint(2, 13), rng.choice((0.15, 0.35, 0.6)), rng)
+        parts = bipartition(g)
+        seen["disconnected"] += not corpus.is_connected(g)
+        seen["odd_n"] += g.n % 2
+        for _ in range(16):
+            removed = VertexSet(rng.getrandbits(g.n) & rng.getrandbits(g.n))
+            fast = biadjacency_det_after_removal(g, parts, removed)
+            assert fast == det_after_removal(g, removed), (g.edges, removed.mask)
+            kept_left = len(parts.left) - len(parts.left & removed)
+            kept_right = len(parts.right) - len(parts.right & removed)
+            seen["unbalanced"] += kept_left != kept_right
+            seen["odd_k_nonzero"] += kept_left == kept_right and kept_left % 2 and fast != 0
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_biadjacency_det_negative_sign_and_cache():
+    g = corpus.cycle_graph(6)  # det(C6) = -4 = (-1)^3 * 2^2
+    parts = bipartition(g)
+    cache = DetCache()
+    assert biadjacency_det_after_removal(g, parts, VertexSet(0), cache) == -4
+    assert biadjacency_det_after_removal(g, parts, VertexSet(0), cache) == -4
+    assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+    # removing one vertex leaves 2 + 3 kept: zero without elimination
+    assert biadjacency_det_after_removal(g, parts, VertexSet(1)) == 0
+
+
+def test_biadjacency_det_rejects_out_of_range_removal():
+    g = corpus.cycle_graph(4)
+    with pytest.raises(ValueError):
+        biadjacency_det_after_removal(g, bipartition(g), VertexSet(1 << 4))

@@ -1,10 +1,13 @@
+import importlib
 import math
 import random
 
 import corpus
 import pytest
 from permdet import (
+    Cycle,
     Graph,
+    InternalInvariantError,
     NotAPerfectSquare,
     NotBipartiteError,
     PATH_COROLLARY,
@@ -17,6 +20,10 @@ from permdet import (
     permanent_auto,
     permanent_theorem1,
 )
+from permdet import engine
+
+# the package re-exports the function under the submodule's name
+determinant_module = importlib.import_module("permdet.determinant")
 
 
 def test_example10_report():
@@ -114,20 +121,72 @@ def test_relabeling_invariance():
         assert permanent_auto(corpus.relabel(g, perm)).value == 36
 
 
-def test_thread_count_does_not_change_result():
-    g = corpus.load_fixture("cactus40.edges")
-    seq = permanent_theorem1(g, threads=1)
-    par = permanent_theorem1(g, threads=4)
-    auto = permanent_theorem1(g, threads="auto")
-    assert seq.value == par.value == auto.value == 1024
-    assert [t.covered for t in seq.per_family_terms] == [
-        t.covered for t in par.per_family_terms
-    ]
+def test_half_size_expansion_on_chain_and_grid():
+    chain = corpus.bridged_c8_chain(6)
+    assert permanent_auto(chain).value == 4**6
+    grid = corpus.grid_graph(4, 4)
+    report = permanent_auto(grid)
+    assert report.path_taken == PATH_THEOREM1
+    assert report.value == per_ryser(grid.adj) == 36**2
 
 
-def test_threads_validation():
-    with pytest.raises(ValueError):
-        permanent_auto(corpus.cycle_graph(4), threads=0)
+def test_engine_never_runs_full_order_determinants(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("engine reached a full-order determinant")
+
+    orders = []
+
+    def recording_bareiss(a):
+        orders.append(len(a))
+        return bareiss(a)
+
+    bareiss = determinant_module._bareiss
+    monkeypatch.setattr(determinant_module, "determinant", forbidden)
+    monkeypatch.setattr(determinant_module, "det_after_removal", forbidden)
+    monkeypatch.setattr(determinant_module, "_bareiss", recording_bareiss)
+    chain = corpus.bridged_c8_chain(3)
+    assert permanent_auto(chain).value == 64
+    assert permanent_theorem1(chain).value == 64
+    assert max(orders) == chain.n // 2
+    assert permanent_auto(corpus.cycle_graph(10)).path_taken == PATH_COROLLARY
+    assert count_perfect_matchings(corpus.fig1_biadjacency()) == 6
+
+
+def test_unbalanced_remainders_skip_elimination(monkeypatch):
+    orders = []
+    bareiss = determinant_module._bareiss
+    monkeypatch.setattr(
+        determinant_module, "_bareiss", lambda a: orders.append(len(a)) or bareiss(a)
+    )
+    # K_{2,4}: even n, 4k-cycles, but no perfect matching on any remainder
+    report = permanent_auto(corpus.complete_bipartite(2, 4))
+    assert report.value == 0
+    assert report.path_taken == PATH_THEOREM1
+    assert all(term.det == 0 for term in report.per_family_terms)
+    assert orders == []
+
+
+def test_negative_permanent_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(engine, "biadjacency_det_after_removal", lambda *args: 1)
+    # C6: corollary path, per = (-1)^3 * det
+    with pytest.raises(InternalInvariantError, match="negative permanent"):
+        permanent_auto(corpus.cycle_graph(6))
+    monkeypatch.setattr(engine, "biadjacency_det_after_removal", lambda *args: -1)
+    # C4: expansion path, per = (+1) * (-1 + 4 * -1)
+    with pytest.raises(InternalInvariantError, match="negative permanent"):
+        permanent_theorem1(corpus.cycle_graph(4))
+
+
+def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
+    triangle = Cycle.from_vertices((0, 1, 2))
+    monkeypatch.setattr(engine, "enumerate_cycles", lambda g, cap: (triangle,))
+    for run in (permanent_auto, permanent_theorem1, classify_efficient):
+        with pytest.raises(InternalInvariantError, match="odd cycle"):
+            run(corpus.cycle_graph(4))
+
+
+def test_not_a_perfect_square_is_an_invariant_error():
+    assert issubclass(NotAPerfectSquare, InternalInvariantError)
 
 
 def test_count_perfect_matchings_known():
