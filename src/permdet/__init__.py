@@ -16,6 +16,7 @@ Quick start::
 from .cycles import (
     Cycle,
     DEFAULT_CYCLE_CAP,
+    DEFAULT_FAMILY_CAP,
     DisjointFamily,
     enumerate_cycles,
     enumerate_disjoint_families,
@@ -89,6 +90,7 @@ __all__ = [
     "Cycle",
     "CycleCapExceeded",
     "DEFAULT_CYCLE_CAP",
+    "DEFAULT_FAMILY_CAP",
     "DetCache",
     "DisjointFamily",
     "EMPTY_SET",

@@ -10,16 +10,28 @@ permanent expansion; unordered families of mutually vertex-disjoint
 ones (including the empty family) index its terms.  The ordered-tuple
 count used elsewhere equals z! times the unordered count for each size
 z, so nothing is lost by enumerating unordered families only.
+
+Families are the independent sets of the cycles' conflict graph, and
+they are listed by a depth-first search over bitmasks of cycle indices.
+Each search node carries the set of later cycles still disjoint from its
+family, so it only ever tries cycles it can take: with c cycles of at
+most L vertices, each family costs O(L) AND operations on c-bit
+integers, whatever the number of cycles it cannot take.  Per-vertex
+cycle masks, built in O(n * c) time, keep the extra memory at O(n * c)
+bits; a conflict mask per cycle would need O(c^2).  Both enumerations
+have a cap, and passing it raises a typed error rather than exhausting
+memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CycleCapExceeded
+from .errors import CycleCapExceeded, EnumerationCapExceeded
 from .graphs import Graph, VertexSet
 
 DEFAULT_CYCLE_CAP = 10**6
+DEFAULT_FAMILY_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -129,25 +141,76 @@ class DisjointFamily:
         return len(self.cycle_indices)
 
 
+def _avoid_masks(c4k) -> dict:
+    """``avoid[v]``: an AND mask that clears the cycles through vertex v.
+
+    Each vertex's cycles are first marked in a bit string, highest index
+    first, which ``int(row, 2)`` reads in linear time.  Setting bit i of a
+    growing int instead copies all c bits per cycle through v.
+    """
+    c = len(c4k)
+    rows = {}
+    for i, cycle in enumerate(c4k):
+        for v in cycle.vertices:
+            if v not in rows:
+                rows[v] = bytearray(b"0" * c)
+            rows[v][c - 1 - i] = ord("1")
+    return {v: ~int(row, 2) for v, row in rows.items()}
+
+
 def enumerate_disjoint_families(c4k) -> list:
     """All families of pairwise vertex-disjoint cycles from ``c4k``.
 
     Includes the empty family.  Output is sorted by (size, indices).
+
+    ``avoid[v]`` is the complement of the bitmask of the cycles through
+    vertex v.  A search node holds ``cands``, the bitmask of later cycles
+    disjoint from its family; it takes them lowest index first, and the
+    child's candidates are the remaining ones ANDed with ``avoid[v]`` for
+    every vertex v of the cycle taken.  Every step therefore produces a
+    family, so the search costs O(L) c-bit mask operations per family (L
+    the longest cycle, c = len(c4k)) instead of a rescan of all later
+    cycles.  Depth-first order lists each size's families in increasing
+    index order, so bucketing by size yields the sorted output without a
+    sort.
+
+    Raises EnumerationCapExceeded when there are more than
+    ``DEFAULT_FAMILY_CAP`` families, the empty one included.
     """
+    cap = DEFAULT_FAMILY_CAP
     masks = [c.vertex_set.mask for c in c4k]
-    families = []
+    avoid = _avoid_masks(c4k)
+    by_size = []
+    count = 0
 
-    def extend(start, chosen, covered):
-        families.append(DisjointFamily(tuple(chosen), VertexSet(covered)))
-        for i in range(start, len(masks)):
-            if covered & masks[i] == 0:
-                chosen.append(i)
-                extend(i + 1, chosen, covered | masks[i])
-                chosen.pop()
+    def extend(cands, chosen, covered):
+        nonlocal count
+        count += 1
+        if count > cap:
+            raise EnumerationCapExceeded("disjoint family", cap)
+        if len(by_size) == len(chosen):
+            by_size.append([])
+        by_size[len(chosen)].append((tuple(chosen), covered))
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            child = cands
+            for v in c4k[i].vertices:
+                child &= avoid[v]
+            chosen.append(i)
+            extend(child, chosen, covered | masks[i])
+            chosen.pop()
 
-    extend(0, [], 0)
-    families.sort(key=lambda f: (f.size, f.cycle_indices))
-    return families
+    extend((1 << len(c4k)) - 1, [], 0)
+    # The objects are made after the search, not inside it: interleaved
+    # with the search's short-lived masks they held about 3 MiB more
+    # peak RSS on 4x4-4x6 grids, though their tracemalloc peak was lower.
+    return [
+        DisjointFamily(indices, VertexSet(covered))
+        for level in by_size
+        for indices, covered in level
+    ]
 
 
 def max_disjoint(families) -> int:

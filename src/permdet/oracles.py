@@ -23,7 +23,7 @@ from itertools import permutations
 
 from .cycles import Cycle, enumerate_cycles, enumerate_disjoint_families, four_k_cycles
 from .determinant import DetCache, det_after_removal
-from .errors import EnumerationCapExceeded, SizeGuardExceeded
+from .errors import EnumerationCapExceeded, InternalInvariantError, SizeGuardExceeded
 from .graphs import Graph, VertexSet, adjacency_after_removal, induced_subgraph
 
 RYSER_GUARD = 30
@@ -199,21 +199,27 @@ def det_via_sachs(g: Graph, guard: int = SACHS_GUARD, cap: int = DEFAULT_SACHS_C
     return total
 
 
+def _grouped_sachs_sum(spanning) -> int:
+    """The Sachs permanent sum in its grouped form, sum of 2^(s+t)."""
+    return sum(1 << (u.s + u.t) for u in spanning)
+
+
 def per_via_sachs(g: Graph, guard: int = SACHS_GUARD, cap: int = DEFAULT_SACHS_CAP) -> int:
     """Permanent as the unsigned Sachs sum over spanning subgraphs.
 
     When the host has only even cycles the sum is recomputed in the
     grouped 2^(s+t) form and cross-checked; the two must agree because
-    every cycle component is then a 4k- or (4k+2)-cycle.
+    every cycle component is then a 4k- or (4k+2)-cycle.  A disagreement
+    raises InternalInvariantError.
     """
     if g.n > guard:
         raise SizeGuardExceeded("per_via_sachs", g.n, guard)
     spanning = enumerate_sachs(g, g.n, cap=cap)
     total = sum(1 << u.c for u in spanning)
     if all(u.c == u.s + u.t for u in spanning):
-        grouped = sum(1 << (u.s + u.t) for u in spanning)
+        grouped = _grouped_sachs_sum(spanning)
         if grouped != total:
-            raise AssertionError(
+            raise InternalInvariantError(
                 f"Sachs grouping mismatch: 2^c sum {total} != 2^(s+t) sum {grouped}"
             )
     return total

@@ -211,6 +211,16 @@ def test_exit_code_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_exit_code_family_cap_exceeded(capsys, monkeypatch):
+    from permdet import cycles
+
+    monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", 2)
+    code, out, err = run(capsys, "per", fixture("example10.edges"))
+    assert code == 3
+    assert out == ""
+    assert "disjoint family enumeration exceeded cap of 2" in err
+
+
 def test_exit_code_internal_invariant(capsys, monkeypatch):
     from permdet import engine
 

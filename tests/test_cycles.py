@@ -3,9 +3,13 @@ import random
 import corpus
 import pytest
 from permdet import (
+    DEFAULT_FAMILY_CAP,
     Cycle,
     CycleCapExceeded,
+    DisjointFamily,
+    EnumerationCapExceeded,
     Graph,
+    VertexSet,
     enumerate_cycles,
     enumerate_disjoint_families,
     four_k_cycles,
@@ -121,3 +125,66 @@ def test_disjoint_families_empty_input():
     assert len(fams) == 1
     assert fams[0].size == 0
     assert max_disjoint(fams) == 0
+
+
+def rescanning_families(c4k) -> list:
+    """Reference enumerator: every family rescans every later cycle.
+
+    The package's first implementation, kept as the oracle for the
+    bitset search; it costs O(families * cycles).
+    """
+    masks = [c.vertex_set.mask for c in c4k]
+    families = []
+
+    def extend(start, chosen, covered):
+        families.append(DisjointFamily(tuple(chosen), VertexSet(covered)))
+        for i in range(start, len(masks)):
+            if covered & masks[i] == 0:
+                chosen.append(i)
+                extend(i + 1, chosen, covered | masks[i])
+                chosen.pop()
+
+    extend(0, [], 0)
+    families.sort(key=lambda f: (f.size, f.cycle_indices))
+    return families
+
+
+def _c4k_lists(*graphs):
+    return [four_k_cycles(enumerate_cycles(g)) for g in graphs]
+
+
+@pytest.mark.parametrize(
+    "c4k_lists",
+    [
+        pytest.param(lambda: _c4k_lists(*corpus.connected_bipartite_upto(8)), id="connected_upto_8"),
+        pytest.param(lambda: _c4k_lists(*corpus.random_corpus()), id="random_corpus"),
+        pytest.param(
+            lambda: _c4k_lists(corpus.grid_graph(4, 4), corpus.grid_graph(4, 5)), id="grids_4x4_4x5"
+        ),
+        pytest.param(lambda: _c4k_lists(corpus.bridged_c8_chain(6)), id="bridged_c8_chain_6"),
+        pytest.param(lambda: _c4k_lists(corpus.example10()), id="example10"),
+        pytest.param(lambda: [[]], id="empty"),
+    ],
+)
+def test_disjoint_families_match_rescanning_oracle(c4k_lists):
+    # DisjointFamily equality compares cycle_indices and covered; list
+    # equality adds the order.
+    for c4k in c4k_lists():
+        assert enumerate_disjoint_families(c4k) == rescanning_families(c4k)
+
+
+def test_family_cap_raises(monkeypatch):
+    from permdet import cycles
+
+    c4k = four_k_cycles(enumerate_cycles(corpus.grid_graph(4, 4)))
+    count = len(enumerate_disjoint_families(c4k))
+    assert count < DEFAULT_FAMILY_CAP
+    monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", count)
+    assert len(enumerate_disjoint_families(c4k)) == count
+    monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", count - 1)
+    with pytest.raises(EnumerationCapExceeded, match="disjoint family") as info:
+        enumerate_disjoint_families(c4k)
+    assert info.value.cap == count - 1
+    monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", 0)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_disjoint_families([])

@@ -4,6 +4,7 @@ import corpus
 import pytest
 from permdet import (
     Graph,
+    InternalInvariantError,
     SizeGuardExceeded,
     VertexSet,
     check_parity_identity,
@@ -109,6 +110,14 @@ def test_sachs_oracles_match_on_small_corpus():
     for g in corpus.connected_bipartite_upto(6):
         assert per_via_sachs(g) == per_ryser(g.adj), g.edges
         assert det_via_sachs(g) == determinant(g.adj), g.edges
+
+
+def test_sachs_grouping_mismatch_raises_invariant_error(monkeypatch):
+    from permdet import oracles
+
+    monkeypatch.setattr(oracles, "_grouped_sachs_sum", lambda spanning: 0)
+    with pytest.raises(InternalInvariantError, match="Sachs grouping mismatch"):
+        per_via_sachs(corpus.example10())
 
 
 def test_sachs_size_monotone_on_bipartite():
