@@ -80,5 +80,11 @@ report = permanent_auto(g)
 assert report.value == sign * total
 assert per_ryser(g.adj) == report.value
 print(f"\nengine value: {report.value} (path: {report.path_taken})")
+# The edge 6-9 lies in no perfect matching, so the engine splits the
+# graph there into elementary pieces, expands each on its own and
+# multiplies; the table above is the whole-graph sum it stands in for.
+for piece in report.pieces:
+    print(f"  piece: {piece.n} vertices, {len(piece.per_family_terms)} families, "
+          f"per = {piece.value}")
 print(f"oracle value: {per_ryser(g.adj)} (independent inclusion-exclusion)")
 print(f"det(G) alone would give: {determinant(g.adj)}")

@@ -34,6 +34,7 @@ from .engine import (
     EfficiencyReport,
     FamilyTerm,
     PATH_COROLLARY,
+    PATH_DECOMPOSED,
     PATH_ODD,
     PATH_THEOREM1,
     PermanentReport,
@@ -103,6 +104,7 @@ __all__ = [
     "NotAPerfectSquare",
     "NotBipartiteError",
     "PATH_COROLLARY",
+    "PATH_DECOMPOSED",
     "PATH_ODD",
     "PATH_THEOREM1",
     "ParseError",

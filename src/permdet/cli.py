@@ -103,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     per = sub.add_parser("per", help="permanent of a bipartite graph")
     _add_common(per)
     per.add_argument("--show-terms", action="store_true",
-                     help="print the per-family term table")
+                     help="run the full expansion and print its per-family "
+                          "term table")
 
     det = sub.add_parser("det", help="exact determinant of the adjacency matrix")
     _add_common(det)
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guards(ver)
     ver.add_argument("--m", type=int, default=None,
                      help="truncation size for the induced-subgraph check "
-                          "(default: the engine's m)")
+                          "(default: the full expansion's m)")
 
     cls = sub.add_parser("classify", help="girth/cactus efficiency condition")
     _add_common(cls)
@@ -156,7 +157,9 @@ def _record(**kw) -> str:
 
 def _cmd_per(args, text: str) -> int:
     g = _load_graph(text, args.format)
-    report = permanent_auto(g, cycle_cap=args.cycle_cap)
+    # The term table is the whole graph's expansion, never a piecewise one.
+    solve = permanent_theorem1 if args.show_terms else permanent_auto
+    report = solve(g, cycle_cap=args.cycle_cap)
     if args.output == "records":
         print(_record(record="permanent", value=report.value, n=report.n,
                       m=report.m, num_4k_cycles=report.num_4k_cycles,
@@ -306,7 +309,9 @@ def _cmd_verify(args, text: str) -> int:
     else:
         skipped("removal-identity")
 
-    m = args.m if args.m is not None else report.m
+    # A decomposed report's m sums the pieces' families and can fall below
+    # the whole graph's largest family, which Theorem 2 is about.
+    m = args.m if args.m is not None else full.m
     if g.n <= args.guard_subsets:
         t2 = verify_theorem2(g, m, guard=args.guard_subsets)
         record(f"theorem2(m={m})", t2.holds_for_all)
@@ -352,6 +357,8 @@ def _cmd_bench(args, text: str) -> int:
     start = time.perf_counter()
     report = permanent_auto(g, cycle_cap=args.cycle_cap)
     rows.append(("engine", report.value, time.perf_counter() - start))
+    expansions = report.pieces or (report,)
+    families = sum(len(r.per_family_terms) for r in expansions)
 
     if g.n <= args.guard_ryser:
         start = time.perf_counter()
@@ -378,7 +385,7 @@ def _cmd_bench(args, text: str) -> int:
                               seconds=f"{seconds:.6f}"))
         print(_record(record="bench-counts", n=g.n, num_cycles=report.num_cycles,
                       num_4k_cycles=report.num_4k_cycles,
-                      num_families=len(report.per_family_terms),
+                      num_families=families,
                       cache_hits=report.cache_hits,
                       cache_misses=report.cache_misses,
                       path=report.path_taken))
@@ -390,7 +397,7 @@ def _cmd_bench(args, text: str) -> int:
         else:
             print(f"{name:<10} {str(value):<24} {seconds:.4f}")
     print(f"n={g.n} cycles={report.num_cycles} 4k-cycles={report.num_4k_cycles} "
-          f"families={len(report.per_family_terms)} "
+          f"families={families} "
           f"cache-hits={report.cache_hits} cache-misses={report.cache_misses} "
           f"path={report.path_taken}")
     return EXIT_OK

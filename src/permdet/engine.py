@@ -18,6 +18,14 @@ each side, so every term's remainder is balanced exactly when G is.
 The bipartition is computed once per solve.  The full-order Bareiss in
 ``determinant`` stays the reference for the ``det`` command and the
 oracles; the engine never calls it.
+
+``permanent_auto`` also splits a graph at the edges that lie in no
+perfect matching (see ``matching``): per(G) is the product of the
+permanents of its elementary pieces, and each piece is expanded on its
+own, with the 4k-cycles of the whole graph that lie inside it.  A piece
+P's terms remove V(F) and every vertex outside P from the original
+graph, which leaves det(G[P] minus V(F)) because every edge inside a
+piece is kept.
 """
 
 from __future__ import annotations
@@ -41,10 +49,12 @@ from .graphs import (
     bipartition,
     graph_from_biadjacency,
 )
+from .matching import elementary_pieces
 
 PATH_ODD = "odd_shortcut"
 PATH_COROLLARY = "corollary_fast_path"
 PATH_THEOREM1 = "theorem1_expansion"
+PATH_DECOMPOSED = "matching_decomposition"
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,23 @@ class FamilyTerm:
 
 @dataclass(frozen=True)
 class PermanentReport:
+    """The permanent and how it was reached.
+
+    ``path_taken`` is one of the ``PATH_*`` names.  ``m`` is the size of
+    the largest disjoint 4k-cycle family expanded, ``per_family_terms``
+    the expansion's terms, and the cache counters count the determinant
+    lookups.  ``num_cycles`` and ``num_4k_cycles`` count the cycles of
+    the whole graph.
+
+    On ``PATH_DECOMPOSED`` the value is the product over ``pieces``, one
+    expansion report per elementary piece, whose ``n`` and cycle counts
+    are the piece's and whose ``covered`` sets are in the graph's
+    labels; a piece that is a single edge has per 1 and is left out.
+    There ``per_family_terms`` is empty, ``m`` and the cache counters are
+    sums over the pieces, and ``m`` can be smaller than the whole graph's
+    largest family, which may use cycles that cross pieces.
+    """
+
     value: int
     n: int
     m: int
@@ -72,6 +99,7 @@ class PermanentReport:
     num_cycles: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    pieces: tuple = ()
 
 
 def _signed(n: int, total: int) -> int:
@@ -102,20 +130,28 @@ def _even_cycles(g: Graph, cycle_cap: int) -> tuple:
     return cycles, four_k_cycles(cycles)
 
 
-def _expansion_report(g: Graph, parts: Bipartition, cycles, c4k) -> PermanentReport:
+def _expansion_report(
+    g: Graph, parts: Bipartition, cycles, c4k, keep: int
+) -> PermanentReport:
+    """The expansion of the subgraph induced by the vertex mask ``keep``,
+    whose cycles are ``cycles``; every term removes the rest of ``g`` too.
+    """
+    outside = ((1 << g.n) - 1) ^ keep
+    n = keep.bit_count()
     cache = DetCache()
     terms = []
     total = 0
     for fam in enumerate_disjoint_families(c4k):
-        d = biadjacency_det_after_removal(g, parts, fam.covered, cache)
+        removed = VertexSet(outside | fam.covered.mask) if outside else fam.covered
+        d = biadjacency_det_after_removal(g, parts, removed, cache)
         coeff = 4**fam.size
         terms.append(FamilyTerm(fam.size, fam.covered, d, coeff))
         total += coeff * d
-    value = _signed(g.n, total)
+    value = _signed(n, total)
     _check_nonnegative(value, "theorem expansion")
     return PermanentReport(
         value,
-        g.n,
+        n,
         max((term.z for term in terms), default=0),
         len(c4k),
         tuple(terms),
@@ -123,6 +159,37 @@ def _expansion_report(g: Graph, parts: Bipartition, cycles, c4k) -> PermanentRep
         num_cycles=len(cycles),
         cache_hits=cache.hits,
         cache_misses=cache.misses,
+    )
+
+
+def _decomposed_report(
+    g: Graph, parts: Bipartition, cycles, c4k, pieces: list
+) -> PermanentReport:
+    # A piece of two vertices is a single matched edge: per 1, no cycles.
+    inside = {mask: [] for mask in pieces if mask.bit_count() > 2}
+    home = [0] * g.n
+    for mask in inside:
+        for v in VertexSet(mask):
+            home[v] = mask
+    for cyc in cycles:
+        mask = home[cyc.vertices[0]]
+        if cyc.vertex_set.mask | mask == mask:
+            inside[mask].append(cyc)
+    reports = tuple(
+        _expansion_report(g, parts, own, four_k_cycles(own), mask)
+        for mask, own in inside.items()
+    )
+    return PermanentReport(
+        math.prod(r.value for r in reports),
+        g.n,
+        sum(r.m for r in reports),
+        len(c4k),
+        (),
+        PATH_DECOMPOSED,
+        num_cycles=len(cycles),
+        cache_hits=sum(r.cache_hits for r in reports),
+        cache_misses=sum(r.cache_misses for r in reports),
+        pieces=reports,
     )
 
 
@@ -136,20 +203,24 @@ def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Permanen
     if g.n % 2:
         return _odd_report(g)
     cycles, c4k = _even_cycles(g, cycle_cap)
-    return _expansion_report(g, parts, cycles, c4k)
+    return _expansion_report(g, parts, cycles, c4k, (1 << g.n) - 1)
 
 
 def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
     """Like permanent_theorem1, but short-circuits: odd n gives 0 without
-    enumerating anything, and a 4k-cycle-free graph is finished with a
-    single determinant.
+    enumerating anything, a 4k-cycle-free graph is finished with a single
+    determinant, and a graph that splits into more than one elementary
+    piece is expanded piece by piece and the results multiplied.
     """
     parts = bipartition(g)
     if g.n % 2:
         return _odd_report(g)
     cycles, c4k = _even_cycles(g, cycle_cap)
     if c4k:
-        return _expansion_report(g, parts, cycles, c4k)
+        pieces = elementary_pieces(g, parts)
+        if len(pieces) > 1:
+            return _decomposed_report(g, parts, cycles, c4k, pieces)
+        return _expansion_report(g, parts, cycles, c4k, (1 << g.n) - 1)
     d = biadjacency_det_after_removal(g, parts, EMPTY_SET)
     value = _signed(g.n, d)
     _check_nonnegative(value, "corollary fast path")

@@ -5,7 +5,7 @@ Conventions used throughout the package:
 * Vertices are labeled 1..n in all input and output (matching the usual
   drawing of small graphs), but stored 0-indexed internally.  Anything
   called ``label`` is 1-indexed; anything called ``index`` is 0-indexed.
-* Graphs are immutable once built and safe to share between workers.
+* Graphs are immutable once built.
 * Vertex subsets are bitmasks (`VertexSet`) so they can key caches.
 """
 

@@ -24,7 +24,8 @@ def test_per_example10(capsys):
     code, out, _ = run(capsys, "per", fixture("example10.edges"))
     assert code == 0
     assert "permanent: 36" in out
-    assert "path: theorem1_expansion" in out
+    # example10 splits into elementary pieces of 6 and 4 vertices
+    assert "path: matching_decomposition" in out
     assert "m: 2" in out
 
 
@@ -136,6 +137,19 @@ def test_verify_skips_guarded_oracles_on_big_input(capsys):
     assert "verify: PASS" in out
 
 
+def test_verify_truncation_uses_the_full_expansion_m(capsys, monkeypatch):
+    # The only perfect matching is 1-4 2-5 3-6, so every edge is its own
+    # piece and the pieces' m sums to 0, while the 4-cycle 2-4-3-5 gives
+    # the whole graph m = 1.  Theorem 2 fails at m = 0 here.
+    text = "6 6\n1 4\n2 4\n2 5\n3 4\n3 5\n3 6\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 0
+    assert "path: matching_decomposition" in out
+    assert "theorem2(m=1): ok" in out
+    assert "verify: PASS" in out
+
+
 def test_verify_mismatch_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "per_ryser", lambda *a, **k: 999)
     code, out, err = run(capsys, "verify", fixture("c6.edges"))
@@ -184,6 +198,17 @@ def test_bench_small_graph_runs_all(capsys):
             # plain decimal, never scientific notation
             assert "e" not in r["seconds"]
             assert float(r["seconds"]) >= 0.0
+
+
+def test_bench_counts_sum_over_pieces(capsys):
+    code, out, _ = run(capsys, "bench", fixture("example10.edges"),
+                       "--output", "records")
+    assert code == 0
+    counts = records(out)[-1]
+    assert counts["path"] == "matching_decomposition"
+    # 3 families in the 6-vertex piece, 2 in the 4-cycle piece
+    assert counts["num_families"] == 5
+    assert counts["cache_hits"] + counts["cache_misses"] == 5
 
 
 def test_exit_code_parse_error(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from permdet import (
     NotAPerfectSquare,
     NotBipartiteError,
     PATH_COROLLARY,
+    PATH_DECOMPOSED,
     PATH_ODD,
     PATH_THEOREM1,
     classify_efficient,
@@ -128,6 +129,56 @@ def test_half_size_expansion_on_chain_and_grid():
     report = permanent_auto(grid)
     assert report.path_taken == PATH_THEOREM1
     assert report.value == per_ryser(grid.adj) == 36**2
+
+
+def test_auto_matches_ryser_on_corpora_and_decomposes():
+    decomposed = 0
+    for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus():
+        report = permanent_auto(g)
+        assert report.value == per_ryser(g.adj), g.edges
+        if report.path_taken == PATH_DECOMPOSED:
+            decomposed += 1
+            assert report.value == math.prod(p.value for p in report.pieces)
+    assert decomposed >= 50
+
+
+def test_example10_decomposed_report():
+    g = corpus.example10()
+    report = permanent_auto(g)
+    assert report.path_taken == PATH_DECOMPOSED
+    assert (report.value, report.n, report.num_4k_cycles) == (36, 10, 3)
+    assert report.num_cycles == 4
+    assert report.per_family_terms == ()
+    assert [(p.n, p.value, p.m) for p in report.pieces] == [(6, 9, 1), (4, 4, 1)]
+    assert report.m == 2
+    # covered sets stay in the graph's own labels
+    covered = [[t.covered.labels() for t in p.per_family_terms] for p in report.pieces]
+    assert covered == [[(), (1, 2, 3, 4), (3, 4, 5, 6)], [(), (7, 8, 9, 10)]]
+    assert report.cache_misses == sum(p.cache_misses for p in report.pieces) == 5
+
+
+def test_single_edge_pieces_are_left_out():
+    # the only perfect matching is 1-4 2-5 3-6: three single-edge pieces
+    g = Graph.from_edge_labels(6, [(1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)])
+    report = permanent_auto(g)
+    assert (report.value, report.path_taken, report.pieces) == (1, PATH_DECOMPOSED, ())
+    assert (report.m, report.num_4k_cycles) == (0, 1)
+    assert permanent_theorem1(g).m == 1
+
+
+def test_bridged_chain_splits_into_small_determinants(monkeypatch):
+    orders = []
+    bareiss = determinant_module._bareiss
+    monkeypatch.setattr(
+        determinant_module, "_bareiss", lambda a: orders.append(len(a)) or bareiss(a)
+    )
+    chain = corpus.bridged_c8_chain(6)
+    report = permanent_auto(chain)
+    assert report.value == 4**6
+    assert report.path_taken == PATH_DECOMPOSED
+    assert len(report.pieces) == 6
+    assert all(p.n == 8 and p.num_4k_cycles == 1 for p in report.pieces)
+    assert orders and max(orders) <= 4
 
 
 def test_engine_never_runs_full_order_determinants(monkeypatch):

@@ -41,3 +41,23 @@ def test_permanent_of_disjoint_union_is_product(g, h):
     shifted = [(u + g.n, v + g.n) for u, v in h.edges]
     union = Graph.from_edges(g.n + h.n, list(g.edges) + shifted)
     assert permanent_auto(union).value == per_ryser(g.adj) * per_ryser(h.adj)
+
+
+@st.composite
+def union_with_inadmissible_edge(draw):
+    """Two balanced graphs side by side plus one edge from G's left side
+    to H's right side.  A perfect matching using that edge would leave
+    G's right side one partner short, so the edge lies in none."""
+    g = draw(bipartite(balanced=True))
+    h = draw(bipartite(balanced=True))
+    u = draw(st.integers(0, g.n // 2 - 1))
+    v = g.n + h.n // 2 + draw(st.integers(0, h.n // 2 - 1))
+    shifted = [(a + g.n, b + g.n) for a, b in h.edges]
+    return g, h, Graph.from_edges(g.n + h.n, list(g.edges) + shifted + [(u, v)])
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(union_with_inadmissible_edge())
+def test_inadmissible_edge_leaves_permanent_unchanged(case):
+    g, h, joined = case
+    assert permanent_auto(joined).value == per_ryser(g.adj) * per_ryser(h.adj)
