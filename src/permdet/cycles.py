@@ -5,6 +5,13 @@ closed walk compare equal: the smallest vertex comes first and its
 smaller neighbor on the cycle comes second.  Enumeration output is
 deterministic, sorted by (length, vertices).
 
+Every cycle lies inside one biconnected block, so cycles are searched
+one block at a time: a Hopcroft-Tarjan pass, O(n + e), splits the graph
+into blocks, and the backtracking search then runs in each block with
+neighbor lists cut down to it.  Bridges, trees and the paths between
+blocks are never walked, and since two blocks share no edge, no cycle
+is found twice.
+
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
 ones (including the empty family) index its terms.  The ordered-tuple
@@ -45,6 +52,15 @@ class Cycle:
         object.__setattr__(self, "vertex_set", VertexSet.from_indices(self.vertices))
 
     @classmethod
+    def _from_search(cls, vertices: tuple, mask: int) -> "Cycle":
+        """A cycle the search found: ``vertices`` already canonical and
+        ``mask`` their bitmask, so neither is checked or rebuilt."""
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "vertices", vertices)
+        object.__setattr__(cycle, "vertex_set", VertexSet(mask))
+        return cycle
+
+    @classmethod
     def from_vertices(cls, vertices) -> "Cycle":
         """Canonicalize any traversal order of the cycle."""
         walk = list(vertices)
@@ -76,42 +92,117 @@ class Cycle:
         return tuple(v + 1 for v in self.vertices)
 
 
+def biconnected_blocks(g: Graph) -> list:
+    """The biconnected blocks of ``g`` with at least 3 vertices.
+
+    One iterative Hopcroft-Tarjan depth-first pass, O(n + e): a vertex
+    stack holds the vertices in discovery order, and when a tree edge
+    (u, v) finishes with low[v] >= disc[u], u and the stack down to v
+    form one block.  Bridges (2-vertex blocks) and isolated vertices are
+    left out, since no cycle lies in them.  Each block is a sorted tuple
+    of vertex indices; blocks are sorted by their vertices.  A cut vertex
+    lies in every block it joins.
+    """
+    neighbors = g.neighbors
+    disc = [-1] * g.n
+    low = [0] * g.n
+    clock = 0
+    blocks = []
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [root]
+        work = [(root, -1, iter(neighbors[root]))]
+        while work:
+            v, parent, it = work[-1]
+            for w in it:
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append(w)
+                    work.append((w, v, iter(neighbors[w])))
+                    break
+                if w != parent and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                work.pop()
+                if parent < 0:
+                    continue
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+                if low[v] >= disc[parent]:
+                    block = [parent]
+                    while True:
+                        x = stack.pop()
+                        block.append(x)
+                        if x == v:
+                            break
+                    if len(block) >= 3:
+                        blocks.append(tuple(sorted(block)))
+    blocks.sort()
+    return blocks
+
+
 def enumerate_cycles(g: Graph, max_len: int | None = None, cap: int | None = DEFAULT_CYCLE_CAP):
     """All elementary cycles of ``g`` (up to ``max_len``), canonical and sorted.
 
-    Backtracking search rooted at each vertex in turn: paths grow only
+    Every cycle lies inside one biconnected block, so the search runs one
+    block at a time (``biconnected_blocks``), with neighbor lists cut
+    down to the block; it never walks a bridge or crosses a cut vertex
+    into a block where the path cannot close.  Within a block it is a
+    backtracking search rooted at each vertex in turn: paths grow only
     through strictly larger vertices, with vertices on the current path
     blocked, so every cycle is discovered exactly once, already in
-    canonical form.  Raises CycleCapExceeded when more than ``cap``
-    cycles are found (pass ``cap=None`` to disable the guard).
+    canonical form, together with its vertex bitmask.  Two blocks share
+    no edge, so no cycle is found twice.  Raises CycleCapExceeded when
+    more than ``cap`` cycles are found in all (pass ``cap=None`` to
+    disable the guard).
     """
-    limit = g.n if max_len is None else min(max_len, g.n)
     found = []
-    for s in range(g.n):
-        path = [s]
-        onpath = 1 << s
-        iters = [iter(g.neighbors[s])]
-        while iters:
-            descended = False
-            for w in iters[-1]:
-                if w == s:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        found.append(tuple(path))
-                        if cap is not None and len(found) > cap:
-                            raise CycleCapExceeded(cap)
-                    continue
-                if w < s or onpath >> w & 1 or len(path) >= limit:
-                    continue
-                path.append(w)
-                onpath |= 1 << w
-                iters.append(iter(g.neighbors[w]))
-                descended = True
-                break
-            if not descended:
-                iters.pop()
-                onpath ^= 1 << path.pop()
+    masks = {}
+    for block in biconnected_blocks(g):
+        if len(block) == g.n:
+            neighbors = g.neighbors
+        else:
+            member = 0
+            for v in block:
+                member |= 1 << v
+            neighbors = [()] * g.n
+            for v in block:
+                neighbors[v] = tuple(w for w in g.neighbors[v] if member >> w & 1)
+        limit = len(block) if max_len is None else min(max_len, len(block))
+        # A cycle rooted at s needs two more vertices above s in the block.
+        for s in block[:-2]:
+            path = [s]
+            onpath = 1 << s
+            iters = [iter(neighbors[s])]
+            while iters:
+                descended = False
+                for w in iters[-1]:
+                    if w == s:
+                        if len(path) >= 3 and path[1] < path[-1]:
+                            cycle = tuple(path)
+                            found.append(cycle)
+                            masks[cycle] = onpath
+                            if cap is not None and len(found) > cap:
+                                raise CycleCapExceeded(cap)
+                        continue
+                    if w < s or onpath >> w & 1 or len(path) >= limit:
+                        continue
+                    path.append(w)
+                    onpath |= 1 << w
+                    iters.append(iter(neighbors[w]))
+                    descended = True
+                    break
+                if not descended:
+                    iters.pop()
+                    onpath ^= 1 << path.pop()
     found.sort(key=lambda c: (len(c), c))
-    return [Cycle(c) for c in found]
+    # The Cycle objects are made after the search, not inside it: made
+    # inside, they held about 0.6 MiB more peak RSS on 4x4-4x6 grids.
+    return [Cycle._from_search(c, masks[c]) for c in found]
 
 
 def four_k_cycles(cycles) -> list:

@@ -16,6 +16,7 @@ from permdet import (
     four_k_plus_two_cycles,
     max_disjoint,
 )
+from permdet.cycles import biconnected_blocks
 
 
 def test_cycle_canonical_form_ignores_rotation_and_direction():
@@ -99,6 +100,119 @@ def test_cycle_cap_raises():
 def test_max_len_filter():
     cycles = enumerate_cycles(corpus.example10(), max_len=4)
     assert [c.length for c in cycles] == [4, 4, 4]
+
+
+def all_paths_cycles(g, max_len=None):
+    """Reference enumerator: backtracking over the whole graph.
+
+    The package's first cycle search, kept as the oracle for the
+    per-block one.  From each root it walks every simple path through
+    larger vertices, across bridges and cut vertices too, and returns
+    the cycles sorted by (length, vertices).
+    """
+    limit = g.n if max_len is None else min(max_len, g.n)
+    found = []
+    for s in range(g.n):
+        path = [s]
+        onpath = 1 << s
+        iters = [iter(g.neighbors[s])]
+        while iters:
+            descended = False
+            for w in iters[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        found.append(tuple(path))
+                    continue
+                if w < s or onpath >> w & 1 or len(path) >= limit:
+                    continue
+                path.append(w)
+                onpath |= 1 << w
+                iters.append(iter(g.neighbors[w]))
+                descended = True
+                break
+            if not descended:
+                iters.pop()
+                onpath ^= 1 << path.pop()
+    found.sort(key=lambda c: (len(c), c))
+    return [Cycle(c) for c in found]
+
+
+def _random_general_graphs(count=300, seed=20251018):
+    """Seeded random simple graphs, not necessarily bipartite or
+    connected, some with isolated vertices."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(0, 11)
+        prob = rng.choice((0.15, 0.25, 0.4))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
+        graphs.append(Graph.from_edges(n, edges))
+    return graphs
+
+
+def _k4():
+    return Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+
+
+def _random_trees():
+    rng = random.Random(11)
+    return [corpus.random_tree(rng.randint(1, 14), rng) for _ in range(20)]
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        pytest.param(lambda: corpus.connected_bipartite_upto(8), id="connected_upto_8"),
+        pytest.param(corpus.random_corpus, id="random_corpus"),
+        pytest.param(lambda: (corpus.grid_graph(4, 4), corpus.grid_graph(4, 5)), id="grids_4x4_4x5"),
+        pytest.param(lambda: (corpus.bridged_c8_chain(6),), id="bridged_c8_chain_6"),
+        pytest.param(lambda: (corpus.example10(),), id="example10"),
+        pytest.param(_random_trees, id="random_trees"),
+        pytest.param(lambda: (_k4(),), id="k4"),
+        pytest.param(_random_general_graphs, id="random_general_graphs"),
+    ],
+)
+def test_cycles_match_all_paths_oracle(graphs):
+    for g in graphs():
+        for max_len in (None, 3, 4, 6):
+            got = enumerate_cycles(g, max_len=max_len)
+            want = all_paths_cycles(g, max_len=max_len)
+            # Cycle equality compares vertices only; the mask is checked apart.
+            assert got == want
+            assert [c.vertex_set.mask for c in got] == [c.vertex_set.mask for c in want]
+
+
+def test_bowtie_has_two_blocks_through_the_cut_vertex():
+    # Two squares sharing vertex 0.
+    bowtie = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+    assert biconnected_blocks(bowtie) == [(0, 1, 2, 3), (0, 4, 5, 6)]
+    assert [c.vertices for c in enumerate_cycles(bowtie)] == [(0, 1, 2, 3), (0, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_bridged_chain_blocks(k):
+    blocks = biconnected_blocks(corpus.bridged_c8_chain(k))
+    assert blocks == [tuple(range(8 * b, 8 * b + 8)) for b in range(k)]
+
+
+def test_grid_is_one_block():
+    assert biconnected_blocks(corpus.grid_graph(4, 5)) == [tuple(range(20))]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [corpus.path_graph(6), corpus.complete_bipartite(1, 5), Graph.from_edges(3, [])],
+    ids=["path", "star", "edgeless"],
+)
+def test_acyclic_graphs_have_no_blocks(g):
+    assert biconnected_blocks(g) == []
+
+
+def test_cycle_cap_counts_across_blocks():
+    g = corpus.bridged_c8_chain(6)
+    with pytest.raises(CycleCapExceeded):
+        enumerate_cycles(g, cap=5)
+    assert len(enumerate_cycles(g, cap=6)) == 6
 
 
 def test_disjoint_families_example10():

@@ -2,7 +2,13 @@
 
 import corpus
 import pytest
-from permdet import Graph, per_ryser, permanent_auto
+from permdet import (
+    Graph,
+    count_perfect_matchings,
+    graph_from_biadjacency,
+    per_ryser,
+    permanent_auto,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -61,3 +67,18 @@ def union_with_inadmissible_edge(draw):
 def test_inadmissible_edge_leaves_permanent_unchanged(case):
     g, h, joined = case
     assert permanent_auto(joined).value == per_ryser(g.adj) * per_ryser(h.adj)
+
+
+@st.composite
+def biadjacency(draw):
+    """A 0/1 matrix with 1 to 5 rows and 1 to 5 columns."""
+    p = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 1), min_size=q, max_size=q)
+    return draw(st.lists(row, min_size=p, max_size=p))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(biadjacency())
+def test_permanent_is_matching_count_squared(b):
+    assert count_perfect_matchings(b) ** 2 == permanent_auto(graph_from_biadjacency(b)).value
