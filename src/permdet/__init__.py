@@ -46,7 +46,6 @@ from .engine import (
 from .errors import (
     CycleCapExceeded,
     EnumerationCapExceeded,
-    GraphTooLarge,
     InternalInvariantError,
     NotAPerfectSquare,
     NotBipartiteError,
@@ -99,7 +98,6 @@ __all__ = [
     "EnumerationCapExceeded",
     "FamilyTerm",
     "Graph",
-    "GraphTooLarge",
     "InternalInvariantError",
     "NotAPerfectSquare",
     "NotBipartiteError",

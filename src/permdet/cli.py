@@ -34,7 +34,6 @@ from .engine import (
 from .errors import (
     CycleCapExceeded,
     EnumerationCapExceeded,
-    GraphTooLarge,
     InternalInvariantError,
     NotBipartiteError,
     ParseError,
@@ -432,8 +431,7 @@ def main(argv=None) -> int:
     except NotBipartiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_BIPARTITE
-    except (CycleCapExceeded, EnumerationCapExceeded, SizeGuardExceeded,
-            GraphTooLarge) as exc:
+    except (CycleCapExceeded, EnumerationCapExceeded, SizeGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except VerificationMismatch as exc:

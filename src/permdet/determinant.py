@@ -15,7 +15,8 @@ kept vertices, live here:
   and the right vertices R', then det(G \\ S) = 0 when |L'| != |R'| (the
   rank is at most 2 min(|L'|, |R'|)), and otherwise
   det(G \\ S) = (-1)^|L'| det(B[L', R'])^2, one elimination of half the
-  order.  Any proper 2-colouring works, also of a disconnected graph.
+  order, its rows read from the neighbour lists.  Any proper 2-colouring
+  works, also of a disconnected graph.
 """
 
 from __future__ import annotations
@@ -136,8 +137,16 @@ def biadjacency_det_after_removal(
         cols = _indices(parts.right.mask & ~removed.mask)
         if len(rows) != len(cols):
             return 0
-        adj = g.adj
-        d = _bareiss([[adj[i][j] for j in cols] for i in rows])
+        position = {j: k for k, j in enumerate(cols)}
+        block = []
+        for i in rows:
+            row = [0] * len(cols)
+            for j in g.neighbors[i]:
+                k = position.get(j)
+                if k is not None:
+                    row[k] = 1
+            block.append(row)
+        d = _bareiss(block)
         return -d * d if len(rows) & 1 else d * d
 
     return _memoized(cache, removed, compute)

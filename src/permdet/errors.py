@@ -60,13 +60,6 @@ class SizeGuardExceeded(PermdetError):
         super().__init__(f"{what}: size {size} exceeds guard {guard}")
 
 
-class GraphTooLarge(PermdetError):
-    """Vertex count exceeds the fixed bitset width used for cache keys."""
-
-    def __init__(self, n, limit):
-        super().__init__(f"graph has {n} vertices; supported maximum is {limit}")
-
-
 class InternalInvariantError(PermdetError):
     """A result broke an invariant that holds for every valid input.
 

@@ -1,11 +1,12 @@
-"""Simple undirected graphs with exact 0/1 adjacency matrices.
+"""Simple undirected graphs stored as edge and neighbour lists.
 
 Conventions used throughout the package:
 
 * Vertices are labeled 1..n in all input and output (matching the usual
   drawing of small graphs), but stored 0-indexed internally.  Anything
   called ``label`` is 1-indexed; anything called ``index`` is 0-indexed.
-* Graphs are immutable once built.
+* Graphs are immutable once built, and equal when ``(n, edges)`` are.
+  The dense 0/1 matrix ``Graph.adj`` is derived on first use only.
 * Vertex subsets are bitmasks (`VertexSet`) so they can key caches.
 """
 
@@ -13,13 +14,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import GraphTooLarge, NotBipartiteError, ParseError
-
-# Fixed bitset width for VertexSet cache keys; graphs beyond this are
-# rejected at construction (exact determinants at this size are already
-# far past practical limits for the oracles).
-MAX_VERTICES = 128
+from .errors import NotBipartiteError, ParseError
 
 
 @dataclass(frozen=True, order=True)
@@ -76,15 +73,16 @@ EMPTY_SET = VertexSet(0)
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: 0/1 symmetric adjacency with zero diagonal.
+    """Simple undirected graph on vertices 0..n-1.
 
-    ``adj`` is an n x n tuple of tuples; ``edges`` holds the 0-indexed
-    pairs (u, v) with u < v, sorted.  ``neighbors[i]`` is the sorted
-    tuple of vertices adjacent to i (derived, not part of equality).
+    ``edges`` holds the 0-indexed pairs (u, v) with u < v, sorted, and
+    equality and hashing are on ``(n, edges)``.  ``neighbors[i]`` is the
+    sorted tuple of vertices adjacent to i, derived from ``edges``.
+    ``adj``, the n x n 0/1 adjacency matrix as a tuple of tuples, is
+    derived on first use and cached.
     """
 
     n: int
-    adj: tuple
     edges: tuple
     neighbors: tuple = field(init=False, compare=False, repr=False)
 
@@ -95,13 +93,18 @@ class Graph:
             nbrs[v].append(u)
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(b)) for b in nbrs))
 
+    @cached_property
+    def adj(self) -> tuple:
+        rows = [[0] * self.n for _ in range(self.n)]
+        for u, v in self.edges:
+            rows[u][v] = rows[v][u] = 1
+        return tuple(tuple(r) for r in rows)
+
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from 0-indexed endpoint pairs; duplicates collapse silently."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if n > MAX_VERTICES:
-            raise GraphTooLarge(n, MAX_VERTICES)
         seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -109,10 +112,7 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u + 1}")
             seen.add((min(u, v), max(u, v)))
-        rows = [[0] * n for _ in range(n)]
-        for u, v in seen:
-            rows[u][v] = rows[v][u] = 1
-        return cls(n, tuple(tuple(r) for r in rows), tuple(sorted(seen)))
+        return cls(n, tuple(sorted(seen)))
 
     @classmethod
     def from_edge_labels(cls, n: int, pairs) -> "Graph":
@@ -124,8 +124,6 @@ class Graph:
         """Build from a square symmetric hollow 0/1 matrix."""
         rows = [tuple(r) for r in rows]
         n = len(rows)
-        if n > MAX_VERTICES:
-            raise GraphTooLarge(n, MAX_VERTICES)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i + 1} has {len(row)} entries, expected {n}")
@@ -139,14 +137,14 @@ class Graph:
         edges = tuple(
             (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]
         )
-        return cls(n, tuple(rows), edges)
+        return cls(n, edges)
 
     def edge_labels(self) -> tuple:
         """Edges as 1-indexed (u, v) pairs."""
         return tuple((u + 1, v + 1) for u, v in self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self.adj[u][v] == 1
+        return v in self.neighbors[u]
 
     def vertex_set(self) -> VertexSet:
         return VertexSet((1 << self.n) - 1)
@@ -348,7 +346,8 @@ def adjacency_after_removal(g: Graph, removed: VertexSet) -> tuple:
     if removed.mask >> g.n != 0:
         raise ValueError(f"removed set {removed.labels()} not within 1..{g.n}")
     kept = [i for i in range(g.n) if i not in removed]
-    return tuple(tuple(g.adj[i][j] for j in kept) for i in kept)
+    adj = g.adj
+    return tuple(tuple(adj[i][j] for j in kept) for i in kept)
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> Graph:

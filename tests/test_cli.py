@@ -3,7 +3,7 @@ import json
 
 import corpus
 import pytest
-from permdet import cli
+from permdet import cli, render_edge_list
 
 
 def run(capsys, *argv):
@@ -72,6 +72,14 @@ def test_per_reads_stdin(capsys, monkeypatch):
     assert code == 0
     assert "permanent: 4" in out
     assert "path: corollary_fast_path" in out
+
+
+def test_per_past_128_vertices(capsys, monkeypatch):
+    chain = render_edge_list(corpus.bridged_c8_chain(20))
+    monkeypatch.setattr("sys.stdin", io.StringIO(chain))
+    code, out, _ = run(capsys, "per", "-")
+    assert code == 0
+    assert "permanent: 1099511627776" in out
 
 
 def test_det(capsys):

@@ -17,9 +17,12 @@ from permdet import (
     classify_efficient,
     count_perfect_matchings,
     determinant,
+    parse_biadjacency,
+    parse_edge_list,
     per_ryser,
     permanent_auto,
     permanent_theorem1,
+    render_edge_list,
 )
 from permdet import engine
 
@@ -125,6 +128,9 @@ def test_relabeling_invariance():
 def test_half_size_expansion_on_chain_and_grid():
     chain = corpus.bridged_c8_chain(6)
     assert permanent_auto(chain).value == 4**6
+    # no vertex limit: 160 vertices through the edge-list text
+    big = parse_edge_list(render_edge_list(corpus.bridged_c8_chain(20)))
+    assert (big.n, permanent_auto(big).value) == (160, 4**20)
     grid = corpus.grid_graph(4, 4)
     report = permanent_auto(grid)
     assert report.path_taken == PATH_THEOREM1
@@ -201,6 +207,32 @@ def test_engine_never_runs_full_order_determinants(monkeypatch):
     assert max(orders) == chain.n // 2
     assert permanent_auto(corpus.cycle_graph(10)).path_taken == PATH_COROLLARY
     assert count_perfect_matchings(corpus.fig1_biadjacency()) == 6
+
+
+def test_engine_never_reads_the_dense_matrix(monkeypatch):
+    graphs = list(corpus.connected_bipartite_upto(8) + corpus.random_corpus())
+    graphs += [corpus.grid_graph(4, 4), corpus.grid_graph(3, 6), corpus.bridged_c8_chain(2)]
+    expected = [per_ryser(g.adj) for g in graphs]
+    graphs.append(corpus.bridged_c8_chain(6))
+    expected.append(4**6)
+    rng = random.Random(606)
+    matrices = []
+    while len(matrices) < 60:
+        k = rng.randint(2, 6)
+        b = tuple(tuple(int(rng.random() < 0.6) for _ in range(k)) for _ in range(k))
+        if any(b[i][j] != b[j][i] for i in range(k) for j in range(i)):
+            matrices.append(b)
+    counts = [per_ryser(b) for b in matrices]
+
+    def forbidden(self):
+        raise AssertionError("engine built the dense adjacency matrix")
+
+    monkeypatch.setattr(Graph, "adj", property(forbidden))
+    for g, value in zip(graphs, expected):
+        assert permanent_auto(parse_edge_list(render_edge_list(g))).value == value, g.edges
+    for b, count in zip(matrices, counts):
+        text = f"{len(b)} {len(b)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in b)
+        assert count_perfect_matchings(parse_biadjacency(text)) == count, b
 
 
 def test_unbalanced_remainders_skip_elimination(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from permdet import (
     EMPTY_SET,
     Graph,
-    GraphTooLarge,
     NotBipartiteError,
     ParseError,
     VertexSet,
@@ -59,8 +58,8 @@ def test_from_edges_validation():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
-    with pytest.raises(GraphTooLarge):
-        Graph.from_edges(200, [])
+    big = Graph.from_edges(200, [])
+    assert big.n == 200 and big.edges == ()
 
 
 def test_from_edge_labels_is_one_indexed():
@@ -118,6 +117,8 @@ def test_parse_error_reports_line_number():
 def test_parse_adjacency_round_trip():
     g = corpus.example10()
     assert parse_adjacency_matrix(render_adjacency(g)).edges == g.edges
+    for g in corpus.connected_bipartite_upto(8):
+        assert Graph.from_adjacency(g.adj) == g
 
 
 def test_parse_adjacency_rejects_nonsquare():
