@@ -17,15 +17,14 @@ from pathlib import Path
 
 from permdet import (
     bipartition,
-    det_after_removal,
     determinant,
     enumerate_cycles,
-    enumerate_disjoint_families,
     four_k_cycles,
     four_k_plus_two_cycles,
     parse_edge_list,
     per_ryser,
     permanent_auto,
+    permanent_theorem1,
 )
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -55,36 +54,34 @@ print(f"4k-cycles: {len(c4k)}, (4k+2)-cycles: {len(c4k2)}")
 
 # ---------------------------------------------------------------------------
 # Families of pairwise vertex-disjoint 4k-cycles, the empty family
-# included.  Each family F contributes 4^|F| * det(G minus V(F)).
-families = enumerate_disjoint_families(c4k)
-m = max(f.size for f in families)
-print(f"\ndisjoint 4k-cycle families (empty one included): {len(families)}, m = {m}")
+# included.  Each family F contributes 4^|F| * det(G minus V(F));
+# permanent_theorem1 is the reference that lists every term.
+table = permanent_theorem1(g)
+terms = table.per_family_terms
+print(f"\ndisjoint 4k-cycle families (empty one included): {len(terms)}, m = {table.m}")
 
-total = 0
-for fam in families:
-    d = det_after_removal(g, fam.covered)
-    coeff = 4**fam.size
-    total += coeff * d
-    removed = fam.covered.labels() or "()"
-    print(f"  z={fam.size}  removed={removed}  det={d}  "
-          f"term={coeff}*({d})={coeff * d}")
+for term in terms:
+    removed = term.covered.labels() or "()"
+    print(f"  z={term.z}  removed={removed}  det={term.det}  "
+          f"term={term.coefficient}*({term.det})={term.contribution}")
 
+total = sum(term.contribution for term in terms)
 sign = -1 if (g.n // 2) % 2 else 1
 print(f"\nsign (-1)^(n/2) = {sign}")
 print(f"permanent = {sign} * {total} = {sign * total}")
 
 # ---------------------------------------------------------------------------
-# The engine packages exactly this computation; an inclusion-exclusion
-# oracle that never looks at cycles must agree.
+# The engine computes the same value by its cheapest route; an
+# inclusion-exclusion oracle that never looks at cycles must agree.
 report = permanent_auto(g)
-assert report.value == sign * total
+assert report.value == table.value == sign * total
 assert per_ryser(g.adj) == report.value
 print(f"\nengine value: {report.value} (path: {report.path_taken})")
 # The edge 6-9 lies in no perfect matching, so the engine splits the
 # graph there into elementary pieces, expands each on its own and
 # multiplies; the table above is the whole-graph sum it stands in for.
 for piece in report.pieces:
-    print(f"  piece: {piece.n} vertices, {len(piece.per_family_terms)} families, "
+    print(f"  piece: {piece.n} vertices, {piece.families} families, "
           f"per = {piece.value}")
 print(f"oracle value: {per_ryser(g.adj)} (independent inclusion-exclusion)")
 print(f"det(G) alone would give: {determinant(g.adj)}")

@@ -32,7 +32,6 @@ from .determinant import (
 )
 from .engine import (
     EfficiencyReport,
-    FamilyTerm,
     PATH_COROLLARY,
     PATH_DECOMPOSED,
     PATH_ODD,
@@ -41,7 +40,6 @@ from .engine import (
     classify_efficient,
     count_perfect_matchings,
     permanent_auto,
-    permanent_theorem1,
 )
 from .errors import (
     CycleCapExceeded,
@@ -71,7 +69,9 @@ from .graphs import (
     render_edge_list,
 )
 from .oracles import (
+    FamilyTerm,
     SachsSubgraph,
+    Theorem1Report,
     Theorem2Report,
     check_parity_identity,
     check_removal_identity,
@@ -80,6 +80,7 @@ from .oracles import (
     per_naive,
     per_ryser,
     per_via_sachs,
+    permanent_theorem1,
     verify_theorem2,
 )
 
@@ -110,6 +111,7 @@ __all__ = [
     "PermdetError",
     "SachsSubgraph",
     "SizeGuardExceeded",
+    "Theorem1Report",
     "Theorem2Report",
     "VerificationMismatch",
     "VertexSet",

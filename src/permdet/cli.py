@@ -25,18 +25,14 @@ from .cycles import (
     four_k_plus_two_cycles,
 )
 from .determinant import determinant
-from .engine import (
-    classify_efficient,
-    count_perfect_matchings,
-    permanent_auto,
-    permanent_theorem1,
-)
+from .engine import classify_efficient, count_perfect_matchings, permanent_auto
 from .errors import (
     CycleCapExceeded,
     EnumerationCapExceeded,
     InternalInvariantError,
     NotBipartiteError,
     ParseError,
+    PermdetError,
     SizeGuardExceeded,
     VerificationMismatch,
 )
@@ -59,6 +55,7 @@ from .oracles import (
     per_naive,
     per_ryser,
     per_via_sachs,
+    permanent_theorem1,
     verify_theorem2,
 )
 
@@ -68,6 +65,15 @@ EXIT_NOT_BIPARTITE = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
+
+# Checked in order; the first kind an error is an instance of sets the code.
+_EXIT_CODES = (
+    ((ParseError, ValueError), EXIT_PARSE),
+    (NotBipartiteError, EXIT_NOT_BIPARTITE),
+    ((CycleCapExceeded, EnumerationCapExceeded, SizeGuardExceeded), EXIT_CAP),
+    (VerificationMismatch, EXIT_MISMATCH),
+    (InternalInvariantError, EXIT_INTERNAL),
+)
 
 FORMATS = ("edge-list", "adjacency", "biadjacency")
 
@@ -102,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     per = sub.add_parser("per", help="permanent of a bipartite graph")
     _add_common(per)
     per.add_argument("--show-terms", action="store_true",
-                     help="run the full expansion and print its per-family "
-                          "term table")
+                     help="also print the reference whole-graph expansion's "
+                          "per-family term table")
 
     det = sub.add_parser("det", help="exact determinant of the adjacency matrix")
     _add_common(det)
@@ -156,20 +162,20 @@ def _record(**kw) -> str:
 
 def _cmd_per(args, text: str) -> int:
     g = _load_graph(text, args.format)
+    report = permanent_auto(g, cycle_cap=args.cycle_cap)
     # The term table is the whole graph's expansion, never a piecewise one.
-    solve = permanent_theorem1 if args.show_terms else permanent_auto
-    report = solve(g, cycle_cap=args.cycle_cap)
+    table = permanent_theorem1(g, cycle_cap=args.cycle_cap) if args.show_terms else None
     if args.output == "records":
         print(_record(record="permanent", value=report.value, n=report.n,
                       m=report.m, num_4k_cycles=report.num_4k_cycles,
                       path=report.path_taken))
         if args.show_terms:
-            for term in report.per_family_terms:
+            for term in table.per_family_terms:
                 print(_record(record="term", z=term.z,
                               covered=list(term.covered.labels()),
                               det=term.det, coefficient=term.coefficient,
                               contribution=term.contribution))
-            for line in _zgroup_records(report):
+            for line in _zgroup_records(table):
                 print(line)
         return EXIT_OK
     print(f"permanent: {report.value}")
@@ -178,13 +184,13 @@ def _cmd_per(args, text: str) -> int:
     print(f"4k-cycles: {report.num_4k_cycles}")
     print(f"m: {report.m}")
     if args.show_terms:
-        _print_term_table(report)
+        _print_term_table(table)
     return EXIT_OK
 
 
-def _zgroups(report):
+def _zgroups(table):
     groups = {}
-    for term in report.per_family_terms:
+    for term in table.per_family_terms:
         fams, det_sum = groups.get(term.z, (0, 0))
         groups[term.z] = (fams + 1, det_sum + term.det)
     out = []
@@ -195,23 +201,23 @@ def _zgroups(report):
     return out
 
 
-def _zgroup_records(report):
-    for z, fams, det_sum, coeff, contrib, ordered in _zgroups(report):
+def _zgroup_records(table):
+    for z, fams, det_sum, coeff, contrib, ordered in _zgroups(table):
         yield _record(record="zgroup", z=z, families=fams, det_sum=det_sum,
                       coefficient=coeff, contribution=contrib,
                       ordered_det_sum=ordered)
 
 
-def _print_term_table(report) -> None:
+def _print_term_table(table) -> None:
     print("families:")
-    for term in report.per_family_terms:
+    for term in table.per_family_terms:
         print(f"  z={term.z} covered={_set_text(term.covered)} det={term.det}")
     print("term table:")
     print("  z  families  det-sum  coeff  contribution  ordered-det-sum")
-    for z, fams, det_sum, coeff, contrib, ordered in _zgroups(report):
+    for z, fams, det_sum, coeff, contrib, ordered in _zgroups(table):
         print(f"  {z}  {fams}  {det_sum}  {coeff}  {contrib}  {ordered}")
-    sign = -1 if (report.n // 2) % 2 else 1
-    unsigned = sum(t.contribution for t in report.per_family_terms)
+    sign = -1 if (table.n // 2) % 2 else 1
+    unsigned = sum(t.contribution for t in table.per_family_terms)
     print(f"sign: {sign}")
     print(f"unsigned total: {unsigned}")
     print(f"signed total: {sign * unsigned}")
@@ -356,8 +362,6 @@ def _cmd_bench(args, text: str) -> int:
     start = time.perf_counter()
     report = permanent_auto(g, cycle_cap=args.cycle_cap)
     rows.append(("engine", report.value, time.perf_counter() - start))
-    expansions = report.pieces or (report,)
-    families = sum(len(r.per_family_terms) for r in expansions)
 
     if g.n <= args.guard_ryser:
         start = time.perf_counter()
@@ -384,7 +388,7 @@ def _cmd_bench(args, text: str) -> int:
                               seconds=f"{seconds:.6f}"))
         print(_record(record="bench-counts", n=g.n, num_cycles=report.num_cycles,
                       num_4k_cycles=report.num_4k_cycles,
-                      num_families=families,
+                      num_families=report.families,
                       cache_hits=report.cache_hits,
                       cache_misses=report.cache_misses,
                       path=report.path_taken))
@@ -396,7 +400,7 @@ def _cmd_bench(args, text: str) -> int:
         else:
             print(f"{name:<10} {str(value):<24} {seconds:.4f}")
     print(f"n={g.n} cycles={report.num_cycles} 4k-cycles={report.num_4k_cycles} "
-          f"families={families} "
+          f"families={report.families} "
           f"cache-hits={report.cache_hits} cache-misses={report.cache_misses} "
           f"path={report.path_taken}")
     return EXIT_OK
@@ -422,24 +426,12 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return _DISPATCH[args.command](args, text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotBipartiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_BIPARTITE
-    except (CycleCapExceeded, EnumerationCapExceeded, SizeGuardExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except VerificationMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except InternalInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except (PermdetError, ValueError) as exc:
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def console_main() -> None:

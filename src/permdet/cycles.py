@@ -293,7 +293,12 @@ def enumerate_disjoint_families(c4k) -> list:
             extend(child, chosen, covered | masks[i])
             chosen.pop()
 
-    extend((1 << len(c4k)) - 1, [], 0)
+    try:
+        extend((1 << len(c4k)) - 1, [], 0)
+    finally:
+        # extend refers to itself through its closure cell; emptying the
+        # cell frees the search state now, not at the next cyclic GC.
+        extend = None
     # The objects are made after the search, not inside it: interleaved
     # with the search's short-lived masks they held about 3 MiB more
     # peak RSS on 4x4-4x6 grids, though their tracemalloc peak was lower.

@@ -5,9 +5,15 @@ For bipartite G on an even number of vertices,
     per(G) = (-1)^(n/2) * sum over unordered families F of pairwise
              vertex-disjoint 4k-cycles of 4^|F| * det(G minus V(F)),
 
-the empty family contributing det(G).  Odd n gives 0 outright, and a
-graph with no 4k-cycles collapses to per(G) = (-1)^(n/2) det(G), which
-gets its own fast path.  All arithmetic is exact.
+the empty family contributing det(G).  Odd n gives 0 outright.  A graph
+with no 4k-cycles has only the empty family, so the sum is the paper's
+corollary per(G) = (-1)^(n/2) det(G), a single determinant.  All
+arithmetic is exact.
+
+``permanent_auto`` is the engine's one entry point, and
+``_expansion_report`` the one place it evaluates determinants.  The
+paper's whole-graph term table is a reference kept apart from the
+engine: ``oracles.permanent_theorem1``, on full-order determinants.
 
 Every determinant is taken on the biadjacency block.  Ordering the
 vertices left side first turns A(G) into [[0, B], [B^T, 0]], and removing
@@ -42,7 +48,6 @@ from .cycles import (
 from .determinant import DetCache, biadjacency_det_after_removal
 from .errors import InternalInvariantError, NotAPerfectSquare, NotBipartiteError
 from .graphs import (
-    EMPTY_SET,
     Bipartition,
     Graph,
     VertexSet,
@@ -58,62 +63,34 @@ PATH_DECOMPOSED = "matching_decomposition"
 
 
 @dataclass(frozen=True)
-class FamilyTerm:
-    """One family's contribution: coefficient * det of the reduced graph."""
-
-    z: int
-    covered: VertexSet
-    det: int
-    coefficient: int
-
-    @property
-    def contribution(self) -> int:
-        return self.coefficient * self.det
-
-
-@dataclass(frozen=True)
 class PermanentReport:
     """The permanent and how it was reached.
 
     ``path_taken`` is one of the ``PATH_*`` names.  ``m`` is the size of
-    the largest disjoint 4k-cycle family expanded, ``per_family_terms``
-    the expansion's terms, and the cache counters count the determinant
-    lookups.  ``num_cycles`` and ``num_4k_cycles`` count the cycles of
-    the whole graph.
+    the largest disjoint 4k-cycle family expanded, ``families`` the
+    number of families expanded (the empty one included), and the cache
+    counters count the determinant lookups.  ``num_cycles`` and
+    ``num_4k_cycles`` count the cycles of the whole graph.  The terms
+    themselves are not kept; ``oracles.permanent_theorem1`` lists them.
 
     On ``PATH_DECOMPOSED`` the value is the product over ``pieces``, one
     expansion report per elementary piece, whose ``n`` and cycle counts
-    are the piece's and whose ``covered`` sets are in the graph's
-    labels; a piece that is a single edge has per 1 and is left out.
-    There ``per_family_terms`` is empty, ``m`` and the cache counters are
-    sums over the pieces, and ``m`` can be smaller than the whole graph's
-    largest family, which may use cycles that cross pieces.
+    are the piece's; a piece that is a single edge has per 1 and is left
+    out.  There ``m``, ``families`` and the cache counters are sums over
+    the pieces, and ``m`` can be smaller than the whole graph's largest
+    family, which may use cycles that cross pieces.
     """
 
     value: int
     n: int
     m: int
     num_4k_cycles: int
-    per_family_terms: tuple
+    families: int
     path_taken: str
     num_cycles: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     pieces: tuple = ()
-
-
-def _signed(n: int, total: int) -> int:
-    return -total if (n // 2) & 1 else total
-
-
-def _check_nonnegative(value: int, where: str) -> None:
-    if value < 0:
-        raise InternalInvariantError(f"negative permanent {value} from {where}; this is a bug")
-
-
-def _odd_report(g: Graph) -> PermanentReport:
-    # n odd: no perfect matching can exist, so nothing is enumerated.
-    return PermanentReport(0, g.n, 0, 0, (), PATH_ODD)
 
 
 def _check_even_cycles(cycles) -> None:
@@ -124,41 +101,29 @@ def _check_even_cycles(cycles) -> None:
             raise InternalInvariantError(f"odd cycle {cyc.labels()} in bipartite host")
 
 
-def _even_cycles(g: Graph, cycle_cap: int) -> tuple:
-    cycles = enumerate_cycles(g, cap=cycle_cap)
-    _check_even_cycles(cycles)
-    return cycles, four_k_cycles(cycles)
-
-
 def _expansion_report(
     g: Graph, parts: Bipartition, cycles, c4k, keep: int
 ) -> PermanentReport:
     """The expansion of the subgraph induced by the vertex mask ``keep``,
     whose cycles are ``cycles``; every term removes the rest of ``g`` too.
+    With no 4k-cycle only the empty family is left: the corollary.
     """
     outside = ((1 << g.n) - 1) ^ keep
     n = keep.bit_count()
     cache = DetCache()
-    terms = []
+    families = enumerate_disjoint_families(c4k)
     total = 0
-    for fam in enumerate_disjoint_families(c4k):
+    for fam in families:
         removed = VertexSet(outside | fam.covered.mask) if outside else fam.covered
-        d = biadjacency_det_after_removal(g, parts, removed, cache)
-        coeff = 4**fam.size
-        terms.append(FamilyTerm(fam.size, fam.covered, d, coeff))
-        total += coeff * d
-    value = _signed(n, total)
-    _check_nonnegative(value, "theorem expansion")
+        total += 4**fam.size * biadjacency_det_after_removal(g, parts, removed, cache)
+    path = PATH_THEOREM1 if c4k else PATH_COROLLARY
+    value = -total if (n // 2) & 1 else total
+    if value < 0:
+        raise InternalInvariantError(f"negative permanent {value} from {path}; this is a bug")
+    # The families are sorted by size, so the last one is the largest.
     return PermanentReport(
-        value,
-        n,
-        max((term.z for term in terms), default=0),
-        len(c4k),
-        tuple(terms),
-        PATH_THEOREM1,
-        num_cycles=len(cycles),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
+        value, n, families[-1].size, len(c4k), len(families), path,
+        num_cycles=len(cycles), cache_hits=cache.hits, cache_misses=cache.misses,
     )
 
 
@@ -180,54 +145,35 @@ def _decomposed_report(
         for mask, own in inside.items()
     )
     return PermanentReport(
-        math.prod(r.value for r in reports),
-        g.n,
-        sum(r.m for r in reports),
-        len(c4k),
-        (),
-        PATH_DECOMPOSED,
-        num_cycles=len(cycles),
+        math.prod(r.value for r in reports), g.n, sum(r.m for r in reports), len(c4k),
+        sum(r.families for r in reports), PATH_DECOMPOSED, num_cycles=len(cycles),
         cache_hits=sum(r.cache_hits for r in reports),
-        cache_misses=sum(r.cache_misses for r in reports),
-        pieces=reports,
+        cache_misses=sum(r.cache_misses for r in reports), pieces=reports,
     )
 
 
-def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
-    """Full expansion over disjoint 4k-cycle families, no shortcuts.
+def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
+    """The permanent of ``g`` by the cheapest exact route: odd n gives 0
+    without enumerating anything, a graph that splits into more than one
+    elementary piece is expanded piece by piece and the results
+    multiplied, and any other graph gets the whole expansion, which for a
+    4k-cycle-free graph is a single determinant.
 
     Raises NotBipartiteError for non-bipartite input and propagates
-    CycleCapExceeded from enumeration.
+    CycleCapExceeded and EnumerationCapExceeded from enumeration.
     """
     parts = bipartition(g)
     if g.n % 2:
-        return _odd_report(g)
-    cycles, c4k = _even_cycles(g, cycle_cap)
-    return _expansion_report(g, parts, cycles, c4k, (1 << g.n) - 1)
-
-
-def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
-    """Like permanent_theorem1, but short-circuits: odd n gives 0 without
-    enumerating anything, a 4k-cycle-free graph is finished with a single
-    determinant, and a graph that splits into more than one elementary
-    piece is expanded piece by piece and the results multiplied.
-    """
-    parts = bipartition(g)
-    if g.n % 2:
-        return _odd_report(g)
-    cycles, c4k = _even_cycles(g, cycle_cap)
+        # No perfect matching can exist, so nothing is enumerated.
+        return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD)
+    cycles = enumerate_cycles(g, cap=cycle_cap)
+    _check_even_cycles(cycles)
+    c4k = four_k_cycles(cycles)
     if c4k:
         pieces = elementary_pieces(g, parts)
         if len(pieces) > 1:
             return _decomposed_report(g, parts, cycles, c4k, pieces)
-        return _expansion_report(g, parts, cycles, c4k, (1 << g.n) - 1)
-    d = biadjacency_det_after_removal(g, parts, EMPTY_SET)
-    value = _signed(g.n, d)
-    _check_nonnegative(value, "corollary fast path")
-    term = FamilyTerm(0, EMPTY_SET, d, 1)
-    return PermanentReport(
-        value, g.n, 0, 0, (term,), PATH_COROLLARY, num_cycles=len(cycles)
-    )
+    return _expansion_report(g, parts, cycles, c4k, (1 << g.n) - 1)
 
 
 def _validate_zero_one(rows) -> tuple:

@@ -99,7 +99,12 @@ def elementary_pieces(g: Graph, parts: Bipartition) -> list:
 
     visited = 0
     left = parts.left.mask
-    for u in range(g.n):
-        if left >> u & 1 and index[u] < 0:
-            visited = visit(u, visited)
+    try:
+        for u in range(g.n):
+            if left >> u & 1 and index[u] < 0:
+                visited = visit(u, visited)
+    finally:
+        # visit refers to itself through its closure cell; emptying the
+        # cell frees the search state now, not at the next cyclic GC.
+        visit = None
     return sorted(pieces, key=lambda mask: mask & -mask)

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to validate the main engine.
 
-Three permanents that share no code with the determinant expansion:
+Three permanents that share no code with the engine:
 
 * ``per_ryser``   - inclusion-exclusion over column subsets, O(2^n * n);
 * ``per_naive``   - the definition, a sum over all n! permutations;
@@ -8,12 +8,19 @@ Three permanents that share no code with the determinant expansion:
   components are single edges and cycles.
 
 The same subgraph enumeration also evaluates the determinant as a
-signed sum, and backs empirical checks of the parity identity, the
-cycle-removal identity, and the truncated-expansion characterization
-of the maximum number of vertex-disjoint 4k-cycles.
+signed sum, and backs empirical checks of the parity identity and the
+cycle-removal identity.
 
-Everything here is exponential and guarded by explicit size limits;
-exceeding a guard raises instead of truncating.
+``permanent_theorem1`` is the reference for Theorem 1 itself: the
+paper's whole-graph term table, one term per disjoint 4k-cycle family,
+each with the full-order det(G minus V(F)).  It shares the cycle and
+family enumeration with the engine but none of its shortcuts or its
+half-size determinants.  ``verify_theorem2`` sums the table's terms up
+to a family size m to characterize the maximum number of
+vertex-disjoint 4k-cycles.
+
+Everything here is exponential and guarded by explicit size limits or
+caps; exceeding a guard raises instead of truncating.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .cycles import Cycle, enumerate_cycles, enumerate_disjoint_families, four_k_cycles
+from .cycles import DEFAULT_CYCLE_CAP, enumerate_cycles, enumerate_disjoint_families, four_k_cycles
 from .determinant import DetCache, det_after_removal
 from .errors import EnumerationCapExceeded, InternalInvariantError, SizeGuardExceeded
-from .graphs import Graph, VertexSet, adjacency_after_removal, induced_subgraph
+from .graphs import Graph, VertexSet, adjacency_after_removal, bipartition, induced_subgraph
 
 RYSER_GUARD = 30
 NAIVE_GUARD = 10
@@ -266,6 +273,54 @@ def check_removal_identity(g: Graph, guard: int = REMOVAL_GUARD, cap: int = DEFA
 
 
 @dataclass(frozen=True)
+class FamilyTerm:
+    """One family's contribution: coefficient * det of the reduced graph."""
+
+    z: int
+    covered: VertexSet
+    det: int
+    coefficient: int
+
+    @property
+    def contribution(self) -> int:
+        return self.coefficient * self.det
+
+
+@dataclass(frozen=True)
+class Theorem1Report:
+    """The whole-graph expansion: ``per_family_terms`` in family order
+    (by size, then cycle indices), ``m`` the largest family's size."""
+
+    value: int
+    n: int
+    m: int
+    num_4k_cycles: int
+    per_family_terms: tuple
+
+
+def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Theorem1Report:
+    """per(G) as the paper's sum over every disjoint 4k-cycle family F of
+    4^|F| * det(G minus V(F)), signed by (-1)^(n/2), with no shortcut.
+
+    Each ``det`` is the full-order determinant of the graph minus the
+    family.  Odd n gives 0 and no terms.  Raises NotBipartiteError for
+    non-bipartite input and propagates the enumeration caps.
+    """
+    bipartition(g)
+    if g.n % 2:
+        return Theorem1Report(0, g.n, 0, 0, ())
+    c4k = four_k_cycles(enumerate_cycles(g, cap=cycle_cap))
+    cache = DetCache()
+    terms = tuple(
+        FamilyTerm(fam.size, fam.covered, det_after_removal(g, fam.covered, cache), 4**fam.size)
+        for fam in enumerate_disjoint_families(c4k)
+    )
+    total = sum(term.contribution for term in terms)
+    value = -total if (g.n // 2) & 1 else total
+    return Theorem1Report(value, g.n, terms[-1].z, len(c4k), terms)
+
+
+@dataclass(frozen=True)
 class Theorem2Report:
     """Outcome of the truncated-expansion check over induced subgraphs."""
 
@@ -273,21 +328,11 @@ class Theorem2Report:
     violating_subset: VertexSet | None
 
 
-def _truncated_expansion(gi: Graph, m: int) -> int:
-    """(-1)^(n/2) times the family sum cut off at families of size m."""
-    c4k = four_k_cycles(enumerate_cycles(gi))
-    cache = DetCache()
-    total = 0
-    for fam in enumerate_disjoint_families(c4k):
-        if fam.size <= m:
-            total += (4**fam.size) * det_after_removal(gi, fam.covered, cache)
-    return -total if (gi.n // 2) & 1 else total
-
-
 def verify_theorem2(g: Graph, m: int, guard: int = SUBSET_GUARD) -> Theorem2Report:
     """Check per(G_i) against the size-m truncated expansion on every
     even-order induced subgraph G_i (the empty subgraph included, where
-    both sides are 1).
+    both sides are 1).  The truncation keeps the terms of
+    ``permanent_theorem1(G_i)`` with z <= m.
 
     The check passes for all subsets exactly when ``g`` has at most
     ``m`` vertex-disjoint 4k-cycles; the first violating subset (in
@@ -300,7 +345,8 @@ def verify_theorem2(g: Graph, m: int, guard: int = SUBSET_GUARD) -> Theorem2Repo
             continue
         keep = VertexSet(mask)
         gi = induced_subgraph(g, keep)
-        lhs = per_ryser(gi.adj)
-        if lhs != _truncated_expansion(gi, m):
+        table = permanent_theorem1(gi)
+        total = sum(t.contribution for t in table.per_family_terms if t.z <= m)
+        if per_ryser(gi.adj) != (-total if (gi.n // 2) & 1 else total):
             return Theorem2Report(False, keep)
     return Theorem2Report(True, None)

@@ -107,14 +107,10 @@ def test_criterion_3_oracle_triangle():
         start = time.perf_counter()
         exhaustive = corpus.connected_bipartite_upto(8)
         assert len(exhaustive) == 254
-        for g in exhaustive:
-            value = permanent_theorem1(g).value
-            assert value == per_ryser(g.adj), g.edges
-            assert value == per_via_sachs(g), g.edges
-            assert determinant(g.adj) == det_via_sachs(g), g.edges
         randoms = corpus.random_corpus(500)
-        for g in randoms:
+        for g in exhaustive + randoms:
             value = permanent_theorem1(g).value
+            assert permanent_auto(g).value == value, g.edges
             assert value == per_ryser(g.adj), g.edges
             assert value == per_via_sachs(g), g.edges
             assert determinant(g.adj) == det_via_sachs(g), g.edges

@@ -3,7 +3,7 @@ import json
 
 import corpus
 import pytest
-from permdet import cli, render_edge_list
+from permdet import SizeGuardExceeded, cli, render_edge_list
 
 
 def run(capsys, *argv):
@@ -43,7 +43,7 @@ def test_per_records(capsys):
     recs = records(out)
     head = recs[0]
     assert head == {"record": "permanent", "value": 36, "n": 10, "m": 2,
-                    "num_4k_cycles": 3, "path": "theorem1_expansion"}
+                    "num_4k_cycles": 3, "path": "matching_decomposition"}
     zgroups = {r["z"]: r for r in recs if r["record"] == "zgroup"}
     assert zgroups[1]["ordered_det_sum"] == -1
     assert zgroups[2]["ordered_det_sum"] == -4
@@ -262,3 +262,18 @@ def test_exit_code_internal_invariant(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert "negative permanent" in err
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [(ValueError("bad matrix"), 1), (SizeGuardExceeded("per_ryser", 31, 30), 3)],
+)
+def test_exit_code_table(capsys, monkeypatch, error, code):
+    def failing(args, text):
+        raise error
+
+    monkeypatch.setitem(cli._DISPATCH, "det", failing)
+    got, out, err = run(capsys, "det", fixture("c4.edges"))
+    assert got == code
+    assert out == ""
+    assert err == f"error: {error}\n"

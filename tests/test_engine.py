@@ -1,3 +1,4 @@
+import gc
 import importlib
 import math
 import random
@@ -33,7 +34,6 @@ determinant_module = importlib.import_module("permdet.determinant")
 def test_example10_report():
     report = permanent_theorem1(corpus.example10())
     assert report.value == 36
-    assert report.path_taken == PATH_THEOREM1
     assert report.n == 10
     assert report.m == 2
     assert report.num_4k_cycles == 3
@@ -81,14 +81,13 @@ def test_odd_shortcut_enumerates_nothing():
     report = permanent_auto(corpus.path_graph(7))
     assert report.value == 0
     assert report.path_taken == PATH_ODD
-    assert report.per_family_terms == ()
+    assert report.families == 0
     assert report.num_cycles == 0
 
 
 def test_theorem1_on_4k_free_graph_still_expands():
     report = permanent_theorem1(corpus.cycle_graph(6))
     assert report.value == 4
-    assert report.path_taken == PATH_THEOREM1
     assert len(report.per_family_terms) == 1  # just the empty family
 
 
@@ -154,12 +153,10 @@ def test_example10_decomposed_report():
     assert report.path_taken == PATH_DECOMPOSED
     assert (report.value, report.n, report.num_4k_cycles) == (36, 10, 3)
     assert report.num_cycles == 4
-    assert report.per_family_terms == ()
+    assert report.families == 5
     assert [(p.n, p.value, p.m) for p in report.pieces] == [(6, 9, 1), (4, 4, 1)]
     assert report.m == 2
-    # covered sets stay in the graph's own labels
-    covered = [[t.covered.labels() for t in p.per_family_terms] for p in report.pieces]
-    assert covered == [[(), (1, 2, 3, 4), (3, 4, 5, 6)], [(), (7, 8, 9, 10)]]
+    assert [p.families for p in report.pieces] == [3, 2]
     assert report.cache_misses == sum(p.cache_misses for p in report.pieces) == 5
 
 
@@ -203,8 +200,10 @@ def test_engine_never_runs_full_order_determinants(monkeypatch):
     monkeypatch.setattr(determinant_module, "_bareiss", recording_bareiss)
     chain = corpus.bridged_c8_chain(3)
     assert permanent_auto(chain).value == 64
-    assert permanent_theorem1(chain).value == 64
-    assert max(orders) == chain.n // 2
+    # the grid is one elementary piece, so its largest term is half order
+    grid = corpus.grid_graph(4, 4)
+    assert permanent_auto(grid).value == 36**2
+    assert max(orders) == grid.n // 2
     assert permanent_auto(corpus.cycle_graph(10)).path_taken == PATH_COROLLARY
     assert count_perfect_matchings(corpus.fig1_biadjacency()) == 6
 
@@ -245,7 +244,7 @@ def test_unbalanced_remainders_skip_elimination(monkeypatch):
     report = permanent_auto(corpus.complete_bipartite(2, 4))
     assert report.value == 0
     assert report.path_taken == PATH_THEOREM1
-    assert all(term.det == 0 for term in report.per_family_terms)
+    assert report.families == 7  # the empty family and the six 4-cycles
     assert orders == []
 
 
@@ -257,15 +256,34 @@ def test_negative_permanent_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(engine, "biadjacency_det_after_removal", lambda *args: -1)
     # C4: expansion path, per = (+1) * (-1 + 4 * -1)
     with pytest.raises(InternalInvariantError, match="negative permanent"):
-        permanent_theorem1(corpus.cycle_graph(4))
+        permanent_auto(corpus.cycle_graph(4))
 
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
     triangle = Cycle.from_vertices((0, 1, 2))
     monkeypatch.setattr(engine, "enumerate_cycles", lambda g, cap: (triangle,))
-    for run in (permanent_auto, permanent_theorem1, classify_efficient):
+    for run in (permanent_auto, classify_efficient):
         with pytest.raises(InternalInvariantError, match="odd cycle"):
             run(corpus.cycle_graph(4))
+
+
+def test_a_solve_leaves_no_cyclic_garbage():
+    # The searches' nested helpers refer to themselves; a solve must still
+    # free its whole working set by reference counting alone.
+    solves = [
+        (permanent_auto, corpus.grid_graph(4, 5)),
+        (permanent_auto, corpus.example10()),
+        (permanent_auto, corpus.bridged_c8_chain(3)),
+        (count_perfect_matchings, corpus.fig1_biadjacency()),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for solve, arg in solves:
+            solve(arg)
+            assert gc.collect() == 0, solve.__name__
+    finally:
+        gc.enable()
 
 
 def test_not_a_perfect_square_is_an_invariant_error():

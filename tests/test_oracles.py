@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import corpus
@@ -15,6 +16,7 @@ from permdet import (
     per_naive,
     per_ryser,
     per_via_sachs,
+    permanent_theorem1,
     verify_theorem2,
 )
 
@@ -118,6 +120,25 @@ def test_sachs_grouping_mismatch_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(oracles, "_grouped_sachs_sum", lambda spanning: 0)
     with pytest.raises(InternalInvariantError, match="Sachs grouping mismatch"):
         per_via_sachs(corpus.example10())
+
+
+def test_theorem1_reference_is_independent_of_the_engine(monkeypatch):
+    from permdet import engine
+
+    # the package re-exports the function under the submodule's name
+    determinant_module = importlib.import_module("permdet.determinant")
+
+    graphs = [*corpus.connected_bipartite_upto(8), corpus.example10(), corpus.grid_graph(4, 4)]
+    expected = [per_ryser(g.adj) for g in graphs]
+
+    def forbidden(*args):
+        raise AssertionError("the reference reached the engine")
+
+    monkeypatch.setattr(engine, "_expansion_report", forbidden)
+    monkeypatch.setattr(engine, "biadjacency_det_after_removal", forbidden)
+    monkeypatch.setattr(determinant_module, "biadjacency_det_after_removal", forbidden)
+    for g, value in zip(graphs, expected):
+        assert permanent_theorem1(g).value == value, g.edges
 
 
 def test_sachs_size_monotone_on_bipartite():
