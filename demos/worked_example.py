@@ -78,10 +78,12 @@ assert report.value == table.value == sign * total
 assert per_ryser(g.adj) == report.value
 print(f"\nengine value: {report.value} (path: {report.path_taken})")
 # The edge 6-9 lies in no perfect matching, so the engine splits the
-# graph there into elementary pieces, expands each on its own and
+# graph there into elementary pieces, solves each on its own and
 # multiplies; the table above is the whole-graph sum it stands in for.
+# Here each piece has a Pfaffian signing, a sign per edge under which
+# per(piece) is one squared determinant, so no cycle is expanded.
 for piece in report.pieces:
-    print(f"  piece: {piece.n} vertices, {piece.families} families, "
-          f"per = {piece.value}")
+    print(f"  piece: {piece.n} vertices, path {piece.path_taken}, "
+          f"{piece.families} families, per = {piece.value}")
 print(f"oracle value: {per_ryser(g.adj)} (independent inclusion-exclusion)")
 print(f"det(G) alone would give: {determinant(g.adj)}")

@@ -35,6 +35,7 @@ from .engine import (
     PATH_COROLLARY,
     PATH_DECOMPOSED,
     PATH_ODD,
+    PATH_PFAFFIAN,
     PATH_THEOREM1,
     PermanentReport,
     classify_efficient,
@@ -105,6 +106,7 @@ __all__ = [
     "PATH_COROLLARY",
     "PATH_DECOMPOSED",
     "PATH_ODD",
+    "PATH_PFAFFIAN",
     "PATH_THEOREM1",
     "ParseError",
     "PermanentReport",

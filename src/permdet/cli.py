@@ -6,7 +6,9 @@ Input is a file path or "-" for stdin, in one of three formats
 records, one object per line.
 
 Exit codes: 0 success, 1 parse error, 2 not bipartite, 3 cap or size
-guard exceeded, 4 verification mismatch, 5 internal invariant broken.
+guard exceeded, 4 verification mismatch, 5 internal invariant broken,
+141 standard output closed before all of it was written (128 + SIGPIPE,
+as a shell reports a writer that a closed pipe stopped).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -65,6 +68,7 @@ EXIT_NOT_BIPARTITE = 2
 EXIT_CAP = 3
 EXIT_MISMATCH = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141
 
 # Checked in order; the first kind an error is an instance of sets the code.
 _EXIT_CODES = (
@@ -435,7 +439,18 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        if sys.stdout is not None:
+            # A closed pipe shows on this flush, not at interpreter exit.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (say `| head`).  Point stdout at devnull so
+        # the interpreter's last flush of the unwritten rest fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(EXIT_BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,19 +9,23 @@ kept vertices, live here:
 
 * ``det_after_removal`` runs Bareiss on the full kept submatrix.  It is
   the reference: the ``det`` command, the oracles and the tests use it.
-* ``biadjacency_det_after_removal`` is what the engine uses.  With the
-  vertices ordered left side first, a bipartite A(G) is [[0, B], [B^T, 0]],
-  and so is every principal submatrix.  If S keeps the left vertices L'
-  and the right vertices R', then det(G \\ S) = 0 when |L'| != |R'| (the
-  rank is at most 2 min(|L'|, |R'|)), and otherwise
-  det(G \\ S) = (-1)^|L'| det(B[L', R'])^2, one elimination of half the
-  order, its rows read from the neighbour lists.  Any proper 2-colouring
-  works, also of a disconnected graph.
+* ``biadjacency_det_after_removal`` takes it from the biadjacency block.
+  With the vertices ordered left side first, a bipartite A(G) is
+  [[0, B], [B^T, 0]], and so is every principal submatrix.  If S keeps
+  the left vertices L' and the right vertices R', then det(G \\ S) = 0
+  when |L'| != |R'| (the rank is at most 2 min(|L'|, |R'|)), and
+  otherwise det(G \\ S) = (-1)^|L'| det(B[L', R'])^2, one elimination of
+  half the order.  Any proper 2-colouring works, also of a disconnected
+  graph.
+
+The engine calls ``signed_block_det``, the block evaluator under an edge
+signing: det(B_s[L', R']) with entry -1 on the negative edges, its rows
+read from the neighbour lists.  The all-plus signing gives det(B[L', R']).
 """
 
 from __future__ import annotations
 
-from .graphs import Bipartition, Graph, VertexSet, adjacency_after_removal
+from .graphs import Bipartition, Graph, VertexSet, adjacency_after_removal, mask_indices
 
 
 def _bareiss(a: list) -> int:
@@ -69,7 +73,9 @@ def determinant(matrix) -> int:
 
 
 class DetCache:
-    """Memo of det(G \\ removed) keyed by the removed set's bitmask.
+    """Memo of determinants keyed by a vertex bitmask: the removed set for
+    ``det_after_removal`` and ``biadjacency_det_after_removal``, the kept
+    set for ``signed_block_det``.
 
     Hit and miss counters feed the benchmark report.
     """
@@ -91,33 +97,56 @@ class DetCache:
         return len(self._values)
 
 
-def _memoized(cache: DetCache | None, removed: VertexSet, compute) -> int:
+def _memoized(cache: DetCache | None, key: int, compute) -> int:
     if cache is None:
         return compute()
-    value = cache.get(removed.mask)
+    value = cache.get(key)
     if value is not None:
         cache.hits += 1
         return value
     cache.misses += 1
     value = compute()
-    cache.put(removed.mask, value)
+    cache.put(key, value)
     return value
 
 
 def det_after_removal(g: Graph, removed: VertexSet, cache: DetCache | None = None) -> int:
     """det of the principal submatrix of A(g) on the kept vertices."""
     return _memoized(
-        cache, removed, lambda: determinant(adjacency_after_removal(g, removed))
+        cache, removed.mask, lambda: determinant(adjacency_after_removal(g, removed))
     )
 
 
-def _indices(mask: int) -> list:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def signed_block_det(
+    g: Graph, parts: Bipartition, kept: int, negative: dict, cache: DetCache | None = None
+) -> int:
+    """det(B_s[L', R']) on the vertices of the bitmask ``kept``.
+
+    B_s is the biadjacency block of ``g`` (rows the left side of the
+    2-colouring ``parts``, columns the right side) with entry -1 on the
+    edge from left u to right w when bit w of ``negative.get(u, 0)`` is
+    set, and +1 on every other edge.  Returns 0 without elimination when the kept sides
+    differ in size.  Only the kept vertices are walked.
+    """
+
+    def compute() -> int:
+        rows = mask_indices(kept & parts.left.mask)
+        cols = mask_indices(kept & parts.right.mask)
+        if len(rows) != len(cols):
+            return 0
+        position = {j: k for k, j in enumerate(cols)}
+        block = []
+        for i in rows:
+            row = [0] * len(cols)
+            minus = negative.get(i, 0)
+            for j in g.neighbors[i]:
+                k = position.get(j)
+                if k is not None:
+                    row[k] = -1 if minus >> j & 1 else 1
+            block.append(row)
+        return _bareiss(block)
+
+    return _memoized(cache, kept, compute)
 
 
 def biadjacency_det_after_removal(
@@ -131,22 +160,6 @@ def biadjacency_det_after_removal(
     """
     if removed.mask >> g.n != 0:
         raise ValueError(f"removed set {removed.labels()} not within 1..{g.n}")
-
-    def compute() -> int:
-        rows = _indices(parts.left.mask & ~removed.mask)
-        cols = _indices(parts.right.mask & ~removed.mask)
-        if len(rows) != len(cols):
-            return 0
-        position = {j: k for k, j in enumerate(cols)}
-        block = []
-        for i in rows:
-            row = [0] * len(cols)
-            for j in g.neighbors[i]:
-                k = position.get(j)
-                if k is not None:
-                    row[k] = 1
-            block.append(row)
-        d = _bareiss(block)
-        return -d * d if len(rows) & 1 else d * d
-
-    return _memoized(cache, removed, compute)
+    kept = ((1 << g.n) - 1) & ~removed.mask
+    d = signed_block_det(g, parts, kept, {}, cache)
+    return -d * d if (kept & parts.left.mask).bit_count() & 1 else d * d

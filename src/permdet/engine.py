@@ -1,37 +1,41 @@
-"""Permanent of a bipartite graph via a determinant expansion.
+"""Permanent of a bipartite graph via a signed determinant expansion.
 
-For bipartite G on an even number of vertices,
+Give each edge of a bipartite G a sign s(e) = +-1 and write B_s for the
+signed biadjacency block, rows the left side and columns the right.
+Call an even cycle of length 2l *bad* under s when l + 1 plus its number
+of negative edges is odd.  For G on an even number of vertices,
 
-    per(G) = (-1)^(n/2) * sum over unordered families F of pairwise
-             vertex-disjoint 4k-cycles of 4^|F| * det(G minus V(F)),
+    per(G) = sum over unordered families F of pairwise vertex-disjoint
+             bad cycles of 4^|F| * det(B_s[L minus V(F), R minus V(F)])^2,
 
-the empty family contributing det(G).  Odd n gives 0 outright.  A graph
-with no 4k-cycles has only the empty family, so the sum is the paper's
-corollary per(G) = (-1)^(n/2) det(G), a single determinant.  All
-arithmetic is exact.
+a term being 0 when the kept sides differ in size, and odd n gives 0
+outright.  Under the all-plus signing the bad cycles are the 4k-cycles
+and this is the paper's Theorem 1, the term for F being
+(-1)^(n/2) * 4^|F| * det(G minus V(F)); a graph with no 4k-cycle is the
+paper's corollary, per(G) = det(B)^2.  All arithmetic is exact.
 
 ``permanent_auto`` is the engine's one entry point, and
-``_expansion_report`` the one place it evaluates determinants.  The
-paper's whole-graph term table is a reference kept apart from the
+``_expansion_report`` the one place it evaluates determinants, all of
+half the order on the kept biadjacency block (``signed_block_det``).
+The paper's whole-graph term table is a reference kept apart from the
 engine: ``oracles.permanent_theorem1``, on full-order determinants.
 
-Every determinant is taken on the biadjacency block.  Ordering the
-vertices left side first turns A(G) into [[0, B], [B^T, 0]], and removing
-a vertex set keeps that shape: with kept sides L' and R',
-det(G minus S) = (-1)^|L'| det(B[L', R'])^2 when |L'| = |R'|, and 0
-without any elimination otherwise.  A 4k-cycle takes 2k vertices from
-each side, so every term's remainder is balanced exactly when G is.
-The bipartition is computed once per solve.  The full-order Bareiss in
-``determinant`` stays the reference for the ``det`` command and the
-oracles; the engine never calls it.
+The order of work: the bipartition, then the cycles of the whole graph
+(their counts are reported, and a graph with no 4k-cycle takes the
+corollary).  Then one perfect matching M; with none, no cycle can be
+removed leaving a matchable rest, so per(G) = 0 from the empty family
+alone, with no elimination.  M splits the graph at the edges that lie
+in no perfect matching (see ``matching``): per(G) is the product over
+the elementary pieces, and each piece is solved on its own with the
+cycles that lie inside it.  A piece P's determinants keep only P, which
+leaves B_s[P minus V(F)] because every edge inside a piece is kept.
 
-``permanent_auto`` also splits a graph at the edges that lie in no
-perfect matching (see ``matching``): per(G) is the product of the
-permanents of its elementary pieces, and each piece is expanded on its
-own, with the 4k-cycles of the whole graph that lie inside it.  A piece
-P's terms remove V(F) and every vertex outside P from the original
-graph, which leaves det(G[P] minus V(F)) because every edge inside a
-piece is kept.
+Per piece, ``matching.pfaffian_signing`` finds a signing from the
+M-alternating cycles.  When every one of them is good, the signing is
+Pfaffian: no nice cycle is bad, so the sum is det(B_s[P])^2, one
+determinant.  Otherwise only the bad cycles C that are *nice* (G[P]
+minus V(C) has a perfect matching) are expanded, since a family with a
+cycle that is not nice leaves an unmatchable rest and a zero term.
 """
 
 from __future__ import annotations
@@ -41,25 +45,31 @@ from dataclasses import dataclass
 
 from .cycles import (
     DEFAULT_CYCLE_CAP,
+    DisjointFamily,
     enumerate_cycles,
     enumerate_disjoint_families,
     four_k_cycles,
 )
-from .determinant import DetCache, biadjacency_det_after_removal
+from .determinant import DetCache, signed_block_det
 from .errors import InternalInvariantError, NotAPerfectSquare, NotBipartiteError
 from .graphs import (
+    EMPTY_SET,
     Bipartition,
     Graph,
-    VertexSet,
     bipartition,
     graph_from_biadjacency,
+    mask_indices,
 )
-from .matching import elementary_pieces
+from .matching import elementary_pieces, matchable_without, perfect_matching, pfaffian_signing
 
 PATH_ODD = "odd_shortcut"
 PATH_COROLLARY = "corollary_fast_path"
+PATH_PFAFFIAN = "pfaffian_signing"
 PATH_THEOREM1 = "theorem1_expansion"
 PATH_DECOMPOSED = "matching_decomposition"
+
+# The only family when no cycle is bad: the corollary and a Pfaffian piece.
+_EMPTY_FAMILY_ONLY = (DisjointFamily((), EMPTY_SET),)
 
 
 @dataclass(frozen=True)
@@ -67,18 +77,21 @@ class PermanentReport:
     """The permanent and how it was reached.
 
     ``path_taken`` is one of the ``PATH_*`` names.  ``m`` is the size of
-    the largest disjoint 4k-cycle family expanded, ``families`` the
-    number of families expanded (the empty one included), and the cache
-    counters count the determinant lookups.  ``num_cycles`` and
-    ``num_4k_cycles`` count the cycles of the whole graph.  The terms
-    themselves are not kept; ``oracles.permanent_theorem1`` lists them.
+    the largest family expanded and ``families`` the number of families
+    expanded (the empty one included): families of 4k-cycles on the
+    corollary path, and of the cycles that are bad under the piece's
+    signing and nice on ``PATH_THEOREM1``.  A Pfaffian piece expands the
+    empty family alone (m 0, families 1).  The cache counters count the
+    determinant lookups.  ``num_cycles`` and ``num_4k_cycles`` count the
+    cycles of the graph or piece, whatever the signing.  The terms
+    themselves are not kept; ``oracles.permanent_theorem1`` lists the
+    paper's all-plus terms.
 
     On ``PATH_DECOMPOSED`` the value is the product over ``pieces``, one
-    expansion report per elementary piece, whose ``n`` and cycle counts
-    are the piece's; a piece that is a single edge has per 1 and is left
-    out.  There ``m``, ``families`` and the cache counters are sums over
-    the pieces, and ``m`` can be smaller than the whole graph's largest
-    family, which may use cycles that cross pieces.
+    report per elementary piece, whose ``n`` and cycle counts are the
+    piece's; a piece that is a single edge has per 1 and is left out.
+    There ``m``, ``families`` and the cache counters are sums over the
+    pieces.
     """
 
     value: int
@@ -101,48 +114,80 @@ def _check_even_cycles(cycles) -> None:
             raise InternalInvariantError(f"odd cycle {cyc.labels()} in bipartite host")
 
 
+def _is_bad(cycle, negative: dict) -> bool:
+    """Whether ``cycle`` (length 2l) is bad under the signing ``negative``
+    (see ``matching.pfaffian_signing``): l + 1 plus its number of
+    negative edges is odd."""
+    vertices = cycle.vertices
+    count = len(vertices) // 2 + 1
+    prev = vertices[-1]
+    for v in vertices:
+        count += negative.get(prev, 0) >> v & 1
+        prev = v
+    return count & 1 == 1
+
+
 def _expansion_report(
-    g: Graph, parts: Bipartition, cycles, c4k, keep: int
+    g: Graph, parts: Bipartition, keep: int, negative: dict, bad, path: str,
+    cycles, num_4k: int,
 ) -> PermanentReport:
-    """The expansion of the subgraph induced by the vertex mask ``keep``,
-    whose cycles are ``cycles``; every term removes the rest of ``g`` too.
-    With no 4k-cycle only the empty family is left: the corollary.
+    """The signed expansion of the subgraph induced by the vertex mask
+    ``keep`` under the signing ``negative``, over the families of the
+    disjoint cycles ``bad``.  ``cycles`` and ``num_4k`` are only counted.
     """
-    outside = ((1 << g.n) - 1) ^ keep
-    n = keep.bit_count()
     cache = DetCache()
-    families = enumerate_disjoint_families(c4k)
+    families = enumerate_disjoint_families(bad) if bad else _EMPTY_FAMILY_ONLY
     total = 0
     for fam in families:
-        removed = VertexSet(outside | fam.covered.mask) if outside else fam.covered
-        total += 4**fam.size * biadjacency_det_after_removal(g, parts, removed, cache)
-    path = PATH_THEOREM1 if c4k else PATH_COROLLARY
-    value = -total if (n // 2) & 1 else total
-    if value < 0:
-        raise InternalInvariantError(f"negative permanent {value} from {path}; this is a bug")
+        d = signed_block_det(g, parts, keep & ~fam.covered.mask, negative, cache)
+        total += 4**fam.size * d * d
+    if not total and perfect_matching(g, parts) is not None:
+        # Pieces exist only when g has a perfect matching, and each has one.
+        raise InternalInvariantError(
+            f"zero permanent from {path} with a perfect matching; this is a bug"
+        )
     # The families are sorted by size, so the last one is the largest.
     return PermanentReport(
-        value, n, families[-1].size, len(c4k), len(families), path,
+        total, keep.bit_count(), families[-1].size, num_4k, len(families), path,
         num_cycles=len(cycles), cache_hits=cache.hits, cache_misses=cache.misses,
     )
 
 
+def _piece_report(
+    g: Graph, parts: Bipartition, mate: list, piece: int, cycles
+) -> PermanentReport:
+    """The report of the elementary piece ``piece``, whose cycles are
+    ``cycles``: the corollary with no 4k-cycle, one determinant under a
+    certified signing, and otherwise the expansion over the bad nice
+    cycles."""
+    num_4k = len(four_k_cycles(cycles))
+    if not num_4k:
+        return _expansion_report(g, parts, piece, {}, (), PATH_COROLLARY, cycles, 0)
+    negative, certified = pfaffian_signing(g, parts, mate, piece)
+    if certified:
+        return _expansion_report(g, parts, piece, negative, (), PATH_PFAFFIAN, cycles, num_4k)
+    bad = [
+        c for c in cycles
+        if _is_bad(c, negative) and matchable_without(g, parts, mate, piece, c.vertex_set.mask)
+    ]
+    return _expansion_report(g, parts, piece, negative, bad, PATH_THEOREM1, cycles, num_4k)
+
+
 def _decomposed_report(
-    g: Graph, parts: Bipartition, cycles, c4k, pieces: list
+    g: Graph, parts: Bipartition, mate: list, cycles, c4k, pieces: list
 ) -> PermanentReport:
     # A piece of two vertices is a single matched edge: per 1, no cycles.
     inside = {mask: [] for mask in pieces if mask.bit_count() > 2}
     home = [0] * g.n
     for mask in inside:
-        for v in VertexSet(mask):
+        for v in mask_indices(mask):
             home[v] = mask
     for cyc in cycles:
         mask = home[cyc.vertices[0]]
         if cyc.vertex_set.mask | mask == mask:
             inside[mask].append(cyc)
     reports = tuple(
-        _expansion_report(g, parts, own, four_k_cycles(own), mask)
-        for mask, own in inside.items()
+        _piece_report(g, parts, mate, mask, own) for mask, own in inside.items()
     )
     return PermanentReport(
         math.prod(r.value for r in reports), g.n, sum(r.m for r in reports), len(c4k),
@@ -154,10 +199,11 @@ def _decomposed_report(
 
 def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
     """The permanent of ``g`` by the cheapest exact route: odd n gives 0
-    without enumerating anything, a graph that splits into more than one
-    elementary piece is expanded piece by piece and the results
-    multiplied, and any other graph gets the whole expansion, which for a
-    4k-cycle-free graph is a single determinant.
+    without enumerating anything; a graph with no 4k-cycle is one
+    determinant (the corollary); a graph with no perfect matching gives
+    0; and any other graph is solved per elementary piece, by one
+    determinant under a certified Pfaffian signing or by the expansion
+    over its bad nice cycles, the pieces' values multiplied.
 
     Raises NotBipartiteError for non-bipartite input and propagates
     CycleCapExceeded and EnumerationCapExceeded from enumeration.
@@ -169,11 +215,17 @@ def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentRep
     cycles = enumerate_cycles(g, cap=cycle_cap)
     _check_even_cycles(cycles)
     c4k = four_k_cycles(cycles)
-    if c4k:
-        pieces = elementary_pieces(g, parts)
-        if len(pieces) > 1:
-            return _decomposed_report(g, parts, cycles, c4k, pieces)
-    return _expansion_report(g, parts, cycles, c4k, (1 << g.n) - 1)
+    if not c4k:
+        return _expansion_report(g, parts, (1 << g.n) - 1, {}, (), PATH_COROLLARY, cycles, 0)
+    mate = perfect_matching(g, parts)
+    if mate is None:
+        # No cycle is nice, so only the empty family is left, and its
+        # term is 0 with no elimination.
+        return PermanentReport(0, g.n, 0, len(c4k), 1, PATH_THEOREM1, num_cycles=len(cycles))
+    pieces = elementary_pieces(g, parts, mate)
+    if len(pieces) == 1:
+        return _piece_report(g, parts, mate, pieces[0], cycles)
+    return _decomposed_report(g, parts, mate, cycles, c4k, pieces)
 
 
 def _validate_zero_one(rows) -> tuple:

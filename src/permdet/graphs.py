@@ -71,6 +71,17 @@ class VertexSet:
 EMPTY_SET = VertexSet(0)
 
 
+def mask_indices(mask: int) -> list:
+    """The set bits of ``mask`` in increasing order, found one lowest bit
+    at a time, so the cost follows the members, not the highest index."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.

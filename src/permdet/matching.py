@@ -13,11 +13,26 @@ non-matching edge uw.  An edge uw is admissible exactly when it is in M
 or u and mate(w) lie in one strongly connected component, so each SCC
 plus its mates is one piece, and every edge with both ends in one piece
 is admissible.
+
+The same digraph certifies a signing.  Give each edge a sign s(e) = +-1,
+write B_s for the signed biadjacency, and call an even cycle of length
+2l *bad* under s when l + 1 plus its number of negative edges is odd;
+under the all-plus signing the bad cycles are exactly the 4k-cycles.
+Any two perfect matchings differ by disjoint M-alternating cycles, and
+the directed cycles of the alternating digraph are exactly those
+cycles, so det(B_s)^2 = pm^2 when every one of them is good: s is then
+a Pfaffian signing (Kasteleyn 1961; Lovasz-Plummer ch. 8).
+``pfaffian_signing`` lists them and solves for s over GF(2), one row
+per cycle.
 """
 
 from __future__ import annotations
 
-from .graphs import Bipartition, Graph
+from .graphs import Bipartition, Graph, mask_indices
+
+# Path extensions the alternating-cycle search may make per piece before
+# it gives up on a certificate.
+DEFAULT_SIGNING_CAP = 10**5
 
 
 def _augment(u: int, neighbors, mate: list, visited: bytearray) -> bool:
@@ -55,15 +70,19 @@ def perfect_matching(g: Graph, parts: Bipartition) -> list | None:
     return mate
 
 
-def elementary_pieces(g: Graph, parts: Bipartition) -> list:
+def elementary_pieces(g: Graph, parts: Bipartition, mate: list | None = None) -> list:
     """Vertex masks of the elementary pieces of ``g``, by smallest vertex.
 
-    Empty when ``g`` has no perfect matching.  The SCCs are found with
-    Tarjan's algorithm on the alternating digraph of one perfect matching.
+    ``mate`` is a perfect matching of ``g`` from ``perfect_matching``,
+    found here when not given; the result is empty when there is none.
+    The SCCs are found with Tarjan's algorithm on the alternating digraph
+    of that matching, so restricted to each piece it is a perfect
+    matching of the piece.
     """
-    mate = perfect_matching(g, parts)
     if mate is None:
-        return []
+        mate = perfect_matching(g, parts)
+        if mate is None:
+            return []
     neighbors = g.neighbors
     index = [-1] * g.n
     low = [0] * g.n
@@ -108,3 +127,139 @@ def elementary_pieces(g: Graph, parts: Bipartition) -> list:
         # cell frees the search state now, not at the next cyclic GC.
         visit = None
     return sorted(pieces, key=lambda mask: mask & -mask)
+
+
+def _add_row(basis: dict, row: int, rhs: int) -> bool:
+    """Reduce the GF(2) equation ``row . x = rhs`` by ``basis`` (leading
+    bit -> equation) and keep it when it is independent.  False when it
+    contradicts the equations already kept."""
+    while row:
+        top = row.bit_length() - 1
+        pivot = basis.get(top)
+        if pivot is None:
+            basis[top] = (row, rhs)
+            return True
+        row ^= pivot[0]
+        rhs ^= pivot[1]
+    return not rhs
+
+
+def _solve(basis: dict, edges: list) -> dict:
+    """One solution of the kept equations, free variables 0, as a signing.
+
+    Every bit of an equation below its leading bit is either free or
+    the leading bit of an equation with a smaller one, so solving in
+    increasing leading bit needs no further elimination.
+    """
+    negative = {}
+    chosen = 0
+    for top in sorted(basis):
+        row, rhs = basis[top]
+        if rhs ^ ((row & chosen).bit_count() & 1):
+            chosen |= 1 << top
+            u, w = edges[top]
+            negative[u] = negative.get(u, 0) | 1 << w
+            negative[w] = negative.get(w, 0) | 1 << u
+    return negative
+
+
+def pfaffian_signing(g: Graph, parts: Bipartition, mate: list, piece: int) -> tuple:
+    """A signing of the elementary piece ``piece`` (a vertex mask) and
+    whether it is certified Pfaffian, as ``(negative, certified)``.
+
+    ``negative`` maps a vertex to the bitmask of its neighbours across a
+    negative edge, for both ends of the edge; every other edge, and every
+    edge of ``mate``, is positive.  Each directed cycle of the piece's
+    alternating digraph (an arc u -> mate(w) per non-matching edge uw
+    inside the piece) is listed once, from its smallest left vertex,
+    with the bitmask of its non-matching edges.  On a cycle of length 2l
+    it gives the equation "the number of negative edges is l + 1 mod 2",
+    which makes the cycle good.  The equations are reduced as they come:
+    a consistent one is kept, and an inconsistent one is skipped and
+    leaves the piece uncertified, since then no signing is Pfaffian.
+    After ``DEFAULT_SIGNING_CAP`` path extensions the search stops,
+    uncertified, with the equations found so far.  The signing always
+    satisfies every kept equation.
+    """
+    left = mask_indices(piece & parts.left.mask)
+    arcs = {}
+    edges = []
+    for u in left:
+        out = []
+        for w in g.neighbors[u]:
+            if w != mate[u] and piece >> w & 1:
+                out.append((mate[w], 1 << len(edges)))
+                edges.append((u, w))
+        arcs[u] = out
+    basis = {}
+    certified = True
+    steps = DEFAULT_SIGNING_CAP
+    for s in left:
+        path = [s]
+        onpath = 1 << s
+        rows = [0]
+        iters = [iter(arcs[s])]
+        while iters:
+            for x, bit in iters[-1]:
+                if x == s:
+                    # len(path) arcs close the cycle, so l = len(path).
+                    if not _add_row(basis, rows[-1] | bit, len(path) + 1 & 1):
+                        certified = False
+                elif x > s and not onpath >> x & 1:
+                    break
+            else:
+                iters.pop()
+                onpath ^= 1 << path.pop()
+                rows.pop()
+                continue
+            steps -= 1
+            if steps < 0:
+                return _solve(basis, edges), False
+            path.append(x)
+            onpath |= 1 << x
+            rows.append(rows[-1] | bit)
+            iters.append(iter(arcs[x]))
+    return _solve(basis, edges), certified
+
+
+def _augment_within(u: int, neighbors, mate: list, moved: dict, kept: int, seen: set) -> bool:
+    # Kuhn's augmenting path from u inside the vertex mask ``kept``;
+    # ``moved`` overrides ``mate`` (-1: unmatched).
+    for w in neighbors[u]:
+        if kept >> w & 1 and w not in seen:
+            seen.add(w)
+            x = moved.get(w, mate[w])
+            if x < 0 or _augment_within(x, neighbors, mate, moved, kept, seen):
+                moved[u] = w
+                moved[w] = u
+                return True
+    return False
+
+
+def matchable_without(
+    g: Graph, parts: Bipartition, mate: list, piece: int, removed: int
+) -> bool:
+    """Whether G[piece] minus the vertex mask ``removed`` (inside
+    ``piece``) has a perfect matching.
+
+    ``mate`` restricted to ``piece`` is a perfect matching of G[piece].
+    Removing ``removed`` leaves unmatched only the kept partners of
+    removed vertices, at most |removed| of them, so one augmenting-path
+    search from each such left vertex decides it, O(|removed| * e),
+    with no copy of the matching.
+    """
+    kept = piece & ~removed
+    left = parts.left.mask
+    moved = {}
+    exposed = []
+    rest = removed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        x = mate[low.bit_length() - 1]
+        if kept >> x & 1:
+            moved[x] = -1
+            if left >> x & 1:
+                exposed.append(x)
+    neighbors = g.neighbors
+    return all(_augment_within(u, neighbors, mate, moved, kept, set()) for u in exposed)

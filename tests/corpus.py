@@ -203,6 +203,29 @@ def random_corpus(count: int = 500, seed: int = 20250818) -> tuple:
     return tuple(out)
 
 
+def random_cubic_bipartite(k: int, rng: random.Random) -> Graph:
+    """A connected 3-regular bipartite graph on k + k vertices (left side
+    0..k-1): three random perfect matchings with no edge in common."""
+    while True:
+        edges = set()
+        for _ in range(3):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            edges.update((i, k + j) for i, j in enumerate(perm))
+        g = Graph.from_edges(2 * k, sorted(edges))
+        if len(edges) == 3 * k and is_connected(g):
+            return g
+
+
+def biadjacency_of(g: Graph, left) -> tuple:
+    """The biadjacency matrix of g, rows the vertices ``left`` and
+    columns the others, both in index order."""
+    rows = sorted(left)
+    side = set(rows)
+    cols = [v for v in range(g.n) if v not in side]
+    return tuple(tuple(int(g.has_edge(i, j)) for j in cols) for i in rows)
+
+
 def random_tree(n: int, rng: random.Random) -> Graph:
     # Attach each new vertex to a uniformly random earlier one.
     return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import corpus
 import pytest
@@ -24,9 +28,10 @@ def test_per_example10(capsys):
     code, out, _ = run(capsys, "per", fixture("example10.edges"))
     assert code == 0
     assert "permanent: 36" in out
-    # example10 splits into elementary pieces of 6 and 4 vertices
+    # example10 splits into elementary pieces of 6 and 4 vertices, each
+    # certified by a Pfaffian signing, so no cycle is expanded
     assert "path: matching_decomposition" in out
-    assert "m: 2" in out
+    assert "m: 0" in out
 
 
 def test_per_show_terms_text(capsys):
@@ -42,7 +47,7 @@ def test_per_records(capsys):
     assert code == 0
     recs = records(out)
     head = recs[0]
-    assert head == {"record": "permanent", "value": 36, "n": 10, "m": 2,
+    assert head == {"record": "permanent", "value": 36, "n": 10, "m": 0,
                     "num_4k_cycles": 3, "path": "matching_decomposition"}
     zgroups = {r["z"]: r for r in recs if r["record"] == "zgroup"}
     assert zgroups[1]["ordered_det_sum"] == -1
@@ -214,9 +219,9 @@ def test_bench_counts_sum_over_pieces(capsys):
     assert code == 0
     counts = records(out)[-1]
     assert counts["path"] == "matching_decomposition"
-    # 3 families in the 6-vertex piece, 2 in the 4-cycle piece
-    assert counts["num_families"] == 5
-    assert counts["cache_hits"] + counts["cache_misses"] == 5
+    # both pieces are certified: the empty family and one determinant each
+    assert counts["num_families"] == 2
+    assert (counts["cache_hits"], counts["cache_misses"]) == (0, 2)
 
 
 def test_exit_code_parse_error(capsys, monkeypatch):
@@ -248,7 +253,8 @@ def test_exit_code_family_cap_exceeded(capsys, monkeypatch):
     from permdet import cycles
 
     monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", 2)
-    code, out, err = run(capsys, "per", fixture("example10.edges"))
+    # K_{3,3} has no Pfaffian signing, so its bad nice cycles are expanded
+    code, out, err = run(capsys, "per", "--format", "biadjacency", fixture("k33.biadj"))
     assert code == 3
     assert out == ""
     assert "disjoint family enumeration exceeded cap of 2" in err
@@ -257,11 +263,35 @@ def test_exit_code_family_cap_exceeded(capsys, monkeypatch):
 def test_exit_code_internal_invariant(capsys, monkeypatch):
     from permdet import engine
 
-    monkeypatch.setattr(engine, "biadjacency_det_after_removal", lambda *args: -1)
+    monkeypatch.setattr(engine, "signed_block_det", lambda *args: 0)
     code, out, err = run(capsys, "per", fixture("c4.edges"))
     assert code == 5
     assert out == ""
-    assert "negative permanent" in err
+    assert "zero permanent from pfaffian_signing" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("per", "cactus40.edges", "--show-terms"), ("bench", "c8.edges")],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # The reader closes the pipe before the command has started, so every
+    # write fails; with stdout block-buffered the failure comes at the
+    # final flush.  The command must stop with no traceback and no
+    # "Exception ignored" message.
+    command, name, *flags = argv
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permdet.cli", command, fixture(name), *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from permdet import (
     PATH_COROLLARY,
     PATH_DECOMPOSED,
     PATH_ODD,
+    PATH_PFAFFIAN,
     PATH_THEOREM1,
     classify_efficient,
     count_perfect_matchings,
@@ -55,9 +56,9 @@ def test_example10_report():
 @pytest.mark.parametrize(
     "graph,value,path",
     [
-        (corpus.cycle_graph(4), 4, PATH_THEOREM1),
+        (corpus.cycle_graph(4), 4, PATH_PFAFFIAN),
         (corpus.cycle_graph(6), 4, PATH_COROLLARY),
-        (corpus.cycle_graph(8), 4, PATH_THEOREM1),
+        (corpus.cycle_graph(8), 4, PATH_PFAFFIAN),
         (corpus.path_graph(4), 1, PATH_COROLLARY),
         (corpus.path_graph(3), 0, PATH_ODD),
         (corpus.path_graph(2), 1, PATH_COROLLARY),
@@ -74,7 +75,8 @@ def test_two_disjoint_squares():
     report = permanent_auto(g)
     # per multiplies over components: per(C4)^2
     assert report.value == 16
-    assert report.m == 2
+    # each square is a certified piece, so no cycle is expanded
+    assert report.m == 0
 
 
 def test_odd_shortcut_enumerates_nothing():
@@ -132,7 +134,7 @@ def test_half_size_expansion_on_chain_and_grid():
     assert (big.n, permanent_auto(big).value) == (160, 4**20)
     grid = corpus.grid_graph(4, 4)
     report = permanent_auto(grid)
-    assert report.path_taken == PATH_THEOREM1
+    assert report.path_taken == PATH_PFAFFIAN
     assert report.value == per_ryser(grid.adj) == 36**2
 
 
@@ -153,11 +155,14 @@ def test_example10_decomposed_report():
     assert report.path_taken == PATH_DECOMPOSED
     assert (report.value, report.n, report.num_4k_cycles) == (36, 10, 3)
     assert report.num_cycles == 4
-    assert report.families == 5
-    assert [(p.n, p.value, p.m) for p in report.pieces] == [(6, 9, 1), (4, 4, 1)]
-    assert report.m == 2
-    assert [p.families for p in report.pieces] == [3, 2]
-    assert report.cache_misses == sum(p.cache_misses for p in report.pieces) == 5
+    # both pieces are certified: one determinant each, no cycle expanded
+    assert report.families == 2
+    assert [(p.n, p.value, p.m) for p in report.pieces] == [(6, 9, 0), (4, 4, 0)]
+    assert report.m == 0
+    assert [p.families for p in report.pieces] == [1, 1]
+    assert [p.path_taken for p in report.pieces] == [PATH_PFAFFIAN, PATH_PFAFFIAN]
+    assert [(p.cache_hits, p.cache_misses) for p in report.pieces] == [(0, 1), (0, 1)]
+    assert report.cache_misses == sum(p.cache_misses for p in report.pieces) == 2
 
 
 def test_single_edge_pieces_are_left_out():
@@ -244,19 +249,21 @@ def test_unbalanced_remainders_skip_elimination(monkeypatch):
     report = permanent_auto(corpus.complete_bipartite(2, 4))
     assert report.value == 0
     assert report.path_taken == PATH_THEOREM1
-    assert report.families == 7  # the empty family and the six 4-cycles
+    # no cycle is nice without a perfect matching: the empty family alone
+    assert report.families == 1
     assert orders == []
 
 
-def test_negative_permanent_raises_invariant_error(monkeypatch):
-    monkeypatch.setattr(engine, "biadjacency_det_after_removal", lambda *args: 1)
-    # C6: corollary path, per = (-1)^3 * det
-    with pytest.raises(InternalInvariantError, match="negative permanent"):
-        permanent_auto(corpus.cycle_graph(6))
-    monkeypatch.setattr(engine, "biadjacency_det_after_removal", lambda *args: -1)
-    # C4: expansion path, per = (+1) * (-1 + 4 * -1)
-    with pytest.raises(InternalInvariantError, match="negative permanent"):
-        permanent_auto(corpus.cycle_graph(4))
+def test_zero_permanent_with_a_matching_raises_invariant_error(monkeypatch):
+    monkeypatch.setattr(engine, "signed_block_det", lambda *args: 0)
+    # C6: corollary path; C4: a certified piece; K_{3,3}: the expansion
+    for g, path in ((corpus.cycle_graph(6), PATH_COROLLARY),
+                    (corpus.cycle_graph(4), PATH_PFAFFIAN),
+                    (corpus.complete_bipartite(3, 3), PATH_THEOREM1)):
+        with pytest.raises(InternalInvariantError, match=f"zero permanent from {path}"):
+            permanent_auto(g)
+    # balanced sides and no perfect matching: 0 is the right answer
+    assert permanent_auto(Graph.from_edges(4, [(0, 1), (0, 3)])).value == 0
 
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
@@ -272,6 +279,7 @@ def test_a_solve_leaves_no_cyclic_garbage():
     # free its whole working set by reference counting alone.
     solves = [
         (permanent_auto, corpus.grid_graph(4, 5)),
+        (permanent_auto, corpus.complete_bipartite(4, 4)),
         (permanent_auto, corpus.example10()),
         (permanent_auto, corpus.bridged_c8_chain(3)),
         (count_perfect_matchings, corpus.fig1_biadjacency()),

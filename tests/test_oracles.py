@@ -135,7 +135,8 @@ def test_theorem1_reference_is_independent_of_the_engine(monkeypatch):
         raise AssertionError("the reference reached the engine")
 
     monkeypatch.setattr(engine, "_expansion_report", forbidden)
-    monkeypatch.setattr(engine, "biadjacency_det_after_removal", forbidden)
+    monkeypatch.setattr(engine, "signed_block_det", forbidden)
+    monkeypatch.setattr(determinant_module, "signed_block_det", forbidden)
     monkeypatch.setattr(determinant_module, "biadjacency_det_after_removal", forbidden)
     for g, value in zip(graphs, expected):
         assert permanent_theorem1(g).value == value, g.edges

@@ -3,12 +3,19 @@
 import corpus
 import pytest
 from permdet import (
+    PATH_THEOREM1,
     Graph,
+    bipartition,
     count_perfect_matchings,
+    enumerate_cycles,
+    enumerate_disjoint_families,
     graph_from_biadjacency,
     per_ryser,
     permanent_auto,
 )
+from permdet import engine
+from permdet.determinant import signed_block_det
+from permdet.matching import matchable_without, perfect_matching
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -82,3 +89,55 @@ def biadjacency(draw):
 @hypothesis.given(biadjacency())
 def test_permanent_is_matching_count_squared(b):
     assert count_perfect_matchings(b) ** 2 == permanent_auto(graph_from_biadjacency(b)).value
+
+
+@st.composite
+def matchable_bipartite(draw):
+    """A balanced bipartite graph with a perfect matching: at most 5
+    vertices a side, the edges i -- p + i always present."""
+    p = draw(st.integers(1, 5))
+    pairs = [(i, p + j) for i in range(p) for j in range(p) if i != j]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(i, p + i) for i in range(p)]
+    return Graph.from_edges(2 * p, edges + [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def signed_bipartite(draw, graphs=bipartite()):
+    """A bipartite graph, its 2-colouring and a random set of negative
+    edges, as the engine's signing: vertex -> bitmask of its neighbours
+    across a negative edge."""
+    g = draw(graphs)
+    flips = draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
+    negative = {}
+    for (u, v), minus in zip(g.edges, flips):
+        if minus:
+            negative[u] = negative.get(u, 0) | 1 << v
+            negative[v] = negative.get(v, 0) | 1 << u
+    return g, bipartition(g), negative
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(signed_bipartite())
+def test_signed_expansion_does_not_depend_on_the_signing(case):
+    # Every bad cycle is expanded, nice or not.
+    g, parts, negative = case
+    cycles = enumerate_cycles(g)
+    bad = [c for c in cycles if engine._is_bad(c, negative)]
+    report = engine._expansion_report(
+        g, parts, (1 << g.n) - 1, negative, bad, PATH_THEOREM1, cycles, 0
+    )
+    assert report.value == per_ryser(g.adj)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(signed_bipartite(matchable_bipartite()))
+def test_pruned_families_have_zero_terms(case):
+    g, parts, negative = case
+    mate = perfect_matching(g, parts)
+    full = (1 << g.n) - 1
+    bad = [c for c in enumerate_cycles(g) if engine._is_bad(c, negative)]
+    nice = [matchable_without(g, parts, mate, full, c.vertex_set.mask) for c in bad]
+    for fam in enumerate_disjoint_families(bad):
+        if not all(nice[i] for i in fam.cycle_indices):
+            assert signed_block_det(g, parts, full & ~fam.covered.mask, negative) == 0

@@ -1,0 +1,131 @@
+"""Pfaffian signings: the certificate, and the signed expansion on the
+pieces it rejects."""
+
+import itertools
+import random
+
+import corpus
+import pytest
+from permdet import (
+    PATH_PFAFFIAN,
+    PATH_THEOREM1,
+    VertexSet,
+    bipartition,
+    enumerate_cycles,
+    enumerate_disjoint_families,
+    graph_from_biadjacency,
+    induced_subgraph,
+    parse_biadjacency,
+    per_ryser,
+    permanent_auto,
+)
+from permdet import engine, matching
+from permdet.determinant import signed_block_det
+from permdet.matching import elementary_pieces, perfect_matching, pfaffian_signing
+
+
+def _non_pfaffian_graphs():
+    k33 = graph_from_biadjacency(parse_biadjacency(corpus.fixture_text("k33.biadj")))
+    # About one draw in thirty is Pfaffian (two of 60 in a scan, both on
+    # 16 vertices) and then rightly reports pfaffian_signing; this seed
+    # draws none, so all ten run the expansion.
+    rng = random.Random(2)
+    cubic = [corpus.random_cubic_bipartite(rng.randint(8, 12), rng) for _ in range(10)]
+    return [k33, corpus.complete_bipartite(4, 4), *cubic]
+
+
+def test_non_pfaffian_graphs_match_ryser():
+    for g in _non_pfaffian_graphs():
+        parts = bipartition(g)
+        # per(G) = per(B)^2, and Ryser on B keeps 12 x 12 cheap
+        expected = per_ryser(corpus.biadjacency_of(g, parts.left.indices())) ** 2
+        report = permanent_auto(g)
+        assert report.value == expected, g.edges
+        # one elementary piece whose certificate was rejected
+        assert report.path_taken == PATH_THEOREM1, g.edges
+        assert report.families > 1, g.edges
+
+
+def test_expansion_skips_cycles_that_are_not_nice():
+    g = _non_pfaffian_graphs()[2]
+    parts = bipartition(g)
+    mate = perfect_matching(g, parts)
+    negative, certified = pfaffian_signing(g, parts, mate, (1 << g.n) - 1)
+    assert not certified
+    bad = [c for c in enumerate_cycles(g) if engine._is_bad(c, negative)]
+    report = permanent_auto(g)
+    assert 1 < report.families < len(enumerate_disjoint_families(bad))
+
+
+def _brute_force_pfaffian(g, parts, piece) -> bool:
+    """Whether some signing of G[piece] has |det B_s| = pm(G[piece]).
+
+    Switching the signs at one vertex keeps |det|, so the edges of a
+    spanning tree of the (connected) piece may be taken positive and only
+    the others tried.
+    """
+    edges = [(u, w) for u in parts.left.indices() if piece >> u & 1
+             for w in g.neighbors[u] if piece >> w & 1]
+    root = piece & -piece
+    reached, tree = root, set()
+    frontier = [root.bit_length() - 1]
+    while frontier:
+        v = frontier.pop()
+        for w in g.neighbors[v]:
+            if piece >> w & 1 and not reached >> w & 1:
+                reached |= 1 << w
+                tree.add((v, w) if parts.left.mask >> v & 1 else (w, v))
+                frontier.append(w)
+    free = [e for e in edges if e not in tree]
+    pm = per_ryser(induced_subgraph(g, VertexSet(piece)).adj)
+    for signs in itertools.product((0, 1), repeat=len(free)):
+        negative = {}
+        for (u, w), minus in zip(free, signs):
+            if minus:
+                negative[u] = negative.get(u, 0) | 1 << w
+                negative[w] = negative.get(w, 0) | 1 << u
+        d = signed_block_det(g, parts, piece, negative)
+        if d * d == pm:
+            return True
+    return False
+
+
+def test_certificate_matches_brute_force_over_signings():
+    rejected = 0
+    for g in corpus.connected_bipartite_upto(8):
+        parts = bipartition(g)
+        mate = perfect_matching(g, parts)
+        if mate is None:
+            continue
+        for piece in elementary_pieces(g, parts, mate):
+            negative, certified = pfaffian_signing(g, parts, mate, piece)
+            if certified:
+                pm2 = per_ryser(induced_subgraph(g, VertexSet(piece)).adj)
+                assert signed_block_det(g, parts, piece, negative) ** 2 == pm2, g.edges
+            else:
+                # an inconsistent system means no signing is Pfaffian
+                assert not _brute_force_pfaffian(g, parts, piece), g.edges
+                rejected += 1
+    assert rejected >= 5
+
+
+def test_matching_edges_stay_positive():
+    for g in (corpus.grid_graph(4, 5), corpus.complete_bipartite(3, 3), corpus.example10()):
+        parts = bipartition(g)
+        mate = perfect_matching(g, parts)
+        for piece in elementary_pieces(g, parts, mate):
+            negative, _ = pfaffian_signing(g, parts, mate, piece)
+            assert all(not bits >> mate[u] & 1 for u, bits in negative.items())
+            # only edges inside the piece are signed
+            assert all(piece >> u & 1 and bits | piece == piece for u, bits in negative.items())
+
+
+@pytest.mark.parametrize("cap", [0, 5])
+def test_signing_cap_falls_back_to_the_expansion(monkeypatch, cap):
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", cap)
+    for g, value in ((corpus.grid_graph(4, 4), 36**2), (corpus.grid_graph(4, 5), 95**2)):
+        report = permanent_auto(g)
+        assert report.path_taken == PATH_THEOREM1
+        assert report.value == value
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 10**5)
+    assert permanent_auto(corpus.grid_graph(4, 5)).path_taken == PATH_PFAFFIAN
