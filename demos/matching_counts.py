@@ -4,16 +4,12 @@ Counting perfect matchings from a biadjacency matrix
 
 A bipartite graph with sides of equal size p can be handed over as a
 p x p 0/1 biadjacency matrix b; the number of its perfect matchings is
-per(b).  Two routes exist:
+per(b).  It is computed on the graph on 2p vertices with adjacency
+[[0, b], [b^T, 0]], whose permanent is per(b)^2, by taking the exact
+square root.
 
-  * when b is symmetric with a zero diagonal it doubles as the adjacency
-    matrix of a bipartite graph on p vertices, and per(b) is computed on
-    that graph directly;
-  * otherwise the graph on 2p vertices with adjacency [[0, b], [b^T, 0]]
-    is built, whose permanent is per(b)^2, and the exact square root is
-    taken.
-
-This script shows both routes and verifies the squaring identity.
+This script counts a few matrices that way and verifies the squaring
+identity.
 
 Run from the repository root:
 
@@ -49,9 +45,10 @@ print(f"\n5x5 fixture: per(b) = {count}, per of the doubled graph = {big}")
 assert big == count * count
 
 # ---------------------------------------------------------------------------
-# A symmetric zero-diagonal biadjacency takes the direct route: the 6x6
-# matrix below is the adjacency matrix of a 6-cycle, so per(b) counts
-# permutation covers of C6 (two matchings plus two cycle orientations).
+# Any 0/1 matrix can be a biadjacency, a symmetric zero-diagonal one too:
+# the 6x6 matrix below is the adjacency matrix of a 6-cycle, so per(b)
+# counts permutation covers of C6 (two matchings plus two cycle
+# orientations).
 c6_adj = (
     (0, 1, 0, 0, 0, 1),
     (1, 0, 1, 0, 0, 0),

@@ -2,13 +2,19 @@
 
 Subcommands: per, det, cycles, pm-count, verify, classify, bench.
 Input is a file path or "-" for stdin, in one of three formats
-(edge-list, adjacency, biadjacency).  Output is plain text or JSON
-records, one object per line.
+(edge-list, adjacency, biadjacency).
 
-Exit codes: 0 success, 1 parse error, 2 not bipartite, 3 cap or size
-guard exceeded, 4 verification mismatch, 5 internal invariant broken,
-141 standard output closed before all of it was written (128 + SIGPIPE,
-as a shell reports a writer that a closed pipe stopped).
+Each subcommand returns its result as records: dicts whose first key,
+"record", names their kind.  `main` is the one place that prints them,
+as JSON objects one a line (`--output records`) or as text, where
+`_TEXT` renders each kind and `_HEADERS` adds the line that heads a kind's
+first record.  So every fact the text shows is in a record too.
+
+Exit codes: 0 success, 1 parse error (malformed input, unreadable file
+or bad command line), 2 not bipartite, 3 cap or size guard exceeded,
+4 verification mismatch, 5 internal invariant broken, 141 standard
+output closed before all of it was written (128 + SIGPIPE, as a shell
+reports a writer that a closed pipe stopped).
 """
 
 from __future__ import annotations
@@ -81,24 +87,24 @@ _EXIT_CODES = (
 
 FORMATS = ("edge-list", "adjacency", "biadjacency")
 
+_GUARDS = {"ryser": RYSER_GUARD, "naive": NAIVE_GUARD, "sachs": SACHS_GUARD,
+           "removal": REMOVAL_GUARD, "subsets": SUBSET_GUARD}
 
-def _add_common(sp, formats=FORMATS, default_format="edge-list"):
+
+def _add_command(sub, name, summary, formats=FORMATS, cycle_cap=True, guards=()):
+    sp = sub.add_parser(name, help=summary)
     sp.add_argument("path", nargs="?", default="-",
                     help="input file, or - for stdin (default)")
-    sp.add_argument("--format", choices=formats, default=default_format,
-                    help=f"input format (default {default_format})")
+    sp.add_argument("--format", choices=formats, default=formats[0],
+                    help=f"input format (default {formats[0]})")
     sp.add_argument("--output", choices=("text", "records"), default="text",
                     help="text lines or JSON records")
-    sp.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP,
-                    help="abort cycle enumeration beyond this many cycles")
-
-
-def _add_guards(sp):
-    sp.add_argument("--guard-ryser", type=int, default=RYSER_GUARD)
-    sp.add_argument("--guard-naive", type=int, default=NAIVE_GUARD)
-    sp.add_argument("--guard-sachs", type=int, default=SACHS_GUARD)
-    sp.add_argument("--guard-removal", type=int, default=REMOVAL_GUARD)
-    sp.add_argument("--guard-subsets", type=int, default=SUBSET_GUARD)
+    if cycle_cap:
+        sp.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP,
+                        help="abort cycle enumeration beyond this many cycles")
+    for guard in guards:
+        sp.add_argument(f"--guard-{guard}", type=int, default=_GUARDS[guard])
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,36 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "expansion over disjoint 4k-cycle families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    per = sub.add_parser("per", help="permanent of a bipartite graph")
-    _add_common(per)
+    per = _add_command(sub, "per", "permanent of a bipartite graph")
     per.add_argument("--show-terms", action="store_true",
                      help="also print the reference whole-graph expansion's "
                           "per-family term table")
-
-    det = sub.add_parser("det", help="exact determinant of the adjacency matrix")
-    _add_common(det)
-
-    cyc = sub.add_parser("cycles", help="cycle inventory and disjoint 4k families")
-    _add_common(cyc)
-
-    pmc = sub.add_parser("pm-count", help="perfect matchings from a biadjacency matrix")
-    _add_common(pmc, formats=("biadjacency",), default_format="biadjacency")
-
-    ver = sub.add_parser("verify", help="cross-check the engine against oracles")
-    _add_common(ver)
-    _add_guards(ver)
+    _add_command(sub, "det", "exact determinant of the adjacency matrix",
+                 cycle_cap=False)
+    _add_command(sub, "cycles", "cycle inventory and disjoint 4k families")
+    _add_command(sub, "pm-count", "perfect matchings from a biadjacency matrix",
+                 formats=("biadjacency",))
+    ver = _add_command(sub, "verify", "cross-check the engine against oracles",
+                       guards=tuple(_GUARDS))
     ver.add_argument("--m", type=int, default=None,
                      help="truncation size for the induced-subgraph check "
                           "(default: the full expansion's m)")
-
-    cls = sub.add_parser("classify", help="girth/cactus efficiency condition")
-    _add_common(cls)
-
-    ben = sub.add_parser("bench", help="time the engine against the oracles")
-    _add_common(ben)
-    _add_guards(ben)
-
+    _add_command(sub, "classify", "girth/cactus efficiency condition")
+    _add_command(sub, "bench", "time the engine against the oracles",
+                 guards=("ryser", "sachs"))
     return parser
 
 
@@ -156,136 +149,76 @@ def _load_graph(text: str, fmt: str) -> Graph:
     return graph_from_biadjacency(parse_biadjacency(text))
 
 
-def _set_text(vs) -> str:
-    return "{" + ",".join(str(x) for x in vs.labels()) + "}"
-
-
-def _record(**kw) -> str:
-    return json.dumps(kw)
-
-
-def _cmd_per(args, text: str) -> int:
+def _cmd_per(args, text: str) -> list:
     g = _load_graph(text, args.format)
     report = permanent_auto(g, cycle_cap=args.cycle_cap)
+    recs = [dict(record="permanent", value=report.value, n=report.n, m=report.m,
+                 num_4k_cycles=report.num_4k_cycles, path=report.path_taken)]
+    if not args.show_terms:
+        return recs
     # The term table is the whole graph's expansion, never a piecewise one.
-    table = permanent_theorem1(g, cycle_cap=args.cycle_cap) if args.show_terms else None
-    if args.output == "records":
-        print(_record(record="permanent", value=report.value, n=report.n,
-                      m=report.m, num_4k_cycles=report.num_4k_cycles,
-                      path=report.path_taken))
-        if args.show_terms:
-            for term in table.per_family_terms:
-                print(_record(record="term", z=term.z,
-                              covered=list(term.covered.labels()),
-                              det=term.det, coefficient=term.coefficient,
-                              contribution=term.contribution))
-            for line in _zgroup_records(table):
-                print(line)
-        return EXIT_OK
-    print(f"permanent: {report.value}")
-    print(f"path: {report.path_taken}")
-    print(f"n: {report.n}")
-    print(f"4k-cycles: {report.num_4k_cycles}")
-    print(f"m: {report.m}")
-    if args.show_terms:
-        _print_term_table(table)
-    return EXIT_OK
-
-
-def _zgroups(table):
+    table = permanent_theorem1(g, cycle_cap=args.cycle_cap)
     groups = {}
     for term in table.per_family_terms:
+        recs.append(dict(record="term", z=term.z, covered=list(term.covered.labels()),
+                         det=term.det, coefficient=term.coefficient,
+                         contribution=term.contribution))
         fams, det_sum = groups.get(term.z, (0, 0))
         groups[term.z] = (fams + 1, det_sum + term.det)
-    out = []
     for z in sorted(groups):
         fams, det_sum = groups[z]
-        ordered = math.factorial(z) * det_sum
-        out.append((z, fams, det_sum, 4**z, (4**z) * det_sum, ordered))
-    return out
-
-
-def _zgroup_records(table):
-    for z, fams, det_sum, coeff, contrib, ordered in _zgroups(table):
-        yield _record(record="zgroup", z=z, families=fams, det_sum=det_sum,
-                      coefficient=coeff, contribution=contrib,
-                      ordered_det_sum=ordered)
-
-
-def _print_term_table(table) -> None:
-    print("families:")
-    for term in table.per_family_terms:
-        print(f"  z={term.z} covered={_set_text(term.covered)} det={term.det}")
-    print("term table:")
-    print("  z  families  det-sum  coeff  contribution  ordered-det-sum")
-    for z, fams, det_sum, coeff, contrib, ordered in _zgroups(table):
-        print(f"  {z}  {fams}  {det_sum}  {coeff}  {contrib}  {ordered}")
+        recs.append(dict(record="zgroup", z=z, families=fams, det_sum=det_sum,
+                         coefficient=4**z, contribution=4**z * det_sum,
+                         ordered_det_sum=math.factorial(z) * det_sum))
     sign = -1 if (table.n // 2) % 2 else 1
     unsigned = sum(t.contribution for t in table.per_family_terms)
-    print(f"sign: {sign}")
-    print(f"unsigned total: {unsigned}")
-    print(f"signed total: {sign * unsigned}")
+    recs.append(dict(record="total", sign=sign, unsigned=unsigned,
+                     signed=sign * unsigned))
+    return recs
 
 
-def _cmd_det(args, text: str) -> int:
+def _cmd_det(args, text: str) -> list:
     g = _load_graph(text, args.format)
-    value = determinant(g.adj)
-    if args.output == "records":
-        print(_record(record="determinant", value=value, n=g.n))
-    else:
-        print(f"determinant: {value}")
-    return EXIT_OK
+    return [dict(record="determinant", value=determinant(g.adj), n=g.n)]
 
 
-def _cmd_cycles(args, text: str) -> int:
+def _cmd_cycles(args, text: str) -> list:
     g = _load_graph(text, args.format)
     cycles = enumerate_cycles(g, cap=args.cycle_cap)
     c4k = four_k_cycles(cycles)
-    c4k2 = four_k_plus_two_cycles(cycles)
     families = enumerate_disjoint_families(c4k)
-    m = max((f.size for f in families), default=0)
-    if args.output == "records":
-        for cy in cycles:
-            print(_record(record="cycle", vertices=list(cy.labels()),
-                          length=cy.length, is_4k=cy.is_4k))
-        print(_record(record="cycle-summary", num_cycles=len(cycles),
-                      num_4k=len(c4k), num_4k_plus_2=len(c4k2),
-                      num_families=len(families), m=m))
-        return EXIT_OK
-    print(f"cycles: {len(cycles)}")
-    for idx, cy in enumerate(cycles, start=1):
-        tag = " 4k" if cy.is_4k else ""
-        verts = ",".join(str(x) for x in cy.labels())
-        print(f"C{idx}: ({verts}) length={cy.length}{tag}")
-    print(f"4k-cycles: {len(c4k)}")
-    print(f"4k+2-cycles: {len(c4k2)}")
-    print(f"disjoint-4k-families (incl. empty): {len(families)}")
-    print(f"m: {m}")
-    return EXIT_OK
+    recs = [dict(record="cycle", index=idx, vertices=list(cy.labels()),
+                 length=cy.length, is_4k=cy.is_4k)
+            for idx, cy in enumerate(cycles, start=1)]
+    recs.append(dict(record="cycle-summary", num_cycles=len(cycles),
+                     num_4k=len(c4k), num_4k_plus_2=len(four_k_plus_two_cycles(cycles)),
+                     num_families=len(families),
+                     m=max((f.size for f in families), default=0)))
+    return recs
 
 
-def _cmd_pm_count(args, text: str) -> int:
+def _cmd_pm_count(args, text: str) -> list:
     rows = parse_biadjacency(text)
     value = count_perfect_matchings(rows, cycle_cap=args.cycle_cap)
-    if args.output == "records":
-        print(_record(record="pm-count", value=value, rows=len(rows),
-                      cols=len(rows[0]) if rows else 0))
-    else:
-        print(f"perfect-matchings: {value}")
-    return EXIT_OK
+    return [dict(record="pm-count", value=value, rows=len(rows),
+                 cols=len(rows[0]) if rows else 0)]
 
 
-def _cmd_verify(args, text: str) -> int:
+def _cmd_verify(args, text: str):
+    """Yield the report, then raise on a mismatch, so the report still
+    prints before the exit code."""
     g = _load_graph(text, args.format)
     report = permanent_auto(g, cycle_cap=args.cycle_cap)
     full = permanent_theorem1(g, cycle_cap=args.cycle_cap)
     checks = []
 
     def record(name, ok, value=None):
-        checks.append((name, "ok" if ok else "mismatch", value))
+        checks.append(dict(record="check", name=name,
+                           status="ok" if ok else "mismatch", value=value))
 
     def skipped(name):
-        checks.append((name, "skipped(guard)", None))
+        checks.append(dict(record="check", name=name, status="skipped(guard)",
+                           value=None))
 
     record("engine-agreement", full.value == report.value, report.value)
 
@@ -327,87 +260,47 @@ def _cmd_verify(args, text: str) -> int:
     else:
         skipped(f"theorem2(m={m})")
 
-    failed = [name for name, status, _ in checks if status == "mismatch"]
-    if args.output == "records":
-        print(_record(record="verify-path", path=report.path_taken))
-        for name, status, value in checks:
-            print(_record(record="check", name=name, status=status, value=value))
-        print(_record(record="verify", passed=not failed))
-    else:
-        print(f"path: {report.path_taken}")
-        for name, status, value in checks:
-            suffix = f" ({value})" if status == "ok" and value is not None else ""
-            print(f"{name}: {status}{suffix}")
-        print(f"verify: {'PASS' if not failed else 'FAIL'}")
+    failed = [c["name"] for c in checks if c["status"] == "mismatch"]
+    yield dict(record="verify-path", path=report.path_taken)
+    yield from checks
+    yield dict(record="verify", passed=not failed)
     if failed:
         raise VerificationMismatch(f"checks failed: {', '.join(failed)}")
-    return EXIT_OK
 
 
-def _cmd_classify(args, text: str) -> int:
+def _cmd_classify(args, text: str) -> list:
     g = _load_graph(text, args.format)
     rec = classify_efficient(g, cycle_cap=args.cycle_cap)
-    if args.output == "records":
-        print(_record(record="classify", is_cactus=rec.is_cactus, girth=rec.girth,
-                      n=rec.n, c=rec.c, condition_holds=rec.condition_holds))
-        return EXIT_OK
-    print(f"is-cactus: {'yes' if rec.is_cactus else 'no'}")
-    print(f"girth: {rec.girth if rec.girth is not None else 'none'}")
-    print(f"n: {rec.n}")
-    print(f"girth-cycles: {rec.c}")
-    print(f"condition-holds: {'yes' if rec.condition_holds else 'no'}")
-    return EXIT_OK
+    return [dict(record="classify", is_cactus=rec.is_cactus, girth=rec.girth,
+                 n=rec.n, c=rec.c, condition_holds=rec.condition_holds)]
 
 
-def _cmd_bench(args, text: str) -> int:
+def _cmd_bench(args, text: str) -> list:
     g = _load_graph(text, args.format)
-    rows = []
-
     start = time.perf_counter()
     report = permanent_auto(g, cycle_cap=args.cycle_cap)
-    rows.append(("engine", report.value, time.perf_counter() - start))
-
-    if g.n <= args.guard_ryser:
-        start = time.perf_counter()
-        value = per_ryser(g.adj, guard=args.guard_ryser)
-        rows.append(("ryser", value, time.perf_counter() - start))
-    else:
-        rows.append(("ryser", None, None))
-
-    if g.n <= args.guard_sachs:
-        start = time.perf_counter()
-        value = per_via_sachs(g, guard=args.guard_sachs)
-        rows.append(("sachs-per", value, time.perf_counter() - start))
-    else:
-        rows.append(("sachs-per", None, None))
-
-    if args.output == "records":
-        for name, value, seconds in rows:
-            if value is None:
-                print(_record(record="bench", method=name, status="skipped(guard)"))
-            else:
-                # fixed-decimal string: json would render tiny floats in
-                # scientific notation
-                print(_record(record="bench", method=name, value=value,
-                              seconds=f"{seconds:.6f}"))
-        print(_record(record="bench-counts", n=g.n, num_cycles=report.num_cycles,
-                      num_4k_cycles=report.num_4k_cycles,
-                      num_families=report.families,
-                      cache_hits=report.cache_hits,
-                      cache_misses=report.cache_misses,
-                      path=report.path_taken))
-        return EXIT_OK
-    print(f"{'method':<10} {'value':<24} time_s")
-    for name, value, seconds in rows:
-        if value is None:
-            print(f"{name:<10} {'skipped(guard)':<24} -")
+    rows = [("engine", report.value, time.perf_counter() - start)]
+    oracles = (
+        ("ryser", args.guard_ryser, lambda: per_ryser(g.adj, guard=args.guard_ryser)),
+        ("sachs-per", args.guard_sachs, lambda: per_via_sachs(g, guard=args.guard_sachs)),
+    )
+    for method, guard, oracle in oracles:
+        if g.n <= guard:
+            start = time.perf_counter()
+            value = oracle()
+            rows.append((method, value, time.perf_counter() - start))
         else:
-            print(f"{name:<10} {str(value):<24} {seconds:.4f}")
-    print(f"n={g.n} cycles={report.num_cycles} 4k-cycles={report.num_4k_cycles} "
-          f"families={report.families} "
-          f"cache-hits={report.cache_hits} cache-misses={report.cache_misses} "
-          f"path={report.path_taken}")
-    return EXIT_OK
+            rows.append((method, None, None))
+    # fixed-decimal string: json would render tiny floats in scientific notation
+    recs = [dict(record="bench", method=method, status="skipped(guard)")
+            if value is None else
+            dict(record="bench", method=method, value=value, seconds=f"{seconds:.6f}")
+            for method, value, seconds in rows]
+    recs.append(dict(record="bench-counts", n=g.n, num_cycles=report.num_cycles,
+                     num_4k_cycles=report.num_4k_cycles, num_families=report.families,
+                     cache_hits=report.cache_hits, cache_misses=report.cache_misses,
+                     path=report.path_taken))
+    return recs
 
 
 _DISPATCH = {
@@ -421,21 +314,95 @@ _DISPATCH = {
 }
 
 
+def _labels(xs) -> str:
+    return ",".join(str(x) for x in xs)
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _check_text(r) -> str:
+    suffix = f" ({r['value']})" if r["status"] == "ok" and r["value"] is not None else ""
+    return f"{r['name']}: {r['status']}{suffix}"
+
+
+def _classify_text(r) -> str:
+    girth = r["girth"] if r["girth"] is not None else "none"
+    return (f"is-cactus: {_yes(r['is_cactus'])}\ngirth: {girth}\nn: {r['n']}\n"
+            f"girth-cycles: {r['c']}\ncondition-holds: {_yes(r['condition_holds'])}")
+
+
+def _bench_text(r) -> str:
+    if "value" not in r:
+        return f"{r['method']:<10} {r['status']:<24} -"
+    return f"{r['method']:<10} {str(r['value']):<24} {float(r['seconds']):.4f}"
+
+
+# Text rendering of each record kind.
+_TEXT = {
+    "permanent": "permanent: {value}\npath: {path}\nn: {n}\n"
+                 "4k-cycles: {num_4k_cycles}\nm: {m}".format_map,
+    "term": lambda r: f"  z={r['z']} covered={{{_labels(r['covered'])}}} det={r['det']}",
+    "zgroup": "  {z}  {families}  {det_sum}  {coefficient}  {contribution}  "
+              "{ordered_det_sum}".format_map,
+    "total": "sign: {sign}\nunsigned total: {unsigned}\nsigned total: {signed}".format_map,
+    "determinant": "determinant: {value}".format_map,
+    "cycle": lambda r: (f"C{r['index']}: ({_labels(r['vertices'])}) "
+                        f"length={r['length']}{' 4k' if r['is_4k'] else ''}"),
+    "cycle-summary": "cycles: {num_cycles}\n4k-cycles: {num_4k}\n"
+                     "4k+2-cycles: {num_4k_plus_2}\n"
+                     "disjoint-4k-families (incl. empty): {num_families}\n"
+                     "m: {m}".format_map,
+    "pm-count": "perfect-matchings: {value}".format_map,
+    "verify-path": "path: {path}".format_map,
+    "check": _check_text,
+    "verify": lambda r: f"verify: {'PASS' if r['passed'] else 'FAIL'}",
+    "classify": _classify_text,
+    "bench": _bench_text,
+    "bench-counts": "n={n} cycles={num_cycles} 4k-cycles={num_4k_cycles} "
+                    "families={num_families} cache-hits={cache_hits} "
+                    "cache-misses={cache_misses} path={path}".format_map,
+}
+
+# Text lines printed once, before the first record of their kind.
+_HEADERS = {
+    "term": "families:",
+    "zgroup": "term table:\n  z  families  det-sum  coeff  contribution  ordered-det-sum",
+    "bench": f"{'method':<10} {'value':<24} time_s",
+}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed help (code 0) or usage and its error; a bad
+        # command line is a parse error, not argparse's 2 (not bipartite).
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         text = _read_input(args.path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return _DISPATCH[args.command](args, text)
+        last = None
+        for rec in _DISPATCH[args.command](args, text):
+            kind = rec["record"]
+            if args.output == "records":
+                print(json.dumps(rec))
+                continue
+            if kind != last and kind in _HEADERS:
+                print(_HEADERS[kind])
+            last = kind
+            print(_TEXT[kind](rec))
     except (PermdetError, ValueError) as exc:
         for kinds, code in _EXIT_CODES:
             if isinstance(exc, kinds):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
         raise
+    return EXIT_OK
 
 
 def console_main() -> None:

@@ -51,7 +51,7 @@ from .cycles import (
     four_k_cycles,
 )
 from .determinant import DetCache, signed_block_det
-from .errors import InternalInvariantError, NotAPerfectSquare, NotBipartiteError
+from .errors import InternalInvariantError, NotAPerfectSquare
 from .graphs import (
     EMPTY_SET,
     Bipartition,
@@ -244,38 +244,19 @@ def _validate_zero_one(rows) -> tuple:
     return tuple(out)
 
 
-def _symmetric_hollow(rows) -> bool:
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        return False
-    return all(rows[i][i] == 0 for i in range(n)) and all(
-        rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n)
-    )
-
-
 def count_perfect_matchings(b, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:
     """Number of perfect matchings of the bipartite graph with biadjacency b.
 
-    Equals per(b).  A non-square b has no perfect matching, so 0.  When b
-    happens to be a valid adjacency matrix (symmetric, zero diagonal) of a
-    bipartite graph, per(b) is computed on that graph directly; otherwise
-    the graph on p + q vertices with adjacency [[0, b], [b^T, 0]] is built,
-    whose permanent is per(b)^2, and the exact square root is returned.
-    A non-square permanent on that route is impossible and raises.
+    Equals per(b).  A non-square b has no perfect matching, so 0.
+    Otherwise the graph on p + q vertices with adjacency [[0, b], [b^T, 0]]
+    is built, whose permanent is per(b)^2, and the exact square root is
+    returned.  A permanent that is not a square is impossible and raises.
     """
     rows = _validate_zero_one(b)
     p = len(rows)
     q = len(rows[0]) if rows else 0
     if p != q:
         return 0
-    if _symmetric_hollow(rows):
-        h = Graph.from_adjacency(rows)
-        try:
-            bipartition(h)
-        except NotBipartiteError:
-            pass
-        else:
-            return permanent_auto(h, cycle_cap=cycle_cap).value
     big = permanent_auto(graph_from_biadjacency(rows), cycle_cap=cycle_cap).value
     root = math.isqrt(big)
     if root * root != big:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -307,3 +308,128 @@ def test_exit_code_table(capsys, monkeypatch, error, code):
     assert got == code
     assert out == ""
     assert err == f"error: {error}\n"
+
+
+# Whole stdout of the text renderer, line for line: a moved, dropped or
+# reworded line fails here even where the substring tests above still pass.
+GOLDEN = {
+    ("per", "example10.edges", "--show-terms"): """\
+permanent: 36
+path: matching_decomposition
+n: 10
+4k-cycles: 3
+m: 0
+families:
+  z=0 covered={} det=0
+  z=1 covered={1,2,3,4} det=0
+  z=1 covered={3,4,5,6} det=0
+  z=1 covered={7,8,9,10} det=-1
+  z=2 covered={1,2,3,4,7,8,9,10} det=-1
+  z=2 covered={3,4,5,6,7,8,9,10} det=-1
+term table:
+  z  families  det-sum  coeff  contribution  ordered-det-sum
+  0  1  0  1  0  0
+  1  3  -1  4  -4  -1
+  2  2  -2  16  -32  -4
+sign: -1
+unsigned total: -36
+signed total: 36
+""",
+    # an odd graph has no family, so no families or term-table header
+    ("per", "p3.edges", "--show-terms"): """\
+permanent: 0
+path: odd_shortcut
+n: 3
+4k-cycles: 0
+m: 0
+sign: -1
+unsigned total: 0
+signed total: 0
+""",
+    ("cycles", "example10.edges"): """\
+C1: (1,2,3,4) length=4 4k
+C2: (3,4,5,6) length=4 4k
+C3: (7,8,9,10) length=4 4k
+C4: (1,2,3,6,5,4) length=6
+cycles: 4
+4k-cycles: 3
+4k+2-cycles: 1
+disjoint-4k-families (incl. empty): 6
+m: 2
+""",
+    ("verify", "example10.edges"): """\
+path: matching_decomposition
+engine-agreement: ok (36)
+ryser: ok (36)
+naive: ok (36)
+sachs-per: ok (36)
+sachs-det: ok (0)
+parity-identity: ok
+removal-identity: ok
+theorem2(m=2): ok
+verify: PASS
+""",
+    ("classify", "example10.edges"): """\
+is-cactus: no
+girth: 4
+n: 10
+girth-cycles: 3
+condition-holds: no
+""",
+    ("det", "example10.edges"): "determinant: 0\n",
+    ("pm-count", "example10.biadj"): "perfect-matchings: 6\n",
+    ("bench", "c8.edges"): """\
+method     value                    time_s
+engine     4                        T
+ryser      4                        T
+sachs-per  4                        T
+n=8 cycles=1 4k-cycles=1 families=1 cache-hits=0 cache-misses=1 path=pfaffian_signing
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_text_output_golden(capsys, argv):
+    command, name, *flags = argv
+    code, out, err = run(capsys, command, fixture(name), *flags)
+    assert (code, err) == (0, "")
+    # bench timings vary from run to run
+    assert re.sub(r"\d+\.\d{4}$", "T", out, flags=re.M) == GOLDEN[argv]
+
+
+def test_per_records_total(capsys):
+    code, out, _ = run(capsys, "per", fixture("example10.edges"),
+                       "--output", "records", "--show-terms")
+    assert code == 0
+    assert records(out)[-1] == {"record": "total", "sign": -1, "unsigned": -36,
+                                "signed": 36}
+
+
+def test_cycles_records_index(capsys):
+    code, out, _ = run(capsys, "cycles", fixture("example10.edges"),
+                       "--output", "records")
+    assert code == 0
+    cycles = [r for r in records(out) if r["record"] == "cycle"]
+    assert [r["index"] for r in cycles] == [1, 2, 3, 4]
+    assert cycles[3] == {"record": "cycle", "index": 4, "vertices": [1, 2, 3, 6, 5, 4],
+                         "length": 6, "is_4k": False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("per", "--bogus", "c4.edges"), ("det", "c4.edges", "--cycle-cap", "3"), ()],
+    ids=["unknown flag", "removed flag", "no command"],
+)
+def test_usage_error_exits_1(capsys, argv):
+    # 2 means "not bipartite", so a bad command line must not exit 2
+    argv = [fixture(a) if a.endswith(".edges") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_PARSE == 1
+    assert out == ""
+    assert err.startswith("usage: permdet")
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "per", "-h")
+    assert code == 0
+    assert out.startswith("usage: permdet per")

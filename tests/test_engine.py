@@ -308,7 +308,8 @@ def test_count_perfect_matchings_known():
 
 
 def test_count_perfect_matchings_adjacency_route():
-    # C6's adjacency is symmetric and hollow, so it is taken as a graph
+    # C6's adjacency is symmetric and hollow; like any matrix it is counted
+    # through the double cover [[0, b], [b^T, 0]]
     c6 = corpus.cycle_graph(6)
     assert count_perfect_matchings(c6.adj) == per_ryser(c6.adj) == 4
 
