@@ -26,7 +26,6 @@ from .cycles import (
 )
 from .determinant import (
     DetCache,
-    biadjacency_det_after_removal,
     det_after_removal,
     determinant,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "VerificationMismatch",
     "VertexSet",
     "adjacency_after_removal",
-    "biadjacency_det_after_removal",
     "bipartition",
     "check_parity_identity",
     "check_removal_identity",

@@ -32,32 +32,35 @@ memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CycleCapExceeded, EnumerationCapExceeded
-from .graphs import Graph, VertexSet
+from .graphs import Frozen, Graph, VertexSet
+
+_set = object.__setattr__
 
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """An elementary cycle in canonical traversal order (0-indexed)."""
+class Cycle(Frozen):
+    """An elementary cycle in canonical traversal order (0-indexed).
 
-    vertices: tuple
-    vertex_set: VertexSet = field(init=False, compare=False, repr=False)
+    Equality and hashing are on ``vertices``; ``vertex_set`` is derived.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_set", VertexSet.from_indices(self.vertices))
+    __slots__ = ("vertices", "vertex_set")
+    _fields = ("vertices",)
+
+    def __init__(self, vertices: tuple):
+        _set(self, "vertices", vertices)
+        _set(self, "vertex_set", VertexSet.from_indices(vertices))
 
     @classmethod
     def _from_search(cls, vertices: tuple, mask: int) -> "Cycle":
         """A cycle the search found: ``vertices`` already canonical and
         ``mask`` their bitmask, so neither is checked or rebuilt."""
         cycle = object.__new__(cls)
-        object.__setattr__(cycle, "vertices", vertices)
-        object.__setattr__(cycle, "vertex_set", VertexSet(mask))
+        _set(cycle, "vertices", vertices)
+        _set(cycle, "vertex_set", VertexSet(mask))
         return cycle
 
     @classmethod
@@ -215,8 +218,7 @@ def four_k_plus_two_cycles(cycles) -> list:
     return [c for c in cycles if c.length % 4 == 2]
 
 
-@dataclass(frozen=True)
-class DisjointFamily:
+class DisjointFamily(Frozen):
     """An unordered set of mutually vertex-disjoint cycles.
 
     ``cycle_indices`` point into the 4k-cycle list the family was
@@ -224,8 +226,11 @@ class DisjointFamily:
     The empty family (size 0) is a valid value.
     """
 
-    cycle_indices: tuple
-    covered: VertexSet
+    __slots__ = _fields = ("cycle_indices", "covered")
+
+    def __init__(self, cycle_indices: tuple, covered: VertexSet):
+        _set(self, "cycle_indices", cycle_indices)
+        _set(self, "covered", covered)
 
     @property
     def size(self) -> int:

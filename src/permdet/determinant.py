@@ -1,26 +1,21 @@
 """Exact integer determinants via fraction-free (Bareiss) elimination.
 
 All arithmetic is over Python's arbitrary-precision integers; there is
-no rounding anywhere.  Determinants of principal submatrices are
-memoized per graph, keyed by the removed vertex set's bitmask.
+no rounding anywhere.  Determinants are memoized per graph, keyed by a
+vertex bitmask.
 
-Two evaluators of det(G \\ S), the principal submatrix of A(G) on the
-kept vertices, live here:
-
-* ``det_after_removal`` runs Bareiss on the full kept submatrix.  It is
-  the reference: the ``det`` command, the oracles and the tests use it.
-* ``biadjacency_det_after_removal`` takes it from the biadjacency block.
-  With the vertices ordered left side first, a bipartite A(G) is
-  [[0, B], [B^T, 0]], and so is every principal submatrix.  If S keeps
-  the left vertices L' and the right vertices R', then det(G \\ S) = 0
-  when |L'| != |R'| (the rank is at most 2 min(|L'|, |R'|)), and
-  otherwise det(G \\ S) = (-1)^|L'| det(B[L', R'])^2, one elimination of
-  half the order.  Any proper 2-colouring works, also of a disconnected
-  graph.
+``det_after_removal`` gives det(G \\ S), the principal submatrix of A(G)
+on the kept vertices, by Bareiss on the full kept submatrix.  It is the
+reference: the ``det`` command, the oracles and the tests use it.
 
 The engine calls ``signed_block_det``, the block evaluator under an edge
-signing: det(B_s[L', R']) with entry -1 on the negative edges, its rows
-read from the neighbour lists.  The all-plus signing gives det(B[L', R']).
+signing.  With the vertices ordered left side first, a bipartite A(G) is
+[[0, B], [B^T, 0]], and so is every principal submatrix; the engine
+needs only det(B_s[L', R']) on the kept left vertices L' and right
+vertices R', with entry -1 on the negative edges, its rows read from the
+neighbour lists.  The all-plus signing gives det(B[L', R']), and
+det(G \\ S) is 0 when |L'| != |R'| and (-1)^|L'| det(B[L', R'])^2
+otherwise.
 """
 
 from __future__ import annotations
@@ -74,8 +69,7 @@ def determinant(matrix) -> int:
 
 class DetCache:
     """Memo of determinants keyed by a vertex bitmask: the removed set for
-    ``det_after_removal`` and ``biadjacency_det_after_removal``, the kept
-    set for ``signed_block_det``.
+    ``det_after_removal``, the kept set for ``signed_block_det``.
 
     Hit and miss counters feed the benchmark report.
     """
@@ -148,18 +142,3 @@ def signed_block_det(
 
     return _memoized(cache, kept, compute)
 
-
-def biadjacency_det_after_removal(
-    g: Graph, parts: Bipartition, removed: VertexSet, cache: DetCache | None = None
-) -> int:
-    """Same value as ``det_after_removal``, from the biadjacency block.
-
-    ``parts`` must be a proper 2-colouring of ``g``.  Returns 0 without
-    elimination when the kept sides differ in size, and otherwise
-    (-1)^k det(B')^2 for the k x k kept block B'.
-    """
-    if removed.mask >> g.n != 0:
-        raise ValueError(f"removed set {removed.labels()} not within 1..{g.n}")
-    kept = ((1 << g.n) - 1) & ~removed.mask
-    d = signed_block_det(g, parts, kept, {}, cache)
-    return -d * d if (kept & parts.left.mask).bit_count() & 1 else d * d

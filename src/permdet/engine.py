@@ -41,7 +41,6 @@ cycle that is not nice leaves an unmatchable rest and a zero term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .cycles import (
     DEFAULT_CYCLE_CAP,
@@ -55,12 +54,15 @@ from .errors import InternalInvariantError, NotAPerfectSquare
 from .graphs import (
     EMPTY_SET,
     Bipartition,
+    Frozen,
     Graph,
     bipartition,
     graph_from_biadjacency,
     mask_indices,
 )
 from .matching import elementary_pieces, matchable_without, perfect_matching, pfaffian_signing
+
+_set = object.__setattr__
 
 PATH_ODD = "odd_shortcut"
 PATH_COROLLARY = "corollary_fast_path"
@@ -72,8 +74,7 @@ PATH_DECOMPOSED = "matching_decomposition"
 _EMPTY_FAMILY_ONLY = (DisjointFamily((), EMPTY_SET),)
 
 
-@dataclass(frozen=True)
-class PermanentReport:
+class PermanentReport(Frozen):
     """The permanent and how it was reached.
 
     ``path_taken`` is one of the ``PATH_*`` names.  ``m`` is the size of
@@ -94,16 +95,42 @@ class PermanentReport:
     pieces.
     """
 
-    value: int
-    n: int
-    m: int
-    num_4k_cycles: int
-    families: int
-    path_taken: str
-    num_cycles: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    pieces: tuple = ()
+    __slots__ = _fields = (
+        "value",
+        "n",
+        "m",
+        "num_4k_cycles",
+        "families",
+        "path_taken",
+        "num_cycles",
+        "cache_hits",
+        "cache_misses",
+        "pieces",
+    )
+
+    def __init__(
+        self,
+        value: int,
+        n: int,
+        m: int,
+        num_4k_cycles: int,
+        families: int,
+        path_taken: str,
+        num_cycles: int = 0,
+        cache_hits: int = 0,
+        cache_misses: int = 0,
+        pieces: tuple = (),
+    ):
+        _set(self, "value", value)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "num_4k_cycles", num_4k_cycles)
+        _set(self, "families", families)
+        _set(self, "path_taken", path_taken)
+        _set(self, "num_cycles", num_cycles)
+        _set(self, "cache_hits", cache_hits)
+        _set(self, "cache_misses", cache_misses)
+        _set(self, "pieces", pieces)
 
 
 def _check_even_cycles(cycles) -> None:
@@ -264,18 +291,20 @@ def count_perfect_matchings(b, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:
     return root
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(Frozen):
     """Cycle-structure test for when the expansion beats brute force:
     cactus layout (any two cycles share at most one vertex) plus a girth
     large relative to n and the count of girth cycles.
     """
 
-    is_cactus: bool
-    girth: int | None
-    n: int
-    c: int
-    condition_holds: bool
+    __slots__ = _fields = ("is_cactus", "girth", "n", "c", "condition_holds")
+
+    def __init__(self, is_cactus: bool, girth: int | None, n: int, c: int, condition_holds: bool):
+        _set(self, "is_cactus", is_cactus)
+        _set(self, "girth", girth)
+        _set(self, "n", n)
+        _set(self, "c", c)
+        _set(self, "condition_holds", condition_holds)
 
 
 def classify_efficient(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> EfficiencyReport:

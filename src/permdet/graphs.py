@@ -8,22 +8,90 @@ Conventions used throughout the package:
 * Graphs are immutable once built, and equal when ``(n, edges)`` are.
   The dense 0/1 matrix ``Graph.adj`` is derived on first use only.
 * Vertex subsets are bitmasks (`VertexSet`) so they can key caches.
+* The value types (graphs, vertex sets, cycles, families and reports)
+  derive from `Frozen`, which gives them equality, hashing and a
+  ``repr`` over their fields and refuses assignment.  They are plain
+  classes: generating those methods with a class decorator cost more at
+  import than all of the package's own modules.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import NotBipartiteError, ParseError
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
-class VertexSet:
-    """An immutable subset of {0..n-1} stored as a bitmask."""
 
-    mask: int = 0
+class Frozen:
+    """Base of the package's immutable value types.
+
+    ``_fields`` names the constructor's arguments in order.  Equality,
+    hashing, ``repr`` and pickling read those fields, and an instance
+    equals only an instance of its own class.  Attributes derived from
+    the fields are left out of ``_fields``.  Assigning or deleting an
+    attribute raises AttributeError, so ``__init__`` stores the fields
+    with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+class VertexSet(Frozen):
+    """An immutable subset of {0..n-1} stored as a bitmask, ordered by
+    ``mask``."""
+
+    __slots__ = _fields = ("mask",)
+
+    def __init__(self, mask: int = 0):
+        _set(self, "mask", mask)
+
+    def __lt__(self, other):
+        if other.__class__ is VertexSet:
+            return self.mask < other.mask
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is VertexSet:
+            return self.mask <= other.mask
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is VertexSet:
+            return self.mask > other.mask
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is VertexSet:
+            return self.mask >= other.mask
+        return NotImplemented
 
     @classmethod
     def from_indices(cls, indices) -> "VertexSet":
@@ -82,27 +150,26 @@ def mask_indices(mask: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph on vertices 0..n-1.
 
     ``edges`` holds the 0-indexed pairs (u, v) with u < v, sorted, and
     equality and hashing are on ``(n, edges)``.  ``neighbors[i]`` is the
     sorted tuple of vertices adjacent to i, derived from ``edges``.
     ``adj``, the n x n 0/1 adjacency matrix as a tuple of tuples, is
-    derived on first use and cached.
+    derived on first use and cached in the instance ``__dict__``.
     """
 
-    n: int
-    edges: tuple
-    neighbors: tuple = field(init=False, compare=False, repr=False)
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        nbrs = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: tuple):
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        nbrs = [[] for _ in range(n)]
+        for u, v in edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "neighbors", tuple(tuple(sorted(b)) for b in nbrs))
+        _set(self, "neighbors", tuple(tuple(sorted(b)) for b in nbrs))
 
     @cached_property
     def adj(self) -> tuple:
@@ -161,12 +228,14 @@ class Graph:
         return VertexSet((1 << self.n) - 1)
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(Frozen):
     """A 2-coloring: ``left`` holds the smallest vertex of each component."""
 
-    left: VertexSet
-    right: VertexSet
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: VertexSet, right: VertexSet):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 def _tokenize(text: str):

@@ -25,13 +25,14 @@ caps; exceeding a guard raises instead of truncating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 
 from .cycles import DEFAULT_CYCLE_CAP, enumerate_cycles, enumerate_disjoint_families, four_k_cycles
 from .determinant import DetCache, det_after_removal
 from .errors import EnumerationCapExceeded, InternalInvariantError, SizeGuardExceeded
-from .graphs import Graph, VertexSet, adjacency_after_removal, bipartition, induced_subgraph
+from .graphs import Frozen, Graph, VertexSet, adjacency_after_removal, bipartition, induced_subgraph
+
+_set = object.__setattr__
 
 RYSER_GUARD = 30
 NAIVE_GUARD = 10
@@ -106,8 +107,7 @@ def per_naive(matrix, guard: int = NAIVE_GUARD) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SachsSubgraph:
+class SachsSubgraph(Frozen):
     """A subgraph whose every component is a single edge or a cycle.
 
     Components are pairwise vertex-disjoint.  Cycle components are
@@ -116,17 +116,18 @@ class SachsSubgraph:
     even, so c = s + t there.
     """
 
-    edge_components: tuple
-    cycle_components: tuple
-    covered: VertexSet = field(init=False, compare=False, repr=False)
+    __slots__ = ("edge_components", "cycle_components", "covered")
+    _fields = ("edge_components", "cycle_components")
 
-    def __post_init__(self):
+    def __init__(self, edge_components: tuple, cycle_components: tuple):
+        _set(self, "edge_components", edge_components)
+        _set(self, "cycle_components", cycle_components)
         mask = 0
-        for u, v in self.edge_components:
+        for u, v in edge_components:
             mask |= (1 << u) | (1 << v)
-        for cy in self.cycle_components:
+        for cy in cycle_components:
             mask |= cy.vertex_set.mask
-        object.__setattr__(self, "covered", VertexSet(mask))
+        _set(self, "covered", VertexSet(mask))
 
     @property
     def i(self) -> int:
@@ -272,30 +273,34 @@ def check_removal_identity(g: Graph, guard: int = REMOVAL_GUARD, cap: int = DEFA
     return lhs == rhs
 
 
-@dataclass(frozen=True)
-class FamilyTerm:
+class FamilyTerm(Frozen):
     """One family's contribution: coefficient * det of the reduced graph."""
 
-    z: int
-    covered: VertexSet
-    det: int
-    coefficient: int
+    __slots__ = _fields = ("z", "covered", "det", "coefficient")
+
+    def __init__(self, z: int, covered: VertexSet, det: int, coefficient: int):
+        _set(self, "z", z)
+        _set(self, "covered", covered)
+        _set(self, "det", det)
+        _set(self, "coefficient", coefficient)
 
     @property
     def contribution(self) -> int:
         return self.coefficient * self.det
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(Frozen):
     """The whole-graph expansion: ``per_family_terms`` in family order
     (by size, then cycle indices), ``m`` the largest family's size."""
 
-    value: int
-    n: int
-    m: int
-    num_4k_cycles: int
-    per_family_terms: tuple
+    __slots__ = _fields = ("value", "n", "m", "num_4k_cycles", "per_family_terms")
+
+    def __init__(self, value: int, n: int, m: int, num_4k_cycles: int, per_family_terms: tuple):
+        _set(self, "value", value)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "num_4k_cycles", num_4k_cycles)
+        _set(self, "per_family_terms", per_family_terms)
 
 
 def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Theorem1Report:
@@ -320,12 +325,14 @@ def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Theorem1
     return Theorem1Report(value, g.n, terms[-1].z, len(c4k), terms)
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(Frozen):
     """Outcome of the truncated-expansion check over induced subgraphs."""
 
-    holds_for_all: bool
-    violating_subset: VertexSet | None
+    __slots__ = _fields = ("holds_for_all", "violating_subset")
+
+    def __init__(self, holds_for_all: bool, violating_subset: VertexSet | None):
+        _set(self, "holds_for_all", holds_for_all)
+        _set(self, "violating_subset", violating_subset)
 
 
 def verify_theorem2(g: Graph, m: int, guard: int = SUBSET_GUARD) -> Theorem2Report:

@@ -5,7 +5,6 @@ import pytest
 from permdet import (
     DetCache,
     VertexSet,
-    biadjacency_det_after_removal,
     bipartition,
     det_after_removal,
     determinant,
@@ -13,6 +12,7 @@ from permdet import (
     enumerate_disjoint_families,
     four_k_cycles,
 )
+from permdet.determinant import signed_block_det
 
 
 def laplace_det(m):
@@ -98,6 +98,21 @@ def test_det_after_removal_full_graph_gives_one():
 def test_det_after_removal_without_cache():
     g = corpus.example10()
     assert det_after_removal(g, VertexSet(0)) == 0
+
+
+def biadjacency_det_after_removal(g, parts, removed, cache=None):
+    """det(G minus ``removed``) from the all-plus biadjacency block.
+
+    A bipartite A(G) is [[0, B], [B^T, 0]] with the left side first, and
+    so is every principal submatrix, so with k kept vertices on each side
+    det(G minus S) = (-1)^k det(B[L', R'])^2, and 0 when the kept sides
+    differ in size.  ``parts`` may be any proper 2-colouring.
+    """
+    if removed.mask >> g.n != 0:
+        raise ValueError(f"removed set {removed.labels()} not within 1..{g.n}")
+    kept = ((1 << g.n) - 1) & ~removed.mask
+    d = signed_block_det(g, parts, kept, {}, cache)
+    return -d * d if (kept & parts.left.mask).bit_count() & 1 else d * d
 
 
 def test_biadjacency_det_matches_full_order_on_every_family_mask():
