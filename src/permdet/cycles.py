@@ -33,7 +33,7 @@ memory.
 from __future__ import annotations
 
 from .errors import CycleCapExceeded, EnumerationCapExceeded
-from .graphs import Frozen, Graph, VertexSet
+from .graphs import Frozen, Graph, VertexSet, mask_indices
 
 _set = object.__setattr__
 
@@ -237,45 +237,48 @@ class DisjointFamily(Frozen):
         return len(self.cycle_indices)
 
 
-def _avoid_masks(c4k) -> dict:
-    """``avoid[v]``: an AND mask that clears the cycles through vertex v.
+def _avoid_masks(members: list) -> dict:
+    """``avoid[v]``: an AND mask that clears the sets in ``members`` (lists
+    of vertices) that hold vertex v.
 
-    Each vertex's cycles are first marked in a bit string, highest index
+    Each vertex's sets are first marked in a bit string, highest index
     first, which ``int(row, 2)`` reads in linear time.  Setting bit i of a
-    growing int instead copies all c bits per cycle through v.
+    growing int instead copies all c bits per set through v.
     """
-    c = len(c4k)
+    c = len(members)
     rows = {}
-    for i, cycle in enumerate(c4k):
-        for v in cycle.vertices:
+    for i, vertices in enumerate(members):
+        for v in vertices:
             if v not in rows:
                 rows[v] = bytearray(b"0" * c)
             rows[v][c - 1 - i] = ord("1")
     return {v: ~int(row, 2) for v, row in rows.items()}
 
 
-def enumerate_disjoint_families(c4k) -> list:
-    """All families of pairwise vertex-disjoint cycles from ``c4k``.
+def disjoint_families(masks: list) -> list:
+    """All families of pairwise disjoint vertex masks from ``masks``, as
+    ``(indices, covered)``: the tuple of their indices and the union.
 
-    Includes the empty family.  Output is sorted by (size, indices).
+    Includes the empty family ``((), 0)``.  Output is sorted by (size,
+    indices).
 
-    ``avoid[v]`` is the complement of the bitmask of the cycles through
-    vertex v.  A search node holds ``cands``, the bitmask of later cycles
+    ``avoid[v]`` is the complement of the bitmask of the masks holding
+    vertex v.  A search node holds ``cands``, the bitmask of later masks
     disjoint from its family; it takes them lowest index first, and the
     child's candidates are the remaining ones ANDed with ``avoid[v]`` for
-    every vertex v of the cycle taken.  Every step therefore produces a
+    every vertex v of the mask taken.  Every step therefore produces a
     family, so the search costs O(L) c-bit mask operations per family (L
-    the longest cycle, c = len(c4k)) instead of a rescan of all later
-    cycles.  Depth-first order lists each size's families in increasing
-    index order, so bucketing by size yields the sorted output without a
-    sort.
+    the largest mask's size, c = len(masks)) instead of a rescan of all
+    later masks.  Depth-first order lists each size's families in
+    increasing index order, so bucketing by size yields the sorted output
+    without a sort.
 
     Raises EnumerationCapExceeded when there are more than
     ``DEFAULT_FAMILY_CAP`` families, the empty one included.
     """
     cap = DEFAULT_FAMILY_CAP
-    masks = [c.vertex_set.mask for c in c4k]
-    avoid = _avoid_masks(c4k)
+    members = [mask_indices(mask) for mask in masks]
+    avoid = _avoid_masks(members)
     by_size = []
     count = 0
 
@@ -292,25 +295,32 @@ def enumerate_disjoint_families(c4k) -> list:
             cands ^= low
             i = low.bit_length() - 1
             child = cands
-            for v in c4k[i].vertices:
+            for v in members[i]:
                 child &= avoid[v]
             chosen.append(i)
             extend(child, chosen, covered | masks[i])
             chosen.pop()
 
     try:
-        extend((1 << len(c4k)) - 1, [], 0)
+        extend((1 << len(masks)) - 1, [], 0)
     finally:
         # extend refers to itself through its closure cell; emptying the
         # cell frees the search state now, not at the next cyclic GC.
         extend = None
+    return [family for level in by_size for family in level]
+
+
+def enumerate_disjoint_families(c4k) -> list:
+    """All families of pairwise vertex-disjoint cycles from ``c4k``, as
+    ``DisjointFamily`` values; ``disjoint_families`` on their vertex
+    masks, with the same order and cap.
+    """
     # The objects are made after the search, not inside it: interleaved
     # with the search's short-lived masks they held about 3 MiB more
     # peak RSS on 4x4-4x6 grids, though their tracemalloc peak was lower.
     return [
         DisjointFamily(indices, VertexSet(covered))
-        for level in by_size
-        for indices, covered in level
+        for indices, covered in disjoint_families([c.vertex_set.mask for c in c4k])
     ]
 
 

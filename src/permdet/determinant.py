@@ -15,7 +15,9 @@ needs only det(B_s[L', R']) on the kept left vertices L' and right
 vertices R', with entry -1 on the negative edges, its rows read from the
 neighbour lists.  The all-plus signing gives det(B[L', R']), and
 det(G \\ S) is 0 when |L'| != |R'| and (-1)^|L'| det(B[L', R'])^2
-otherwise.
+otherwise.  Given a perfect matching of the kept vertices, the block's
+columns follow the rows' mates, which multiplies the determinant by the
+matching's sign as a permutation (the engine's sigma_T).
 """
 
 from __future__ import annotations
@@ -112,22 +114,31 @@ def det_after_removal(g: Graph, removed: VertexSet, cache: DetCache | None = Non
 
 
 def signed_block_det(
-    g: Graph, parts: Bipartition, kept: int, negative: dict, cache: DetCache | None = None
+    g: Graph, parts: Bipartition, kept: int, negative: dict, cache: DetCache | None = None,
+    mate: list | None = None,
 ) -> int:
     """det(B_s[L', R']) on the vertices of the bitmask ``kept``.
 
     B_s is the biadjacency block of ``g`` (rows the left side of the
     2-colouring ``parts``, columns the right side) with entry -1 on the
     edge from left u to right w when bit w of ``negative.get(u, 0)`` is
-    set, and +1 on every other edge.  Returns 0 without elimination when the kept sides
-    differ in size.  Only the kept vertices are walked.
+    set, and +1 on every other edge.  Rows and columns are in increasing
+    vertex order, and the result is 0 without elimination when the kept
+    sides differ in size.  Given a perfect matching ``mate`` of the kept
+    vertices, column k is instead the mate of row k: that determinant is
+    sigma * det in vertex order, sigma the sign of ``mate`` as a
+    permutation, so one cache must not mix the two orders.  Only the kept
+    vertices are walked.
     """
 
     def compute() -> int:
         rows = mask_indices(kept & parts.left.mask)
-        cols = mask_indices(kept & parts.right.mask)
-        if len(rows) != len(cols):
-            return 0
+        if mate is None:
+            cols = mask_indices(kept & parts.right.mask)
+            if len(rows) != len(cols):
+                return 0
+        else:
+            cols = [mate[i] for i in rows]
         position = {j: k for k, j in enumerate(cols)}
         block = []
         for i in rows:
@@ -141,4 +152,3 @@ def signed_block_det(
         return _bareiss(block)
 
     return _memoized(cache, kept, compute)
-

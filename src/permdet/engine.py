@@ -1,66 +1,68 @@
 """Permanent of a bipartite graph via a signed determinant expansion.
 
-Give each edge of a bipartite G a sign s(e) = +-1 and write B_s for the
-signed biadjacency block, rows the left side and columns the right.
-Call an even cycle of length 2l *bad* under s when l + 1 plus its number
-of negative edges is odd.  For G on an even number of vertices,
+For bipartite G, per(G) = pm(G)^2, pm the number of perfect matchings,
+and odd n gives 0 outright.  The paper's Theorem 1 sums
+(-1)^(n/2) * 4^|F| * det(G minus V(F)) over the families F of
+vertex-disjoint 4k-cycles; a graph with no 4k-cycle is its corollary,
+per(G) = det(B)^2, B the biadjacency block (rows the left side, columns
+the right, both in vertex order).  The engine keeps the corollary and
+otherwise expands pm itself, linearly, one elementary piece at a time.
 
-    per(G) = sum over unordered families F of pairwise vertex-disjoint
-             bad cycles of 4^|F| * det(B_s[L minus V(F), R minus V(F)])^2,
+Fix a perfect matching M and a signing s(e) = +-1 under which every
+edge of M is positive, and write B_s for the signed block.  An
+M-alternating cycle of length 2l is *bad* under s when l + 1 plus its
+number of negative edges is odd.  For any perfect matching M', the
+cycles of M xor M' are disjoint M-alternating cycles, and M' differs
+from M on each as an l-cycle of columns, of sign (-1)^(l - 1), times its
+edge signs: so M' enters det(B_s) with sigma_M * (-1)^b(M'), b(M') the
+number of bad cycles of M xor M' and sigma_M the sign of M as a
+permutation of rows onto columns.  For each cycle C of M xor M',
+1 = (-1)^b + 2b with b = 1 when C is bad and 0 when good.  Multiplying
+over the cycles and expanding, 1 is the sum over the sets T of bad
+cycles of M xor M' of 2^|T| * (-1)^(number of its other bad cycles).
+Summed over M' and grouped by T (an M' with T among its cycles is M
+swapped on V(T) plus a perfect matching of G minus V(T)), this gives
 
-a term being 0 when the kept sides differ in size, and odd n gives 0
-outright.  Under the all-plus signing the bad cycles are the 4k-cycles
-and this is the paper's Theorem 1, the term for F being
-(-1)^(n/2) * 4^|F| * det(G minus V(F)); a graph with no 4k-cycle is the
-paper's corollary, per(G) = det(B)^2.  All arithmetic is exact.
+    pm(G) = sum over families T of disjoint bad M-alternating cycles of
+            2^|T| * sigma_T * det(B_s[L minus V(T), R minus V(T)]),
 
-``permanent_auto`` is the engine's one entry point, and
-``_expansion_report`` the one place it evaluates determinants, all of
-half the order on the kept biadjacency block (``signed_block_det``).
-The paper's whole-graph term table is a reference kept apart from the
-engine: ``oracles.permanent_theorem1``, on full-order determinants.
+the empty family included, sigma_T the sign of M on the rest as a
+permutation in that determinant's row and column order.  Putting the
+columns in the order of the rows' mates permutes them by exactly that
+permutation, so the engine evaluates sigma_T * det as one determinant
+in that order (``signed_block_det`` with ``mate``).  M matches
+every rest, so no family is pruned, and a sum below 1 with M in hand is
+a bug.  When no alternating cycle is bad the signing is Pfaffian and
+pm = sigma_M * det(B_s), one determinant.
+
+``permanent_auto`` is the engine's one entry point, and ``_signed_sum``
+and ``_corollary_report`` the only places it evaluates determinants,
+all of half the order on the kept biadjacency block
+(``signed_block_det``).  The paper's whole-graph term table is a
+reference kept apart from the engine: ``oracles.permanent_theorem1``,
+on full-order determinants.
 
 The order of work: the bipartition, then the cycles of the whole graph
 (their counts are reported, and a graph with no 4k-cycle takes the
-corollary).  Then one perfect matching M; with none, no cycle can be
-removed leaving a matchable rest, so per(G) = 0 from the empty family
-alone, with no elimination.  M splits the graph at the edges that lie
-in no perfect matching (see ``matching``): per(G) is the product over
-the elementary pieces, and each piece is solved on its own with the
-cycles that lie inside it.  A piece P's determinants keep only P, which
-leaves B_s[P minus V(F)] because every edge inside a piece is kept.
-
-Per piece, ``matching.pfaffian_signing`` finds a signing from the
-M-alternating cycles.  When every one of them is good, the signing is
-Pfaffian: no nice cycle is bad, so the sum is det(B_s[P])^2, one
-determinant.  Otherwise only the bad cycles C that are *nice* (G[P]
-minus V(C) has a perfect matching) are expanded, since a family with a
-cycle that is not nice leaves an unmatchable rest and a zero term.
+corollary).  Then one perfect matching M; with none, per(G) = 0 with no
+elimination.  M splits the graph at the edges that lie in no perfect
+matching (see ``matching``): per(G) is the product over the elementary
+pieces, and each piece is solved on its own.  A piece with no 4k-cycle
+is Pfaffian under the all-plus signing.  Any other piece gets its
+signing and its bad alternating cycles from one search,
+``matching.pfaffian_signing``, and the sum above runs over the families
+of those cycles (``cycles.disjoint_families``, on vertex masks).
 """
 
 from __future__ import annotations
 
 import math
 
-from .cycles import (
-    DEFAULT_CYCLE_CAP,
-    DisjointFamily,
-    enumerate_cycles,
-    enumerate_disjoint_families,
-    four_k_cycles,
-)
+from .cycles import DEFAULT_CYCLE_CAP, disjoint_families, enumerate_cycles, four_k_cycles
 from .determinant import DetCache, signed_block_det
 from .errors import InternalInvariantError, NotAPerfectSquare
-from .graphs import (
-    EMPTY_SET,
-    Bipartition,
-    Frozen,
-    Graph,
-    bipartition,
-    graph_from_biadjacency,
-    mask_indices,
-)
-from .matching import elementary_pieces, matchable_without, perfect_matching, pfaffian_signing
+from .graphs import Bipartition, Frozen, Graph, bipartition, graph_from_biadjacency, mask_indices
+from .matching import elementary_pieces, perfect_matching, pfaffian_signing
 
 _set = object.__setattr__
 
@@ -70,8 +72,8 @@ PATH_PFAFFIAN = "pfaffian_signing"
 PATH_THEOREM1 = "theorem1_expansion"
 PATH_DECOMPOSED = "matching_decomposition"
 
-# The only family when no cycle is bad: the corollary and a Pfaffian piece.
-_EMPTY_FAMILY_ONLY = (DisjointFamily((), EMPTY_SET),)
+# The only family when no alternating cycle is bad: a Pfaffian piece.
+_EMPTY_FAMILY_ONLY = (((), 0),)
 
 
 class PermanentReport(Frozen):
@@ -79,14 +81,16 @@ class PermanentReport(Frozen):
 
     ``path_taken`` is one of the ``PATH_*`` names.  ``m`` is the size of
     the largest family expanded and ``families`` the number of families
-    expanded (the empty one included): families of 4k-cycles on the
-    corollary path, and of the cycles that are bad under the piece's
-    signing and nice on ``PATH_THEOREM1``.  A Pfaffian piece expands the
-    empty family alone (m 0, families 1).  The cache counters count the
-    determinant lookups.  ``num_cycles`` and ``num_4k_cycles`` count the
-    cycles of the graph or piece, whatever the signing.  The terms
-    themselves are not kept; ``oracles.permanent_theorem1`` lists the
-    paper's all-plus terms.
+    expanded, the empty one included.  On ``PATH_THEOREM1`` they count
+    the families of disjoint M-alternating cycles that are bad under the
+    piece's signing, for the one perfect matching M the engine found;
+    they follow M, not the graph alone.  The corollary and a Pfaffian
+    piece expand the empty family alone (m 0, families 1), and a graph
+    with no perfect matching reports that family unevaluated.  The cache
+    counters count the determinant lookups.  ``num_cycles`` and
+    ``num_4k_cycles`` count the cycles of the graph or piece, whatever
+    the signing.  The terms themselves are not kept;
+    ``oracles.permanent_theorem1`` lists the paper's all-plus terms.
 
     On ``PATH_DECOMPOSED`` the value is the product over ``pieces``, one
     report per elementary piece, whose ``n`` and cycle counts are the
@@ -141,63 +145,65 @@ def _check_even_cycles(cycles) -> None:
             raise InternalInvariantError(f"odd cycle {cyc.labels()} in bipartite host")
 
 
-def _is_bad(cycle, negative: dict) -> bool:
-    """Whether ``cycle`` (length 2l) is bad under the signing ``negative``
-    (see ``matching.pfaffian_signing``): l + 1 plus its number of
-    negative edges is odd."""
-    vertices = cycle.vertices
-    count = len(vertices) // 2 + 1
-    prev = vertices[-1]
-    for v in vertices:
-        count += negative.get(prev, 0) >> v & 1
-        prev = v
-    return count & 1 == 1
-
-
-def _expansion_report(
-    g: Graph, parts: Bipartition, keep: int, negative: dict, bad, path: str,
-    cycles, num_4k: int,
-) -> PermanentReport:
-    """The signed expansion of the subgraph induced by the vertex mask
-    ``keep`` under the signing ``negative``, over the families of the
-    disjoint cycles ``bad``.  ``cycles`` and ``num_4k`` are only counted.
-    """
+def _corollary_report(g: Graph, parts: Bipartition, cycles) -> PermanentReport:
+    """The corollary on the whole graph, which has no 4k-cycle:
+    per(G) = det(B)^2, one determinant, before any matching is sought."""
     cache = DetCache()
-    families = enumerate_disjoint_families(bad) if bad else _EMPTY_FAMILY_ONLY
-    total = 0
-    for fam in families:
-        d = signed_block_det(g, parts, keep & ~fam.covered.mask, negative, cache)
-        total += 4**fam.size * d * d
-    if not total and perfect_matching(g, parts) is not None:
-        # Pieces exist only when g has a perfect matching, and each has one.
+    d = signed_block_det(g, parts, (1 << g.n) - 1, {}, cache)
+    if not d and perfect_matching(g, parts) is not None:
         raise InternalInvariantError(
-            f"zero permanent from {path} with a perfect matching; this is a bug"
+            f"zero permanent from {PATH_COROLLARY} with a perfect matching; this is a bug"
         )
-    # The families are sorted by size, so the last one is the largest.
     return PermanentReport(
-        total, keep.bit_count(), families[-1].size, num_4k, len(families), path,
-        num_cycles=len(cycles), cache_hits=cache.hits, cache_misses=cache.misses,
+        d * d, g.n, 0, 0, 1, PATH_COROLLARY, num_cycles=len(cycles),
+        cache_hits=cache.hits, cache_misses=cache.misses,
     )
+
+
+def _signed_sum(
+    g: Graph, parts: Bipartition, mate: list, piece: int, negative: dict, bad: list
+) -> tuple:
+    """pm of the subgraph induced by the vertex mask ``piece``, matched by
+    ``mate``: the sum over the families T of the disjoint cycles ``bad``
+    (vertex masks) of 2^|T| * sigma_T * det(B_s) on the rest, under the
+    signing ``negative``, under which every edge of ``mate`` must be
+    positive.  ``bad`` must hold every M-alternating cycle that is bad
+    under it.  Returns ``(pm, families, cache)``, the families as
+    ``(indices, covered)``, smallest first."""
+    cache = DetCache()
+    families = disjoint_families(bad) if bad else _EMPTY_FAMILY_ONLY
+    total = 0
+    for indices, covered in families:
+        # Columns in the order of the rows' mates give sigma_T * det.
+        d = signed_block_det(g, parts, piece & ~covered, negative, cache, mate)
+        total += d << len(indices)
+    return total, families, cache
 
 
 def _piece_report(
     g: Graph, parts: Bipartition, mate: list, piece: int, cycles
 ) -> PermanentReport:
     """The report of the elementary piece ``piece``, whose cycles are
-    ``cycles``: the corollary with no 4k-cycle, one determinant under a
-    certified signing, and otherwise the expansion over the bad nice
-    cycles."""
+    ``cycles``: one determinant when no 4k-cycle lies in it (the
+    corollary) or its signing is certified Pfaffian, and otherwise the
+    expansion over its bad alternating cycles."""
     num_4k = len(four_k_cycles(cycles))
-    if not num_4k:
-        return _expansion_report(g, parts, piece, {}, (), PATH_COROLLARY, cycles, 0)
-    negative, certified = pfaffian_signing(g, parts, mate, piece)
-    if certified:
-        return _expansion_report(g, parts, piece, negative, (), PATH_PFAFFIAN, cycles, num_4k)
-    bad = [
-        c for c in cycles
-        if _is_bad(c, negative) and matchable_without(g, parts, mate, piece, c.vertex_set.mask)
-    ]
-    return _expansion_report(g, parts, piece, negative, bad, PATH_THEOREM1, cycles, num_4k)
+    if num_4k:
+        negative, bad = pfaffian_signing(g, parts, mate, piece)
+        path = PATH_THEOREM1 if bad else PATH_PFAFFIAN
+    else:
+        negative, bad, path = {}, (), PATH_COROLLARY
+    pm, families, cache = _signed_sum(g, parts, mate, piece, negative, bad)
+    if pm < 1:
+        what = "zero permanent" if not pm else f"negative matching count {pm}"
+        raise InternalInvariantError(
+            f"{what} from {path} with a perfect matching; this is a bug"
+        )
+    # The families are sorted by size, so the last one is the largest.
+    return PermanentReport(
+        pm * pm, piece.bit_count(), len(families[-1][0]), num_4k, len(families), path,
+        num_cycles=len(cycles), cache_hits=cache.hits, cache_misses=cache.misses,
+    )
 
 
 def _decomposed_report(
@@ -230,10 +236,11 @@ def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentRep
     determinant (the corollary); a graph with no perfect matching gives
     0; and any other graph is solved per elementary piece, by one
     determinant under a certified Pfaffian signing or by the expansion
-    over its bad nice cycles, the pieces' values multiplied.
+    over its bad alternating cycles, the pieces' values multiplied.
 
     Raises NotBipartiteError for non-bipartite input and propagates
-    CycleCapExceeded and EnumerationCapExceeded from enumeration.
+    CycleCapExceeded and EnumerationCapExceeded from enumeration (of
+    cycles, alternating paths or families).
     """
     parts = bipartition(g)
     if g.n % 2:
@@ -243,11 +250,11 @@ def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentRep
     _check_even_cycles(cycles)
     c4k = four_k_cycles(cycles)
     if not c4k:
-        return _expansion_report(g, parts, (1 << g.n) - 1, {}, (), PATH_COROLLARY, cycles, 0)
+        return _corollary_report(g, parts, cycles)
     mate = perfect_matching(g, parts)
     if mate is None:
-        # No cycle is nice, so only the empty family is left, and its
-        # term is 0 with no elimination.
+        # Every family leaves an unmatchable rest, the empty one too, so
+        # the permanent is 0 with no elimination.
         return PermanentReport(0, g.n, 0, len(c4k), 1, PATH_THEOREM1, num_cycles=len(cycles))
     pieces = elementary_pieces(g, parts, mate)
     if len(pieces) == 1:

@@ -14,25 +14,33 @@ or u and mate(w) lie in one strongly connected component, so each SCC
 plus its mates is one piece, and every edge with both ends in one piece
 is admissible.
 
-The same digraph certifies a signing.  Give each edge a sign s(e) = +-1,
-write B_s for the signed biadjacency, and call an even cycle of length
-2l *bad* under s when l + 1 plus its number of negative edges is odd;
-under the all-plus signing the bad cycles are exactly the 4k-cycles.
-Any two perfect matchings differ by disjoint M-alternating cycles, and
-the directed cycles of the alternating digraph are exactly those
-cycles, so det(B_s)^2 = pm^2 when every one of them is good: s is then
+The same digraph drives the expansion.  Give each edge a sign
+s(e) = +-1, write B_s for the signed biadjacency, and call an even cycle
+of length 2l *bad* under s when l + 1 plus its number of negative edges
+is odd; under the all-plus signing the bad cycles are exactly the
+4k-cycles.  Any two perfect matchings differ by disjoint M-alternating
+cycles, and the directed cycles of the alternating digraph are exactly
+those cycles, so pm = sum over families T of disjoint bad M-alternating
+cycles of 2^|T| * sigma_T * det(B_s minus V(T)) (see ``engine``).  When
+no alternating cycle is bad, T is empty only and det(B_s)^2 = pm^2: s is
 a Pfaffian signing (Kasteleyn 1961; Lovasz-Plummer ch. 8).
-``pfaffian_signing`` lists them and solves for s over GF(2), one row
-per cycle.
+``pfaffian_signing`` lists the alternating cycles, solves for s over
+GF(2), one row per cycle, and returns the cycles left bad.  No
+matchability test is needed: removing an M-alternating cycle leaves M
+on the rest.
 """
 
 from __future__ import annotations
 
+from .errors import EnumerationCapExceeded
 from .graphs import Bipartition, Graph, mask_indices
 
 # Path extensions the alternating-cycle search may make per piece before
-# it gives up on a certificate.
-DEFAULT_SIGNING_CAP = 10**5
+# it raises EnumerationCapExceeded.  An extension costs 0.5-1.8 us
+# (2-vCPU Xeon, Python 3.11.7: 125,664 on K_{9,9} in 0.23 s), so the cap
+# stops a search within about 2 s.  The tests, demos and benchmark need
+# at most 923 per piece.
+DEFAULT_SIGNING_CAP = 10**6
 
 
 def _augment(u: int, neighbors, mate: list, visited: bytearray) -> bool:
@@ -144,8 +152,9 @@ def _add_row(basis: dict, row: int, rhs: int) -> bool:
     return not rhs
 
 
-def _solve(basis: dict, edges: list) -> dict:
-    """One solution of the kept equations, free variables 0, as a signing.
+def _solve(basis: dict, edges: list) -> tuple:
+    """One solution of the kept equations, free variables 0, as a signing
+    and as the bitmask of the negative edges' indices.
 
     Every bit of an equation below its leading bit is either free or
     the leading bit of an equation with a smaller one, so solving in
@@ -160,26 +169,30 @@ def _solve(basis: dict, edges: list) -> dict:
             u, w = edges[top]
             negative[u] = negative.get(u, 0) | 1 << w
             negative[w] = negative.get(w, 0) | 1 << u
-    return negative
+    return negative, chosen
 
 
 def pfaffian_signing(g: Graph, parts: Bipartition, mate: list, piece: int) -> tuple:
-    """A signing of the elementary piece ``piece`` (a vertex mask) and
-    whether it is certified Pfaffian, as ``(negative, certified)``.
+    """A signing of the elementary piece ``piece`` (a vertex mask) and the
+    M-alternating cycles that are bad under it, as ``(negative, bad)``.
 
     ``negative`` maps a vertex to the bitmask of its neighbours across a
     negative edge, for both ends of the edge; every other edge, and every
     edge of ``mate``, is positive.  Each directed cycle of the piece's
     alternating digraph (an arc u -> mate(w) per non-matching edge uw
-    inside the piece) is listed once, from its smallest left vertex,
-    with the bitmask of its non-matching edges.  On a cycle of length 2l
-    it gives the equation "the number of negative edges is l + 1 mod 2",
-    which makes the cycle good.  The equations are reduced as they come:
-    a consistent one is kept, and an inconsistent one is skipped and
-    leaves the piece uncertified, since then no signing is Pfaffian.
-    After ``DEFAULT_SIGNING_CAP`` path extensions the search stops,
-    uncertified, with the equations found so far.  The signing always
-    satisfies every kept equation.
+    inside the piece) is found once, from its smallest left vertex, and
+    kept as the bitmask of its non-matching edges when it closes.  On a
+    cycle of length 2l, which has l of them, it gives the equation "the
+    number of negative edges is l + 1 mod 2", which makes the cycle good.
+    The equations are reduced as they come: a consistent one is kept and
+    an inconsistent one skipped, and the signing satisfies every kept
+    one.  ``bad`` holds the vertex masks of the cycles that are bad under
+    it (l + 1 plus their negative edges odd), in the order found.  It is
+    empty exactly when every equation was consistent, which certifies
+    the signing as Pfaffian; otherwise no signing is.
+
+    Raises EnumerationCapExceeded after ``DEFAULT_SIGNING_CAP`` path
+    extensions, since the expansion is exact only over the whole list.
     """
     left = mask_indices(piece & parts.left.mask)
     arcs = {}
@@ -192,7 +205,8 @@ def pfaffian_signing(g: Graph, parts: Bipartition, mate: list, piece: int) -> tu
                 edges.append((u, w))
         arcs[u] = out
     basis = {}
-    certified = True
+    closed = []
+    consistent = True
     steps = DEFAULT_SIGNING_CAP
     for s in left:
         path = [s]
@@ -203,8 +217,10 @@ def pfaffian_signing(g: Graph, parts: Bipartition, mate: list, piece: int) -> tu
             for x, bit in iters[-1]:
                 if x == s:
                     # len(path) arcs close the cycle, so l = len(path).
-                    if not _add_row(basis, rows[-1] | bit, len(path) + 1 & 1):
-                        certified = False
+                    row = rows[-1] | bit
+                    closed.append(row)
+                    if not _add_row(basis, row, len(path) + 1 & 1):
+                        consistent = False
                 elif x > s and not onpath >> x & 1:
                     break
             else:
@@ -214,52 +230,20 @@ def pfaffian_signing(g: Graph, parts: Bipartition, mate: list, piece: int) -> tu
                 continue
             steps -= 1
             if steps < 0:
-                return _solve(basis, edges), False
+                raise EnumerationCapExceeded("alternating path", DEFAULT_SIGNING_CAP)
             path.append(x)
             onpath |= 1 << x
             rows.append(rows[-1] | bit)
             iters.append(iter(arcs[x]))
-    return _solve(basis, edges), certified
-
-
-def _augment_within(u: int, neighbors, mate: list, moved: dict, kept: int, seen: set) -> bool:
-    # Kuhn's augmenting path from u inside the vertex mask ``kept``;
-    # ``moved`` overrides ``mate`` (-1: unmatched).
-    for w in neighbors[u]:
-        if kept >> w & 1 and w not in seen:
-            seen.add(w)
-            x = moved.get(w, mate[w])
-            if x < 0 or _augment_within(x, neighbors, mate, moved, kept, seen):
-                moved[u] = w
-                moved[w] = u
-                return True
-    return False
-
-
-def matchable_without(
-    g: Graph, parts: Bipartition, mate: list, piece: int, removed: int
-) -> bool:
-    """Whether G[piece] minus the vertex mask ``removed`` (inside
-    ``piece``) has a perfect matching.
-
-    ``mate`` restricted to ``piece`` is a perfect matching of G[piece].
-    Removing ``removed`` leaves unmatched only the kept partners of
-    removed vertices, at most |removed| of them, so one augmenting-path
-    search from each such left vertex decides it, O(|removed| * e),
-    with no copy of the matching.
-    """
-    kept = piece & ~removed
-    left = parts.left.mask
-    moved = {}
-    exposed = []
-    rest = removed
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        x = mate[low.bit_length() - 1]
-        if kept >> x & 1:
-            moved[x] = -1
-            if left >> x & 1:
-                exposed.append(x)
-    neighbors = g.neighbors
-    return all(_augment_within(u, neighbors, mate, moved, kept, set()) for u in exposed)
+    negative, chosen = _solve(basis, edges)
+    bad = []
+    if not consistent:
+        for row in closed:
+            if (row.bit_count() + 1 + (row & chosen).bit_count()) & 1:
+                # The non-matching edges of a cycle meet all its vertices.
+                mask = 0
+                for i in mask_indices(row):
+                    u, w = edges[i]
+                    mask |= 1 << u | 1 << w
+                bad.append(mask)
+    return negative, bad

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
-from permdet import Graph, parse_edge_list
+from permdet import Graph, enumerate_cycles, parse_edge_list
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -224,6 +224,27 @@ def biadjacency_of(g: Graph, left) -> tuple:
     side = set(rows)
     cols = [v for v in range(g.n) if v not in side]
     return tuple(tuple(int(g.has_edge(i, j)) for j in cols) for i in rows)
+
+
+def alternating_cycles(g: Graph, mate: list) -> list:
+    """The cycles of g whose edges alternate between the perfect matching
+    ``mate`` (``mate[v]`` is v's partner) and the other edges."""
+    out = []
+    for cycle in enumerate_cycles(g):
+        v = cycle.vertices
+        k = len(v)
+        if any(all(mate[v[i]] == v[(i + 1) % k] for i in range(first, k, 2)) for first in (0, 1)):
+            out.append(cycle)
+    return out
+
+
+def is_bad(cycle, negative: dict) -> bool:
+    """Whether a cycle of length 2l is bad under the signing ``negative``
+    (vertex -> bitmask of its neighbours across a negative edge): l + 1
+    plus its number of negative edges is odd."""
+    v = cycle.vertices
+    minus = sum(negative.get(v[i - 1], 0) >> v[i] & 1 for i in range(len(v)))
+    return (len(v) // 2 + 1 + minus) % 2 == 1
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:

@@ -254,8 +254,9 @@ def test_exit_code_family_cap_exceeded(capsys, monkeypatch):
     from permdet import cycles
 
     monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", 2)
-    # K_{3,3} has no Pfaffian signing, so its bad nice cycles are expanded
-    code, out, err = run(capsys, "per", "--format", "biadjacency", fixture("k33.biadj"))
+    # cubic20 has no Pfaffian signing; its bad alternating cycles make 32
+    # families
+    code, out, err = run(capsys, "per", fixture("cubic20.edges"))
     assert code == 3
     assert out == ""
     assert "disjoint family enumeration exceeded cap of 2" in err

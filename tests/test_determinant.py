@@ -165,3 +165,30 @@ def test_biadjacency_det_rejects_out_of_range_removal():
     g = corpus.cycle_graph(4)
     with pytest.raises(ValueError):
         biadjacency_det_after_removal(g, bipartition(g), VertexSet(1 << 4))
+
+
+def test_block_det_in_matching_order_carries_the_matching_sign():
+    # Columns in the order of the rows' mates: det times the sign of the
+    # matching, counted here by inversions.
+    from permdet.matching import perfect_matching
+
+    rng = random.Random(77)
+    flipped = 0
+    for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus(60):
+        parts = bipartition(g)
+        mate = perfect_matching(g, parts)
+        if mate is None:
+            continue
+        negative = {}
+        for u, v in g.edges:
+            if rng.random() < 0.5:
+                negative[u] = negative.get(u, 0) | 1 << v
+                negative[v] = negative.get(v, 0) | 1 << u
+        ws = [mate[u] for u in parts.left.indices()]
+        inversions = sum(a > b for i, a in enumerate(ws) for b in ws[i + 1:])
+        full = (1 << g.n) - 1
+        expected = (-1) ** inversions * signed_block_det(g, parts, full, negative)
+        assert signed_block_det(g, parts, full, negative, mate=mate) == expected, g.edges
+        # only an odd matching tells the two column orders apart
+        flipped += expected != 0 and inversions % 2
+    assert flipped >= 10

@@ -139,14 +139,17 @@ def test_half_size_expansion_on_chain_and_grid():
 
 
 def test_auto_matches_ryser_on_corpora_and_decomposes():
-    decomposed = 0
+    decomposed = expanded = 0
     for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus():
         report = permanent_auto(g)
         assert report.value == per_ryser(g.adj), g.edges
         if report.path_taken == PATH_DECOMPOSED:
             decomposed += 1
             assert report.value == math.prod(p.value for p in report.pieces)
+        expanded += sum(r.path_taken == PATH_THEOREM1 and r.families > 1
+                        for r in (report, *report.pieces))
     assert decomposed >= 50
+    assert expanded >= 10
 
 
 def test_example10_decomposed_report():
@@ -249,7 +252,7 @@ def test_unbalanced_remainders_skip_elimination(monkeypatch):
     report = permanent_auto(corpus.complete_bipartite(2, 4))
     assert report.value == 0
     assert report.path_taken == PATH_THEOREM1
-    # no cycle is nice without a perfect matching: the empty family alone
+    # no perfect matching, so no rest is matchable: the empty family alone
     assert report.families == 1
     assert orders == []
 
@@ -264,6 +267,16 @@ def test_zero_permanent_with_a_matching_raises_invariant_error(monkeypatch):
             permanent_auto(g)
     # balanced sides and no perfect matching: 0 is the right answer
     assert permanent_auto(Graph.from_edges(4, [(0, 1), (0, 3)])).value == 0
+
+
+def test_negative_matching_count_raises_invariant_error(monkeypatch):
+    # per = pm^2 would hide the sign; the signed sum itself must be pm
+    monkeypatch.setattr(engine, "signed_block_det", lambda *args: -2)
+    for g, path in ((corpus.cycle_graph(4), PATH_PFAFFIAN),
+                    (corpus.complete_bipartite(3, 3), PATH_THEOREM1)):
+        message = f"negative matching count -\\d+ from {path}"
+        with pytest.raises(InternalInvariantError, match=message):
+            permanent_auto(g)
 
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):

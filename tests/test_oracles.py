@@ -134,7 +134,8 @@ def test_theorem1_reference_is_independent_of_the_engine(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the reference reached the engine")
 
-    monkeypatch.setattr(engine, "_expansion_report", forbidden)
+    monkeypatch.setattr(engine, "_corollary_report", forbidden)
+    monkeypatch.setattr(engine, "_signed_sum", forbidden)
     monkeypatch.setattr(engine, "signed_block_det", forbidden)
     monkeypatch.setattr(determinant_module, "signed_block_det", forbidden)
     for g, value in zip(graphs, expected):

@@ -3,19 +3,15 @@
 import corpus
 import pytest
 from permdet import (
-    PATH_THEOREM1,
     Graph,
     bipartition,
     count_perfect_matchings,
     enumerate_cycles,
-    enumerate_disjoint_families,
     graph_from_biadjacency,
     per_ryser,
     permanent_auto,
 )
 from permdet import engine
-from permdet.determinant import signed_block_det
-from permdet.matching import matchable_without, perfect_matching
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -102,42 +98,69 @@ def matchable_bipartite(draw):
     return Graph.from_edges(2 * p, edges + [pair for pair, kept in zip(pairs, keep) if kept])
 
 
+def _matching_in_order(g: Graph, left: list, edges) -> list:
+    """A perfect matching of ``g`` by Kuhn's augmenting paths, reading
+    the left vertices and each one's edges in the order of ``edges``."""
+    out = {u: [] for u in left}
+    order = []
+    for u, v in edges:
+        a, b = (u, v) if u in out else (v, u)
+        out[a].append(b)
+        if a not in order:
+            order.append(a)
+    mate = [-1] * g.n
+
+    def augment(u, seen):
+        for w in out[u]:
+            if w not in seen:
+                seen.add(w)
+                if mate[w] < 0 or augment(mate[w], seen):
+                    mate[u], mate[w] = w, u
+                    return True
+        return False
+
+    for u in order:
+        assert augment(u, set())
+    return mate
+
+
 @st.composite
-def signed_bipartite(draw, graphs=bipartite()):
-    """A bipartite graph, its 2-colouring and a random set of negative
-    edges, as the engine's signing: vertex -> bitmask of its neighbours
-    across a negative edge."""
-    g = draw(graphs)
+def matched_bipartite(draw):
+    """A graph from ``matchable_bipartite``, a perfect matching of it
+    found in a shuffled edge order, and a random signing that keeps the
+    matching's edges positive, as the engine's signing: vertex ->
+    bitmask of its neighbours across a negative edge."""
+    g = draw(matchable_bipartite())
+    p = g.n // 2
+    mate = _matching_in_order(g, list(range(p)), draw(st.permutations(g.edges)))
     flips = draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
     negative = {}
     for (u, v), minus in zip(g.edges, flips):
-        if minus:
+        if minus and mate[u] != v:
             negative[u] = negative.get(u, 0) | 1 << v
             negative[v] = negative.get(v, 0) | 1 << u
-    return g, bipartition(g), negative
+    return g, mate, negative
 
 
-@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@hypothesis.given(signed_bipartite())
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(matched_bipartite())
 def test_signed_expansion_does_not_depend_on_the_signing(case):
-    # Every bad cycle is expanded, nice or not.
-    g, parts, negative = case
+    # Every alternating cycle that is bad under the signing is expanded.
+    g, mate, negative = case
+    parts = bipartition(g)
+    bad = [c.vertex_set.mask for c in corpus.alternating_cycles(g, mate)
+           if corpus.is_bad(c, negative)]
+    pm, _, _ = engine._signed_sum(g, parts, mate, (1 << g.n) - 1, negative, bad)
+    assert pm == per_ryser(corpus.biadjacency_of(g, range(g.n // 2)))
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(matched_bipartite())
+def test_expansion_does_not_depend_on_the_matching(case):
+    # The matching comes from a shuffled edge order; the engine's own
+    # signing and alternating-cycle search run on it.
+    g, mate, _ = case
     cycles = enumerate_cycles(g)
-    bad = [c for c in cycles if engine._is_bad(c, negative)]
-    report = engine._expansion_report(
-        g, parts, (1 << g.n) - 1, negative, bad, PATH_THEOREM1, cycles, 0
-    )
+    report = engine._piece_report(g, bipartition(g), mate, (1 << g.n) - 1, cycles)
     assert report.value == per_ryser(g.adj)
-
-
-@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@hypothesis.given(signed_bipartite(matchable_bipartite()))
-def test_pruned_families_have_zero_terms(case):
-    g, parts, negative = case
-    mate = perfect_matching(g, parts)
-    full = (1 << g.n) - 1
-    bad = [c for c in enumerate_cycles(g) if engine._is_bad(c, negative)]
-    nice = [matchable_without(g, parts, mate, full, c.vertex_set.mask) for c in bad]
-    for fam in enumerate_disjoint_families(bad):
-        if not all(nice[i] for i in fam.cycle_indices):
-            assert signed_block_det(g, parts, full & ~fam.covered.mask, negative) == 0
+    assert report.value == permanent_auto(g).value

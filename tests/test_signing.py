@@ -1,5 +1,5 @@
-"""Pfaffian signings: the certificate, and the signed expansion on the
-pieces it rejects."""
+"""Pfaffian signings: the certificate, and the signed expansion over the
+bad alternating cycles of the pieces it rejects."""
 
 import itertools
 import random
@@ -19,8 +19,9 @@ from permdet import (
     per_ryser,
     permanent_auto,
 )
-from permdet import engine, matching
+from permdet import cli, matching
 from permdet.determinant import signed_block_det
+from permdet.errors import EnumerationCapExceeded
 from permdet.matching import elementary_pieces, perfect_matching, pfaffian_signing
 
 
@@ -46,15 +47,42 @@ def test_non_pfaffian_graphs_match_ryser():
         assert report.families > 1, g.edges
 
 
-def test_expansion_skips_cycles_that_are_not_nice():
-    g = _non_pfaffian_graphs()[2]
+@pytest.mark.parametrize("k", range(8, 15))
+def test_cubic_graphs_match_ryser(k):
+    # 16 to 28 vertices: hundreds to tens of thousands of cycles, and
+    # mostly no Pfaffian signing
+    rng = random.Random(1200 + k)
+    expanded = 0
+    for _ in range(3 if k < 13 else 1):
+        g = corpus.random_cubic_bipartite(k, rng)
+        parts = bipartition(g)
+        report = permanent_auto(g)
+        assert report.value == per_ryser(corpus.biadjacency_of(g, parts.left.indices())) ** 2
+        expanded += report.path_taken == PATH_THEOREM1
+    assert expanded, k
+
+
+def test_cubic20_fixture_matches_ryser():
+    g = corpus.load_fixture("cubic20.edges")
     parts = bipartition(g)
-    mate = perfect_matching(g, parts)
-    negative, certified = pfaffian_signing(g, parts, mate, (1 << g.n) - 1)
-    assert not certified
-    bad = [c for c in enumerate_cycles(g) if engine._is_bad(c, negative)]
     report = permanent_auto(g)
-    assert 1 < report.families < len(enumerate_disjoint_families(bad))
+    assert per_ryser(corpus.biadjacency_of(g, parts.left.indices())) == 76
+    assert (report.value, report.path_taken) == (76**2, PATH_THEOREM1)
+    assert len(elementary_pieces(g, parts)) == 1
+
+
+def test_expansion_runs_over_the_bad_alternating_cycles():
+    for g in _non_pfaffian_graphs():
+        parts = bipartition(g)
+        mate = perfect_matching(g, parts)
+        negative, bad = pfaffian_signing(g, parts, mate, (1 << g.n) - 1)
+        expected = [c for c in corpus.alternating_cycles(g, mate) if corpus.is_bad(c, negative)]
+        assert sorted(bad) == sorted(c.vertex_set.mask for c in expected), g.edges
+        # fewer than the cycles bad under the signing, alternating or not
+        assert len(bad) < sum(corpus.is_bad(c, negative) for c in enumerate_cycles(g))
+        fams = enumerate_disjoint_families(expected)
+        report = permanent_auto(g)
+        assert (report.families, report.m) == (len(fams), fams[-1].size), g.edges
 
 
 def _brute_force_pfaffian(g, parts, piece) -> bool:
@@ -98,8 +126,8 @@ def test_certificate_matches_brute_force_over_signings():
         if mate is None:
             continue
         for piece in elementary_pieces(g, parts, mate):
-            negative, certified = pfaffian_signing(g, parts, mate, piece)
-            if certified:
+            negative, bad = pfaffian_signing(g, parts, mate, piece)
+            if not bad:
                 pm2 = per_ryser(induced_subgraph(g, VertexSet(piece)).adj)
                 assert signed_block_det(g, parts, piece, negative) ** 2 == pm2, g.edges
             else:
@@ -121,11 +149,12 @@ def test_matching_edges_stay_positive():
 
 
 @pytest.mark.parametrize("cap", [0, 5])
-def test_signing_cap_falls_back_to_the_expansion(monkeypatch, cap):
+def test_signing_cap_raises(capsys, monkeypatch, cap):
     monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", cap)
-    for g, value in ((corpus.grid_graph(4, 4), 36**2), (corpus.grid_graph(4, 5), 95**2)):
-        report = permanent_auto(g)
-        assert report.path_taken == PATH_THEOREM1
-        assert report.value == value
+    for g in (corpus.grid_graph(4, 4), corpus.complete_bipartite(4, 4)):
+        with pytest.raises(EnumerationCapExceeded, match=f"alternating path .* cap of {cap}$"):
+            permanent_auto(g)
+    assert cli.main(["per", str(corpus.FIXTURE_DIR / "cubic20.edges")]) == 3
+    assert f"cap of {cap}" in capsys.readouterr().err
     monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 10**5)
     assert permanent_auto(corpus.grid_graph(4, 5)).path_taken == PATH_PFAFFIAN
