@@ -71,7 +71,7 @@ print(f"\nsign (-1)^(n/2) = {sign}")
 print(f"permanent = {sign} * {total} = {sign * total}")
 
 # ---------------------------------------------------------------------------
-# The engine computes the same value by its cheapest route; an
+# The engine computes the same value by its signed sum per piece; an
 # inclusion-exclusion oracle that never looks at cycles must agree.
 report = permanent_auto(g)
 assert report.value == table.value == sign * total

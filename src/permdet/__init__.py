@@ -32,7 +32,6 @@ from .determinant import (
 from .engine import (
     EfficiencyReport,
     PATH_COROLLARY,
-    PATH_DECOMPOSED,
     PATH_ODD,
     PATH_PFAFFIAN,
     PATH_THEOREM1,
@@ -103,7 +102,6 @@ __all__ = [
     "NotAPerfectSquare",
     "NotBipartiteError",
     "PATH_COROLLARY",
-    "PATH_DECOMPOSED",
     "PATH_ODD",
     "PATH_PFAFFIAN",
     "PATH_THEOREM1",

@@ -251,8 +251,9 @@ def _cmd_verify(args, text: str):
     else:
         skipped("removal-identity")
 
-    # A decomposed report's m sums the pieces' families and can fall below
-    # the whole graph's largest family, which Theorem 2 is about.
+    # The engine's m sums the pieces' largest families of bad alternating
+    # cycles and can fall below the whole graph's largest 4k-cycle family,
+    # which Theorem 2 is about.
     m = args.m if args.m is not None else full.m
     if g.n <= args.guard_subsets:
         t2 = verify_theorem2(g, m, guard=args.guard_subsets)
@@ -298,7 +299,6 @@ def _cmd_bench(args, text: str) -> list:
             for method, value, seconds in rows]
     recs.append(dict(record="bench-counts", n=g.n, num_cycles=report.num_cycles,
                      num_4k_cycles=report.num_4k_cycles, num_families=report.families,
-                     cache_hits=report.cache_hits, cache_misses=report.cache_misses,
                      path=report.path_taken))
     return recs
 
@@ -361,8 +361,7 @@ _TEXT = {
     "classify": _classify_text,
     "bench": _bench_text,
     "bench-counts": "n={n} cycles={num_cycles} 4k-cycles={num_4k_cycles} "
-                    "families={num_families} cache-hits={cache_hits} "
-                    "cache-misses={cache_misses} path={path}".format_map,
+                    "families={num_families} path={path}".format_map,
 }
 
 # Text lines printed once, before the first record of their kind.

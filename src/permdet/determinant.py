@@ -1,16 +1,17 @@
 """Exact integer determinants via fraction-free (Bareiss) elimination.
 
 All arithmetic is over Python's arbitrary-precision integers; there is
-no rounding anywhere.  Determinants are memoized per graph, keyed by a
-vertex bitmask.
+no rounding anywhere.
 
 ``det_after_removal`` gives det(G \\ S), the principal submatrix of A(G)
-on the kept vertices, by Bareiss on the full kept submatrix.  It is the
+on the kept vertices, by Bareiss on the full kept submatrix, memoized in
+a ``DetCache`` keyed by the removed vertex bitmask.  It is the
 reference: the ``det`` command, the oracles and the tests use it.
 
 The engine calls ``signed_block_det``, the block evaluator under an edge
-signing.  With the vertices ordered left side first, a bipartite A(G) is
-[[0, B], [B^T, 0]], and so is every principal submatrix; the engine
+signing, with no memo.  With the vertices ordered left side first, a
+bipartite A(G) is [[0, B], [B^T, 0]], and so is every principal
+submatrix; the engine
 needs only det(B_s[L', R']) on the kept left vertices L' and right
 vertices R', with entry -1 on the negative edges, its rows read from the
 neighbour lists.  The all-plus signing gives det(B[L', R']), and
@@ -70,8 +71,7 @@ def determinant(matrix) -> int:
 
 
 class DetCache:
-    """Memo of determinants keyed by a vertex bitmask: the removed set for
-    ``det_after_removal``, the kept set for ``signed_block_det``.
+    """Memo of ``det_after_removal`` keyed by the removed vertex bitmask.
 
     Hit and miss counters feed the benchmark report.
     """
@@ -114,8 +114,7 @@ def det_after_removal(g: Graph, removed: VertexSet, cache: DetCache | None = Non
 
 
 def signed_block_det(
-    g: Graph, parts: Bipartition, kept: int, negative: dict, cache: DetCache | None = None,
-    mate: list | None = None,
+    g: Graph, parts: Bipartition, kept: int, negative: dict, mate: list | None = None
 ) -> int:
     """det(B_s[L', R']) on the vertices of the bitmask ``kept``.
 
@@ -127,28 +126,23 @@ def signed_block_det(
     sides differ in size.  Given a perfect matching ``mate`` of the kept
     vertices, column k is instead the mate of row k: that determinant is
     sigma * det in vertex order, sigma the sign of ``mate`` as a
-    permutation, so one cache must not mix the two orders.  Only the kept
-    vertices are walked.
+    permutation.  Only the kept vertices are walked.
     """
-
-    def compute() -> int:
-        rows = mask_indices(kept & parts.left.mask)
-        if mate is None:
-            cols = mask_indices(kept & parts.right.mask)
-            if len(rows) != len(cols):
-                return 0
-        else:
-            cols = [mate[i] for i in rows]
-        position = {j: k for k, j in enumerate(cols)}
-        block = []
-        for i in rows:
-            row = [0] * len(cols)
-            minus = negative.get(i, 0)
-            for j in g.neighbors[i]:
-                k = position.get(j)
-                if k is not None:
-                    row[k] = -1 if minus >> j & 1 else 1
-            block.append(row)
-        return _bareiss(block)
-
-    return _memoized(cache, kept, compute)
+    rows = mask_indices(kept & parts.left.mask)
+    if mate is None:
+        cols = mask_indices(kept & parts.right.mask)
+        if len(rows) != len(cols):
+            return 0
+    else:
+        cols = [mate[i] for i in rows]
+    position = {j: k for k, j in enumerate(cols)}
+    block = []
+    for i in rows:
+        row = [0] * len(cols)
+        minus = negative.get(i, 0)
+        for j in g.neighbors[i]:
+            k = position.get(j)
+            if k is not None:
+                row[k] = -1 if minus >> j & 1 else 1
+        block.append(row)
+    return _bareiss(block)

@@ -5,8 +5,9 @@ and odd n gives 0 outright.  The paper's Theorem 1 sums
 (-1)^(n/2) * 4^|F| * det(G minus V(F)) over the families F of
 vertex-disjoint 4k-cycles; a graph with no 4k-cycle is its corollary,
 per(G) = det(B)^2, B the biadjacency block (rows the left side, columns
-the right, both in vertex order).  The engine keeps the corollary and
-otherwise expands pm itself, linearly, one elementary piece at a time.
+the right, both in vertex order).  The engine expands pm itself,
+linearly, one elementary piece at a time, and the corollary is that
+expansion's empty-family case.
 
 Fix a perfect matching M and a signing s(e) = +-1 under which every
 edge of M is positive, and write B_s for the signed block.  An
@@ -35,23 +36,24 @@ every rest, so no family is pruned, and a sum below 1 with M in hand is
 a bug.  When no alternating cycle is bad the signing is Pfaffian and
 pm = sigma_M * det(B_s), one determinant.
 
-``permanent_auto`` is the engine's one entry point, and ``_signed_sum``
-and ``_corollary_report`` the only places it evaluates determinants,
-all of half the order on the kept biadjacency block
-(``signed_block_det``).  The paper's whole-graph term table is a
-reference kept apart from the engine: ``oracles.permanent_theorem1``,
-on full-order determinants.
+``permanent_auto`` is the engine's one entry point and ``_signed_sum``
+the only place it evaluates determinants, all of half the order on the
+kept biadjacency block (``signed_block_det``), none memoized.  The
+paper's whole-graph term table is a reference kept apart from the
+engine: ``oracles.permanent_theorem1``, on full-order determinants.
 
-The order of work: the bipartition, then the cycles of the whole graph
-(their counts are reported, and a graph with no 4k-cycle takes the
-corollary).  Then one perfect matching M; with none, per(G) = 0 with no
-elimination.  M splits the graph at the edges that lie in no perfect
-matching (see ``matching``): per(G) is the product over the elementary
-pieces, and each piece is solved on its own.  A piece with no 4k-cycle
-is Pfaffian under the all-plus signing.  Any other piece gets its
-signing and its bad alternating cycles from one search,
-``matching.pfaffian_signing``, and the sum above runs over the families
-of those cycles (``cycles.disjoint_families``, on vertex masks).
+The order of work: the bipartition, then the cycles of the whole graph,
+used only for the counts reported.  Then one perfect matching M; with
+none, per(G) = 0 with no elimination.  M splits the graph at the edges
+that lie in no perfect matching (see ``matching``): per(G) is the
+product over the elementary pieces.  Each piece of more than two
+vertices gets its signing and its bad alternating cycles from one
+search, ``matching.pfaffian_signing``, and the sum above runs over the
+families of those cycles (``cycles.disjoint_families``, on vertex
+masks).  On a piece with no 4k-cycle every alternating cycle has odd
+l, so every equation of the search asks for an even number of negative
+edges: the signing is empty, no cycle is bad, and the sum is the one
+determinant sigma_M * det(B), the paper's corollary.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from __future__ import annotations
 import math
 
 from .cycles import DEFAULT_CYCLE_CAP, disjoint_families, enumerate_cycles, four_k_cycles
-from .determinant import DetCache, signed_block_det
+from .determinant import signed_block_det
 from .errors import InternalInvariantError, NotAPerfectSquare
-from .graphs import Bipartition, Frozen, Graph, bipartition, graph_from_biadjacency, mask_indices
+from .graphs import Bipartition, Frozen, Graph, bipartition, graph_from_biadjacency
 from .matching import elementary_pieces, perfect_matching, pfaffian_signing
 
 _set = object.__setattr__
@@ -70,33 +72,41 @@ PATH_ODD = "odd_shortcut"
 PATH_COROLLARY = "corollary_fast_path"
 PATH_PFAFFIAN = "pfaffian_signing"
 PATH_THEOREM1 = "theorem1_expansion"
-PATH_DECOMPOSED = "matching_decomposition"
 
-# The only family when no alternating cycle is bad: a Pfaffian piece.
+# A graph's label is the last of its pieces' labels in this order.
+_PATH_ORDER = (PATH_COROLLARY, PATH_PFAFFIAN, PATH_THEOREM1)
+
+# The only family when no alternating cycle is bad.
 _EMPTY_FAMILY_ONLY = (((), 0),)
 
 
 class PermanentReport(Frozen):
     """The permanent and how it was reached.
 
-    ``path_taken`` is one of the ``PATH_*`` names.  ``m`` is the size of
-    the largest family expanded and ``families`` the number of families
-    expanded, the empty one included.  On ``PATH_THEOREM1`` they count
-    the families of disjoint M-alternating cycles that are bad under the
-    piece's signing, for the one perfect matching M the engine found;
-    they follow M, not the graph alone.  The corollary and a Pfaffian
-    piece expand the empty family alone (m 0, families 1), and a graph
-    with no perfect matching reports that family unevaluated.  The cache
-    counters count the determinant lookups.  ``num_cycles`` and
-    ``num_4k_cycles`` count the cycles of the graph or piece, whatever
-    the signing.  The terms themselves are not kept;
-    ``oracles.permanent_theorem1`` lists the paper's all-plus terms.
+    ``path_taken`` is one of the ``PATH_*`` names, read from the engine's
+    own work: ``PATH_ODD`` for odd n; ``PATH_THEOREM1`` when some piece
+    has an alternating cycle that is bad under its signing;
+    ``PATH_PFAFFIAN`` when none has, but some piece's signing has a
+    negative edge; and ``PATH_COROLLARY`` when every piece's signing is
+    empty with no bad cycle, or there is no perfect matching (then
+    det(B) = 0 = pm).  Every graph with no 4k-cycle takes the corollary.
 
-    On ``PATH_DECOMPOSED`` the value is the product over ``pieces``, one
-    report per elementary piece, whose ``n`` and cycle counts are the
-    piece's; a piece that is a single edge has per 1 and is left out.
-    There ``m``, ``families`` and the cache counters are sums over the
-    pieces.
+    ``m`` is the size of the largest family expanded and ``families``
+    the number of families expanded, the empty one included, both summed
+    over the pieces.  They count the families of disjoint M-alternating
+    cycles that are bad under the piece's signing, for the one perfect
+    matching M the engine found, so they follow M, not the graph alone.
+    A piece with no bad cycle expands the empty family alone (m 0,
+    families 1), and a graph with no perfect matching reports that
+    family unevaluated.  ``num_cycles`` and ``num_4k_cycles`` count the
+    cycles of the whole graph, whatever the signing.  The terms
+    themselves are not kept; ``oracles.permanent_theorem1`` lists the
+    paper's all-plus terms.
+
+    When M splits the graph into more than one elementary piece,
+    ``pieces`` holds one report per piece, whose ``n`` is the piece's
+    and whose cycle counts are 0; the value is their product.  A piece
+    that is a single edge has per 1 and is left out, and adds no family.
     """
 
     __slots__ = _fields = (
@@ -107,8 +117,6 @@ class PermanentReport(Frozen):
         "families",
         "path_taken",
         "num_cycles",
-        "cache_hits",
-        "cache_misses",
         "pieces",
     )
 
@@ -121,8 +129,6 @@ class PermanentReport(Frozen):
         families: int,
         path_taken: str,
         num_cycles: int = 0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
         pieces: tuple = (),
     ):
         _set(self, "value", value)
@@ -132,8 +138,6 @@ class PermanentReport(Frozen):
         _set(self, "families", families)
         _set(self, "path_taken", path_taken)
         _set(self, "num_cycles", num_cycles)
-        _set(self, "cache_hits", cache_hits)
-        _set(self, "cache_misses", cache_misses)
         _set(self, "pieces", pieces)
 
 
@@ -145,21 +149,6 @@ def _check_even_cycles(cycles) -> None:
             raise InternalInvariantError(f"odd cycle {cyc.labels()} in bipartite host")
 
 
-def _corollary_report(g: Graph, parts: Bipartition, cycles) -> PermanentReport:
-    """The corollary on the whole graph, which has no 4k-cycle:
-    per(G) = det(B)^2, one determinant, before any matching is sought."""
-    cache = DetCache()
-    d = signed_block_det(g, parts, (1 << g.n) - 1, {}, cache)
-    if not d and perfect_matching(g, parts) is not None:
-        raise InternalInvariantError(
-            f"zero permanent from {PATH_COROLLARY} with a perfect matching; this is a bug"
-        )
-    return PermanentReport(
-        d * d, g.n, 0, 0, 1, PATH_COROLLARY, num_cycles=len(cycles),
-        cache_hits=cache.hits, cache_misses=cache.misses,
-    )
-
-
 def _signed_sum(
     g: Graph, parts: Bipartition, mate: list, piece: int, negative: dict, bad: list
 ) -> tuple:
@@ -168,32 +157,23 @@ def _signed_sum(
     (vertex masks) of 2^|T| * sigma_T * det(B_s) on the rest, under the
     signing ``negative``, under which every edge of ``mate`` must be
     positive.  ``bad`` must hold every M-alternating cycle that is bad
-    under it.  Returns ``(pm, families, cache)``, the families as
+    under it.  Returns ``(pm, families)``, the families as
     ``(indices, covered)``, smallest first."""
-    cache = DetCache()
     families = disjoint_families(bad) if bad else _EMPTY_FAMILY_ONLY
     total = 0
     for indices, covered in families:
         # Columns in the order of the rows' mates give sigma_T * det.
-        d = signed_block_det(g, parts, piece & ~covered, negative, cache, mate)
+        d = signed_block_det(g, parts, piece & ~covered, negative, mate)
         total += d << len(indices)
-    return total, families, cache
+    return total, families
 
 
-def _piece_report(
-    g: Graph, parts: Bipartition, mate: list, piece: int, cycles
-) -> PermanentReport:
-    """The report of the elementary piece ``piece``, whose cycles are
-    ``cycles``: one determinant when no 4k-cycle lies in it (the
-    corollary) or its signing is certified Pfaffian, and otherwise the
-    expansion over its bad alternating cycles."""
-    num_4k = len(four_k_cycles(cycles))
-    if num_4k:
-        negative, bad = pfaffian_signing(g, parts, mate, piece)
-        path = PATH_THEOREM1 if bad else PATH_PFAFFIAN
-    else:
-        negative, bad, path = {}, (), PATH_COROLLARY
-    pm, families, cache = _signed_sum(g, parts, mate, piece, negative, bad)
+def _piece_report(g: Graph, parts: Bipartition, mate: list, piece: int) -> PermanentReport:
+    """The report of the elementary piece ``piece``: its signing and bad
+    alternating cycles, then the signed sum over their families."""
+    negative, bad = pfaffian_signing(g, parts, mate, piece)
+    path = PATH_THEOREM1 if bad else PATH_PFAFFIAN if negative else PATH_COROLLARY
+    pm, families = _signed_sum(g, parts, mate, piece, negative, bad)
     if pm < 1:
         what = "zero permanent" if not pm else f"negative matching count {pm}"
         raise InternalInvariantError(
@@ -201,42 +181,15 @@ def _piece_report(
         )
     # The families are sorted by size, so the last one is the largest.
     return PermanentReport(
-        pm * pm, piece.bit_count(), len(families[-1][0]), num_4k, len(families), path,
-        num_cycles=len(cycles), cache_hits=cache.hits, cache_misses=cache.misses,
-    )
-
-
-def _decomposed_report(
-    g: Graph, parts: Bipartition, mate: list, cycles, c4k, pieces: list
-) -> PermanentReport:
-    # A piece of two vertices is a single matched edge: per 1, no cycles.
-    inside = {mask: [] for mask in pieces if mask.bit_count() > 2}
-    home = [0] * g.n
-    for mask in inside:
-        for v in mask_indices(mask):
-            home[v] = mask
-    for cyc in cycles:
-        mask = home[cyc.vertices[0]]
-        if cyc.vertex_set.mask | mask == mask:
-            inside[mask].append(cyc)
-    reports = tuple(
-        _piece_report(g, parts, mate, mask, own) for mask, own in inside.items()
-    )
-    return PermanentReport(
-        math.prod(r.value for r in reports), g.n, sum(r.m for r in reports), len(c4k),
-        sum(r.families for r in reports), PATH_DECOMPOSED, num_cycles=len(cycles),
-        cache_hits=sum(r.cache_hits for r in reports),
-        cache_misses=sum(r.cache_misses for r in reports), pieces=reports,
+        pm * pm, piece.bit_count(), len(families[-1][0]), 0, len(families), path
     )
 
 
 def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
-    """The permanent of ``g`` by the cheapest exact route: odd n gives 0
-    without enumerating anything; a graph with no 4k-cycle is one
-    determinant (the corollary); a graph with no perfect matching gives
-    0; and any other graph is solved per elementary piece, by one
-    determinant under a certified Pfaffian signing or by the expansion
-    over its bad alternating cycles, the pieces' values multiplied.
+    """The permanent of ``g``: odd n gives 0 without enumerating anything,
+    a graph with no perfect matching gives 0 with no elimination, and any
+    other graph is solved per elementary piece by the signed sum over its
+    bad alternating cycles, the pieces' values multiplied.
 
     Raises NotBipartiteError for non-bipartite input and propagates
     CycleCapExceeded and EnumerationCapExceeded from enumeration (of
@@ -246,20 +199,25 @@ def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentRep
     if g.n % 2:
         # No perfect matching can exist, so nothing is enumerated.
         return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD)
+    # The whole graph's cycles serve only the counts reported.
     cycles = enumerate_cycles(g, cap=cycle_cap)
     _check_even_cycles(cycles)
-    c4k = four_k_cycles(cycles)
-    if not c4k:
-        return _corollary_report(g, parts, cycles)
+    num_4k = len(four_k_cycles(cycles))
     mate = perfect_matching(g, parts)
     if mate is None:
-        # Every family leaves an unmatchable rest, the empty one too, so
-        # the permanent is 0 with no elimination.
-        return PermanentReport(0, g.n, 0, len(c4k), 1, PATH_THEOREM1, num_cycles=len(cycles))
+        # Every family leaves an unmatchable rest, the empty one too.
+        return PermanentReport(0, g.n, 0, num_4k, 1, PATH_COROLLARY, len(cycles))
     pieces = elementary_pieces(g, parts, mate)
-    if len(pieces) == 1:
-        return _piece_report(g, parts, mate, pieces[0], cycles)
-    return _decomposed_report(g, parts, mate, cycles, c4k, pieces)
+    # A piece of two vertices is a single matched edge: per 1.
+    reports = tuple(
+        _piece_report(g, parts, mate, piece) for piece in pieces if piece.bit_count() > 2
+    )
+    path = max((r.path_taken for r in reports), key=_PATH_ORDER.index, default=PATH_COROLLARY)
+    return PermanentReport(
+        math.prod(r.value for r in reports), g.n, sum(r.m for r in reports), num_4k,
+        sum(r.families for r in reports), path, len(cycles),
+        reports if len(pieces) > 1 else (),
+    )
 
 
 def _validate_zero_one(rows) -> tuple:

@@ -31,7 +31,7 @@ def test_per_example10(capsys):
     assert "permanent: 36" in out
     # example10 splits into elementary pieces of 6 and 4 vertices, each
     # certified by a Pfaffian signing, so no cycle is expanded
-    assert "path: matching_decomposition" in out
+    assert "path: pfaffian_signing" in out
     assert "m: 0" in out
 
 
@@ -49,7 +49,7 @@ def test_per_records(capsys):
     recs = records(out)
     head = recs[0]
     assert head == {"record": "permanent", "value": 36, "n": 10, "m": 0,
-                    "num_4k_cycles": 3, "path": "matching_decomposition"}
+                    "num_4k_cycles": 3, "path": "pfaffian_signing"}
     zgroups = {r["z"]: r for r in recs if r["record"] == "zgroup"}
     assert zgroups[1]["ordered_det_sum"] == -1
     assert zgroups[2]["ordered_det_sum"] == -4
@@ -159,7 +159,8 @@ def test_verify_truncation_uses_the_full_expansion_m(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, _ = run(capsys, "verify", "-")
     assert code == 0
-    assert "path: matching_decomposition" in out
+    # every piece is a single edge: no signing, no bad cycle, the corollary
+    assert "path: corollary_fast_path" in out
     assert "theorem2(m=1): ok" in out
     assert "verify: PASS" in out
 
@@ -219,10 +220,11 @@ def test_bench_counts_sum_over_pieces(capsys):
                        "--output", "records")
     assert code == 0
     counts = records(out)[-1]
-    assert counts["path"] == "matching_decomposition"
+    assert counts["path"] == "pfaffian_signing"
     # both pieces are certified: the empty family and one determinant each
     assert counts["num_families"] == 2
-    assert (counts["cache_hits"], counts["cache_misses"]) == (0, 2)
+    assert list(counts) == ["record", "n", "num_cycles", "num_4k_cycles",
+                            "num_families", "path"]
 
 
 def test_exit_code_parse_error(capsys, monkeypatch):
@@ -316,7 +318,7 @@ def test_exit_code_table(capsys, monkeypatch, error, code):
 GOLDEN = {
     ("per", "example10.edges", "--show-terms"): """\
 permanent: 36
-path: matching_decomposition
+path: pfaffian_signing
 n: 10
 4k-cycles: 3
 m: 0
@@ -359,7 +361,7 @@ disjoint-4k-families (incl. empty): 6
 m: 2
 """,
     ("verify", "example10.edges"): """\
-path: matching_decomposition
+path: pfaffian_signing
 engine-agreement: ok (36)
 ryser: ok (36)
 naive: ok (36)
@@ -384,7 +386,7 @@ method     value                    time_s
 engine     4                        T
 ryser      4                        T
 sachs-per  4                        T
-n=8 cycles=1 4k-cycles=1 families=1 cache-hits=0 cache-misses=1 path=pfaffian_signing
+n=8 cycles=1 4k-cycles=1 families=1 path=pfaffian_signing
 """,
 }
 

@@ -12,7 +12,7 @@ from permdet import (
     enumerate_disjoint_families,
     four_k_cycles,
 )
-from permdet.determinant import signed_block_det
+from permdet.determinant import _memoized, signed_block_det
 
 
 def laplace_det(m):
@@ -106,12 +106,13 @@ def biadjacency_det_after_removal(g, parts, removed, cache=None):
     A bipartite A(G) is [[0, B], [B^T, 0]] with the left side first, and
     so is every principal submatrix, so with k kept vertices on each side
     det(G minus S) = (-1)^k det(B[L', R'])^2, and 0 when the kept sides
-    differ in size.  ``parts`` may be any proper 2-colouring.
+    differ in size.  ``parts`` may be any proper 2-colouring.  A given
+    ``cache`` memoizes the block determinant by the kept mask.
     """
     if removed.mask >> g.n != 0:
         raise ValueError(f"removed set {removed.labels()} not within 1..{g.n}")
     kept = ((1 << g.n) - 1) & ~removed.mask
-    d = signed_block_det(g, parts, kept, {}, cache)
+    d = _memoized(cache, kept, lambda: signed_block_det(g, parts, kept, {}))
     return -d * d if (kept & parts.left.mask).bit_count() & 1 else d * d
 
 

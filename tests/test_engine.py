@@ -12,10 +12,10 @@ from permdet import (
     NotAPerfectSquare,
     NotBipartiteError,
     PATH_COROLLARY,
-    PATH_DECOMPOSED,
     PATH_ODD,
     PATH_PFAFFIAN,
     PATH_THEOREM1,
+    bipartition,
     classify_efficient,
     count_perfect_matchings,
     determinant,
@@ -27,6 +27,7 @@ from permdet import (
     render_edge_list,
 )
 from permdet import engine
+from permdet.matching import elementary_pieces
 
 # the package re-exports the function under the submodule's name
 determinant_module = importlib.import_module("permdet.determinant")
@@ -143,9 +144,15 @@ def test_auto_matches_ryser_on_corpora_and_decomposes():
     for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus():
         report = permanent_auto(g)
         assert report.value == per_ryser(g.adj), g.edges
-        if report.path_taken == PATH_DECOMPOSED:
+        pieces = elementary_pieces(g, bipartition(g))
+        if len(pieces) > 1:
             decomposed += 1
+            # single-edge pieces are left out of the report
+            sizes = [mask.bit_count() for mask in pieces if mask.bit_count() > 2]
+            assert [p.n for p in report.pieces] == sizes, g.edges
             assert report.value == math.prod(p.value for p in report.pieces)
+        else:
+            assert report.pieces == (), g.edges
         expanded += sum(r.path_taken == PATH_THEOREM1 and r.families > 1
                         for r in (report, *report.pieces))
     assert decomposed >= 50
@@ -155,7 +162,7 @@ def test_auto_matches_ryser_on_corpora_and_decomposes():
 def test_example10_decomposed_report():
     g = corpus.example10()
     report = permanent_auto(g)
-    assert report.path_taken == PATH_DECOMPOSED
+    assert report.path_taken == PATH_PFAFFIAN
     assert (report.value, report.n, report.num_4k_cycles) == (36, 10, 3)
     assert report.num_cycles == 4
     # both pieces are certified: one determinant each, no cycle expanded
@@ -164,16 +171,61 @@ def test_example10_decomposed_report():
     assert report.m == 0
     assert [p.families for p in report.pieces] == [1, 1]
     assert [p.path_taken for p in report.pieces] == [PATH_PFAFFIAN, PATH_PFAFFIAN]
-    assert [(p.cache_hits, p.cache_misses) for p in report.pieces] == [(0, 1), (0, 1)]
-    assert report.cache_misses == sum(p.cache_misses for p in report.pieces) == 2
+    # the pieces carry no cycle counts: those are the whole graph's
+    assert [(p.num_cycles, p.num_4k_cycles) for p in report.pieces] == [(0, 0), (0, 0)]
+
+
+# One of the 12 graphs of connected_bipartite_upto(8) with a 4k-cycle and a
+# perfect matching whose signing is empty: its 4-cycles all pass through
+# the single-edge piece 0-4, and the other piece is a 6-cycle.
+FOUR_K_WITH_EMPTY_SIGNING = Graph.from_edges(
+    8, [(0, 4), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 7), (3, 4), (3, 6), (3, 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "graph,path,pieces",
+    [
+        # no perfect matching: det(B) = 0 = pm
+        (corpus.complete_bipartite(2, 4), PATH_COROLLARY, ()),
+        (FOUR_K_WITH_EMPTY_SIGNING, PATH_COROLLARY, (PATH_COROLLARY,)),
+        (corpus.example10(), PATH_PFAFFIAN, (PATH_PFAFFIAN, PATH_PFAFFIAN)),
+        # one elementary piece with a bad alternating cycle
+        (corpus.load_fixture("cubic20.edges"), PATH_THEOREM1, ()),
+    ],
+)
+def test_label_comes_from_the_signings(graph, path, pieces):
+    report = permanent_auto(graph)
+    assert report.num_4k_cycles > 0
+    if graph.n > 10:
+        # Ryser on the half-order biadjacency block: per(G) = pm(G)^2
+        left = bipartition(graph).left.indices()
+        assert report.value == per_ryser(corpus.biadjacency_of(graph, left)) ** 2
+    else:
+        assert report.value == per_ryser(graph.adj)
+    assert report.path_taken == path
+    assert tuple(p.path_taken for p in report.pieces) == pieces
+
+
+def test_engine_memoizes_nothing(monkeypatch):
+    graphs = corpus.connected_bipartite_upto(8) + corpus.random_corpus()
+    graphs += corpus.four_k_free_corpus(200)
+    expected = [per_ryser(g.adj) for g in graphs]
+
+    def forbidden(*args):
+        raise AssertionError("the engine reached the determinant memo")
+
+    monkeypatch.setattr(determinant_module, "_memoized", forbidden)
+    for g, value in zip(graphs, expected):
+        assert permanent_auto(g).value == value, g.edges
 
 
 def test_single_edge_pieces_are_left_out():
     # the only perfect matching is 1-4 2-5 3-6: three single-edge pieces
     g = Graph.from_edge_labels(6, [(1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)])
     report = permanent_auto(g)
-    assert (report.value, report.path_taken, report.pieces) == (1, PATH_DECOMPOSED, ())
-    assert (report.m, report.num_4k_cycles) == (0, 1)
+    assert (report.value, report.path_taken, report.pieces) == (1, PATH_COROLLARY, ())
+    assert (report.m, report.families, report.num_4k_cycles) == (0, 0, 1)
     assert permanent_theorem1(g).m == 1
 
 
@@ -186,9 +238,9 @@ def test_bridged_chain_splits_into_small_determinants(monkeypatch):
     chain = corpus.bridged_c8_chain(6)
     report = permanent_auto(chain)
     assert report.value == 4**6
-    assert report.path_taken == PATH_DECOMPOSED
+    assert report.path_taken == PATH_PFAFFIAN
     assert len(report.pieces) == 6
-    assert all(p.n == 8 and p.num_4k_cycles == 1 for p in report.pieces)
+    assert all(p.n == 8 and p.path_taken == PATH_PFAFFIAN for p in report.pieces)
     assert orders and max(orders) <= 4
 
 
@@ -251,7 +303,7 @@ def test_unbalanced_remainders_skip_elimination(monkeypatch):
     # K_{2,4}: even n, 4k-cycles, but no perfect matching on any remainder
     report = permanent_auto(corpus.complete_bipartite(2, 4))
     assert report.value == 0
-    assert report.path_taken == PATH_THEOREM1
+    assert report.path_taken == PATH_COROLLARY
     # no perfect matching, so no rest is matchable: the empty family alone
     assert report.families == 1
     assert orders == []

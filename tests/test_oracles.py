@@ -134,7 +134,6 @@ def test_theorem1_reference_is_independent_of_the_engine(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the reference reached the engine")
 
-    monkeypatch.setattr(engine, "_corollary_report", forbidden)
     monkeypatch.setattr(engine, "_signed_sum", forbidden)
     monkeypatch.setattr(engine, "signed_block_det", forbidden)
     monkeypatch.setattr(determinant_module, "signed_block_det", forbidden)

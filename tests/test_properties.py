@@ -6,7 +6,6 @@ from permdet import (
     Graph,
     bipartition,
     count_perfect_matchings,
-    enumerate_cycles,
     graph_from_biadjacency,
     per_ryser,
     permanent_auto,
@@ -150,7 +149,7 @@ def test_signed_expansion_does_not_depend_on_the_signing(case):
     parts = bipartition(g)
     bad = [c.vertex_set.mask for c in corpus.alternating_cycles(g, mate)
            if corpus.is_bad(c, negative)]
-    pm, _, _ = engine._signed_sum(g, parts, mate, (1 << g.n) - 1, negative, bad)
+    pm, _ = engine._signed_sum(g, parts, mate, (1 << g.n) - 1, negative, bad)
     assert pm == per_ryser(corpus.biadjacency_of(g, range(g.n // 2)))
 
 
@@ -160,7 +159,6 @@ def test_expansion_does_not_depend_on_the_matching(case):
     # The matching comes from a shuffled edge order; the engine's own
     # signing and alternating-cycle search run on it.
     g, mate, _ = case
-    cycles = enumerate_cycles(g)
-    report = engine._piece_report(g, bipartition(g), mate, (1 << g.n) - 1, cycles)
+    report = engine._piece_report(g, bipartition(g), mate, (1 << g.n) - 1)
     assert report.value == per_ryser(g.adj)
     assert report.value == permanent_auto(g).value
