@@ -4,12 +4,13 @@ Counting perfect matchings from a biadjacency matrix
 
 A bipartite graph with sides of equal size p can be handed over as a
 p x p 0/1 biadjacency matrix b; the number of its perfect matchings is
-per(b).  It is computed on the graph on 2p vertices with adjacency
-[[0, b], [b^T, 0]], whose permanent is per(b)^2, by taking the exact
-square root.
+per(b).  The engine computes it on the graph on 2p vertices with
+adjacency [[0, b], [b^T, 0]] as its pm, the signed sum of determinants
+over that graph's elementary pieces, with no whole-graph cycle search.
+That graph's permanent is per(b)^2.
 
-This script counts a few matrices that way and verifies the squaring
-identity.
+This script counts a few matrices that way and checks the counts against
+the squaring identity and Ryser's formula.
 
 Run from the repository root:
 

@@ -44,7 +44,6 @@ from .errors import (
     CycleCapExceeded,
     EnumerationCapExceeded,
     InternalInvariantError,
-    NotAPerfectSquare,
     NotBipartiteError,
     ParseError,
     PermdetError,
@@ -99,7 +98,6 @@ __all__ = [
     "FamilyTerm",
     "Graph",
     "InternalInvariantError",
-    "NotAPerfectSquare",
     "NotBipartiteError",
     "PATH_COROLLARY",
     "PATH_ODD",

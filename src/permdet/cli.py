@@ -91,6 +91,17 @@ _GUARDS = {"ryser": RYSER_GUARD, "naive": NAIVE_GUARD, "sachs": SACHS_GUARD,
            "removal": REMOVAL_GUARD, "subsets": SUBSET_GUARD}
 
 
+def _non_negative(text: str) -> int:
+    """The type of every cap, guard and size on the command line."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
+    return value
+
+
 def _add_command(sub, name, summary, formats=FORMATS, cycle_cap=True, guards=()):
     sp = sub.add_parser(name, help=summary)
     sp.add_argument("path", nargs="?", default="-",
@@ -100,10 +111,10 @@ def _add_command(sub, name, summary, formats=FORMATS, cycle_cap=True, guards=())
     sp.add_argument("--output", choices=("text", "records"), default="text",
                     help="text lines or JSON records")
     if cycle_cap:
-        sp.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP,
+        sp.add_argument("--cycle-cap", type=_non_negative, default=DEFAULT_CYCLE_CAP,
                         help="abort cycle enumeration beyond this many cycles")
     for guard in guards:
-        sp.add_argument(f"--guard-{guard}", type=int, default=_GUARDS[guard])
+        sp.add_argument(f"--guard-{guard}", type=_non_negative, default=_GUARDS[guard])
     return sp
 
 
@@ -122,10 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
                  cycle_cap=False)
     _add_command(sub, "cycles", "cycle inventory and disjoint 4k families")
     _add_command(sub, "pm-count", "perfect matchings from a biadjacency matrix",
-                 formats=("biadjacency",))
+                 formats=("biadjacency",), cycle_cap=False)
     ver = _add_command(sub, "verify", "cross-check the engine against oracles",
                        guards=tuple(_GUARDS))
-    ver.add_argument("--m", type=int, default=None,
+    ver.add_argument("--m", type=_non_negative, default=None,
                      help="truncation size for the induced-subgraph check "
                           "(default: the full expansion's m)")
     _add_command(sub, "classify", "girth/cactus efficiency condition")
@@ -199,7 +210,7 @@ def _cmd_cycles(args, text: str) -> list:
 
 def _cmd_pm_count(args, text: str) -> list:
     rows = parse_biadjacency(text)
-    value = count_perfect_matchings(rows, cycle_cap=args.cycle_cap)
+    value = count_perfect_matchings(rows)
     return [dict(record="pm-count", value=value, rows=len(rows),
                  cols=len(rows[0]) if rows else 0)]
 

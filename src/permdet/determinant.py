@@ -71,9 +71,8 @@ def determinant(matrix) -> int:
 
 
 class DetCache:
-    """Memo of ``det_after_removal`` keyed by the removed vertex bitmask.
-
-    Hit and miss counters feed the benchmark report.
+    """Memo of ``det_after_removal`` keyed by the removed vertex bitmask,
+    with hit and miss counters for the caller to read.
     """
 
     __slots__ = ("_values", "hits", "misses")

@@ -36,24 +36,28 @@ every rest, so no family is pruned, and a sum below 1 with M in hand is
 a bug.  When no alternating cycle is bad the signing is Pfaffian and
 pm = sigma_M * det(B_s), one determinant.
 
-``permanent_auto`` is the engine's one entry point and ``_signed_sum``
-the only place it evaluates determinants, all of half the order on the
-kept biadjacency block (``signed_block_det``), none memoized.  The
-paper's whole-graph term table is a reference kept apart from the
-engine: ``oracles.permanent_theorem1``, on full-order determinants.
+``permanent_auto`` and ``count_perfect_matchings`` are the engine's
+entry points, and both get pm from ``_matching_count``; ``_signed_sum``
+is the only place the engine evaluates determinants, all of half the
+order on the kept biadjacency block (``signed_block_det``), none
+memoized.  The paper's whole-graph term table is a reference kept apart
+from the engine: ``oracles.permanent_theorem1``, on full-order
+determinants.
 
-The order of work: the bipartition, then the cycles of the whole graph,
-used only for the counts reported.  Then one perfect matching M; with
-none, per(G) = 0 with no elimination.  M splits the graph at the edges
-that lie in no perfect matching (see ``matching``): per(G) is the
-product over the elementary pieces.  Each piece of more than two
-vertices gets its signing and its bad alternating cycles from one
-search, ``matching.pfaffian_signing``, and the sum above runs over the
-families of those cycles (``cycles.disjoint_families``, on vertex
-masks).  On a piece with no 4k-cycle every alternating cycle has odd
-l, so every equation of the search asks for an even number of negative
-edges: the signing is empty, no cycle is bad, and the sum is the one
-determinant sigma_M * det(B), the paper's corollary.
+The order of work: the bipartition, then, in ``permanent_auto`` only,
+the cycles of the whole graph, used only for the counts reported.  Then
+one perfect matching M; with none, pm = 0 with no elimination.  M splits
+the graph at the edges that lie in no perfect matching (see
+``matching``): pm is the product over the elementary pieces.  Each piece
+of more than two vertices gets its signing and its bad alternating
+cycles from one search, ``matching.pfaffian_signing``, and the sum above
+runs over the families of those cycles (``cycles.disjoint_families``, on
+vertex masks).  On a piece with no 4k-cycle every alternating cycle has
+odd l, so every equation of the search asks for an even number of
+negative edges: the signing is empty, no cycle is bad, and the sum is
+the one determinant sigma_M * det(B), the paper's corollary.
+``permanent_auto`` reports per(G) = pm^2; ``count_perfect_matchings``
+returns pm itself.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ import math
 
 from .cycles import DEFAULT_CYCLE_CAP, disjoint_families, enumerate_cycles, four_k_cycles
 from .determinant import signed_block_det
-from .errors import InternalInvariantError, NotAPerfectSquare
+from .errors import InternalInvariantError
 from .graphs import Bipartition, Frozen, Graph, bipartition, graph_from_biadjacency
 from .matching import elementary_pieces, perfect_matching, pfaffian_signing
 
@@ -168,9 +172,9 @@ def _signed_sum(
     return total, families
 
 
-def _piece_report(g: Graph, parts: Bipartition, mate: list, piece: int) -> PermanentReport:
-    """The report of the elementary piece ``piece``: its signing and bad
-    alternating cycles, then the signed sum over their families."""
+def _piece_report(g: Graph, parts: Bipartition, mate: list, piece: int) -> tuple:
+    """pm of the elementary piece ``piece`` and its report: its signing
+    and bad alternating cycles, then the signed sum over their families."""
     negative, bad = pfaffian_signing(g, parts, mate, piece)
     path = PATH_THEOREM1 if bad else PATH_PFAFFIAN if negative else PATH_COROLLARY
     pm, families = _signed_sum(g, parts, mate, piece, negative, bad)
@@ -180,9 +184,23 @@ def _piece_report(g: Graph, parts: Bipartition, mate: list, piece: int) -> Perma
             f"{what} from {path} with a perfect matching; this is a bug"
         )
     # The families are sorted by size, so the last one is the largest.
-    return PermanentReport(
+    return pm, PermanentReport(
         pm * pm, piece.bit_count(), len(families[-1][0]), 0, len(families), path
     )
+
+
+def _matching_count(g: Graph, parts: Bipartition) -> tuple:
+    """pm(g) from one perfect matching M, the product over the elementary
+    pieces M splits ``g`` into.  Returns ``(pm, reports, split)``: the
+    reports of the pieces of more than two vertices, and whether there is
+    more than one piece.  With no perfect matching, ``(0, (), False)``."""
+    mate = perfect_matching(g, parts)
+    if mate is None:
+        return 0, (), False
+    pieces = elementary_pieces(g, parts, mate)
+    # A piece of two vertices is a single matched edge: pm 1.
+    solved = [_piece_report(g, parts, mate, piece) for piece in pieces if piece.bit_count() > 2]
+    return math.prod(pm for pm, _ in solved), tuple(r for _, r in solved), len(pieces) > 1
 
 
 def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
@@ -203,57 +221,34 @@ def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentRep
     cycles = enumerate_cycles(g, cap=cycle_cap)
     _check_even_cycles(cycles)
     num_4k = len(four_k_cycles(cycles))
-    mate = perfect_matching(g, parts)
-    if mate is None:
+    pm, reports, split = _matching_count(g, parts)
+    if not pm:
         # Every family leaves an unmatchable rest, the empty one too.
         return PermanentReport(0, g.n, 0, num_4k, 1, PATH_COROLLARY, len(cycles))
-    pieces = elementary_pieces(g, parts, mate)
-    # A piece of two vertices is a single matched edge: per 1.
-    reports = tuple(
-        _piece_report(g, parts, mate, piece) for piece in pieces if piece.bit_count() > 2
-    )
     path = max((r.path_taken for r in reports), key=_PATH_ORDER.index, default=PATH_COROLLARY)
     return PermanentReport(
-        math.prod(r.value for r in reports), g.n, sum(r.m for r in reports), num_4k,
-        sum(r.families for r in reports), path, len(cycles),
-        reports if len(pieces) > 1 else (),
+        pm * pm, g.n, sum(r.m for r in reports), num_4k,
+        sum(r.families for r in reports), path, len(cycles), reports if split else (),
     )
 
 
-def _validate_zero_one(rows) -> tuple:
-    out = []
-    width = None
-    for row in rows:
-        tup = tuple(row)
-        if width is None:
-            width = len(tup)
-        elif len(tup) != width:
-            raise ValueError("ragged matrix")
-        for x in tup:
-            if x not in (0, 1):
-                raise ValueError(f"matrix entry {x!r} is not 0 or 1")
-        out.append(tup)
-    return tuple(out)
+def count_perfect_matchings(b) -> int:
+    """Number of perfect matchings of the bipartite graph with biadjacency
+    b, which is per(b).
 
-
-def count_perfect_matchings(b, cycle_cap: int = DEFAULT_CYCLE_CAP) -> int:
-    """Number of perfect matchings of the bipartite graph with biadjacency b.
-
-    Equals per(b).  A non-square b has no perfect matching, so 0.
-    Otherwise the graph on p + q vertices with adjacency [[0, b], [b^T, 0]]
-    is built, whose permanent is per(b)^2, and the exact square root is
-    returned.  A permanent that is not a square is impossible and raises.
+    A non-square b has no perfect matching, so 0.  Otherwise it is the
+    engine's pm of the graph on p + q vertices with adjacency
+    [[0, b], [b^T, 0]], with no cycle enumeration of the whole graph.
+    Raises ValueError when b is ragged or has an entry other than 0 and 1,
+    and propagates EnumerationCapExceeded from the signing and family
+    searches.
     """
-    rows = _validate_zero_one(b)
-    p = len(rows)
-    q = len(rows[0]) if rows else 0
-    if p != q:
+    rows = tuple(b)
+    g = graph_from_biadjacency(rows)
+    # g has p + q vertices, so this is p != q.
+    if 2 * len(rows) != g.n:
         return 0
-    big = permanent_auto(graph_from_biadjacency(rows), cycle_cap=cycle_cap).value
-    root = math.isqrt(big)
-    if root * root != big:
-        raise NotAPerfectSquare(big)
-    return root
+    return _matching_count(g, bipartition(g))[0]
 
 
 class EfficiencyReport(Frozen):

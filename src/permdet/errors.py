@@ -68,16 +68,5 @@ class InternalInvariantError(PermdetError):
     """
 
 
-class NotAPerfectSquare(InternalInvariantError):
-    """Internal consistency failure: per(A(G_b)) should be a square."""
-
-    def __init__(self, value):
-        self.value = value
-        super().__init__(
-            f"doubled-graph permanent {value} is not a perfect square; "
-            "this indicates a bug, please report it"
-        )
-
-
 class VerificationMismatch(PermdetError):
     """A cross-check between independent computations disagreed."""

@@ -420,12 +420,16 @@ def test_cycles_records_index(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("per", "--bogus", "c4.edges"), ("det", "c4.edges", "--cycle-cap", "3"), ()],
-    ids=["unknown flag", "removed flag", "no command"],
+    [("per", "--bogus", "c4.edges"), ("det", "c4.edges", "--cycle-cap", "3"),
+     ("pm-count", "k33.biadj", "--cycle-cap", "3"), ("per", "c4.edges", "--cycle-cap", "-5"),
+     ("verify", "c4.edges", "--m", "-1"), ("verify", "c4.edges", "--guard-subsets", "-1"),
+     ("bench", "c4.edges", "--guard-ryser", "-1"), ()],
+    ids=["unknown flag", "removed flag", "removed pm-count flag", "negative cycle cap",
+         "negative m", "negative verify guard", "negative bench guard", "no command"],
 )
 def test_usage_error_exits_1(capsys, argv):
     # 2 means "not bipartite", so a bad command line must not exit 2
-    argv = [fixture(a) if a.endswith(".edges") else a for a in argv]
+    argv = [fixture(a) if a.endswith((".edges", ".biadj")) else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_PARSE == 1
     assert out == ""

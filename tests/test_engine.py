@@ -9,7 +9,6 @@ from permdet import (
     Cycle,
     Graph,
     InternalInvariantError,
-    NotAPerfectSquare,
     NotBipartiteError,
     PATH_COROLLARY,
     PATH_ODD,
@@ -220,6 +219,22 @@ def test_engine_memoizes_nothing(monkeypatch):
         assert permanent_auto(g).value == value, g.edges
 
 
+def test_count_perfect_matchings_lists_no_whole_graph_cycles(monkeypatch):
+    graphs = corpus.connected_bipartite_upto(8) + corpus.random_corpus()
+    graphs += corpus.four_k_free_corpus(200)
+    matrices = [corpus.biadjacency_of(g, bipartition(g).left.indices()) for g in graphs]
+    matrices = [b for b in matrices if len(b) == len(b[0])]
+    expected = [per_ryser(b) for b in matrices]
+    assert len(matrices) >= 250 and sum(count > 1 for count in expected) >= 100
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_perfect_matchings listed the whole graph's cycles")
+
+    monkeypatch.setattr(engine, "enumerate_cycles", forbidden)
+    for b, count in zip(matrices, expected):
+        assert count_perfect_matchings(b) == count, b
+
+
 def test_single_edge_pieces_are_left_out():
     # the only perfect matching is 1-4 2-5 3-6: three single-edge pieces
     g = Graph.from_edge_labels(6, [(1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)])
@@ -359,10 +374,6 @@ def test_a_solve_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_not_a_perfect_square_is_an_invariant_error():
-    assert issubclass(NotAPerfectSquare, InternalInvariantError)
-
-
 def test_count_perfect_matchings_known():
     assert count_perfect_matchings(((1, 1), (1, 1))) == 2
     assert count_perfect_matchings(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == 1
@@ -384,6 +395,9 @@ def test_count_perfect_matchings_validates_entries():
         count_perfect_matchings(((1, 2), (0, 1)))
     with pytest.raises(ValueError):
         count_perfect_matchings(((1, 1), (1,)))
+    # validated before the non-square shortcut
+    with pytest.raises(ValueError):
+        count_perfect_matchings(((1, 2, 0),))
 
 
 def test_count_perfect_matchings_random_identity():

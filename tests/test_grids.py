@@ -7,7 +7,7 @@ transfer matrix over column profiles and uses no permdet code.
 
 import corpus
 import pytest
-from permdet import PATH_PFAFFIAN, permanent_auto
+from permdet import PATH_PFAFFIAN, bipartition, count_perfect_matchings, permanent_auto
 
 
 def _column_fills(rows: int, filled: int, r: int = 0, out: int = 0):
@@ -61,3 +61,11 @@ def test_grid_permanent_is_tilings_squared(r, k):
         # a Pfaffian signing: one determinant, no cycle expanded
         assert report.path_taken == PATH_PFAFFIAN
         assert (report.m, report.families, report.pieces) == (0, 1, ())
+
+
+@pytest.mark.parametrize("r,k", [(6, 6), (6, 8), (8, 8)])
+def test_grid_matching_count_is_tilings(r, k):
+    # beyond the whole-graph cycle cap, which count_perfect_matchings never meets
+    g = corpus.grid_graph(r, k)
+    b = corpus.biadjacency_of(g, bipartition(g).left.indices())
+    assert count_perfect_matchings(b) == tilings(r, k)

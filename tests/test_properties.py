@@ -159,6 +159,6 @@ def test_expansion_does_not_depend_on_the_matching(case):
     # The matching comes from a shuffled edge order; the engine's own
     # signing and alternating-cycle search run on it.
     g, mate, _ = case
-    report = engine._piece_report(g, bipartition(g), mate, (1 << g.n) - 1)
-    assert report.value == per_ryser(g.adj)
+    pm, report = engine._piece_report(g, bipartition(g), mate, (1 << g.n) - 1)
+    assert report.value == pm * pm == per_ryser(g.adj)
     assert report.value == permanent_auto(g).value
