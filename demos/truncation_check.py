@@ -18,7 +18,6 @@ Run from the repository root:
 from pathlib import Path
 
 from permdet import (
-    DetCache,
     det_after_removal,
     enumerate_cycles,
     enumerate_disjoint_families,
@@ -36,7 +35,7 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 def truncated_sum(g, m: int) -> int:
     """The signed family sum with families larger than m dropped."""
     c4k = four_k_cycles(enumerate_cycles(g))
-    cache = DetCache()
+    cache = {}
     total = sum(
         4**fam.size * det_after_removal(g, fam.covered, cache)
         for fam in enumerate_disjoint_families(c4k)

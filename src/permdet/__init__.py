@@ -24,11 +24,7 @@ from .cycles import (
     four_k_plus_two_cycles,
     max_disjoint,
 )
-from .determinant import (
-    DetCache,
-    det_after_removal,
-    determinant,
-)
+from .determinant import det_after_removal, determinant
 from .engine import (
     EfficiencyReport,
     PATH_COROLLARY,
@@ -90,7 +86,6 @@ __all__ = [
     "CycleCapExceeded",
     "DEFAULT_CYCLE_CAP",
     "DEFAULT_FAMILY_CAP",
-    "DetCache",
     "DisjointFamily",
     "EMPTY_SET",
     "EfficiencyReport",

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: per, det, cycles, pm-count, verify, classify, bench.
+Subcommands: per, det, cycles, pm-count, verify, classify.
 Input is a file path or "-" for stdin, in one of three formats
 (edge-list, adjacency, biadjacency).
 
@@ -14,7 +14,10 @@ Exit codes: 0 success, 1 parse error (malformed input, unreadable file
 or bad command line), 2 not bipartite, 3 cap or size guard exceeded,
 4 verification mismatch, 5 internal invariant broken, 141 standard
 output closed before all of it was written (128 + SIGPIPE, as a shell
-reports a writer that a closed pipe stopped).
+reports a writer that a closed pipe stopped).  Caps and guards are
+module constants, not flags (``cycles.DEFAULT_CYCLE_CAP``,
+``oracles.RYSER_GUARD`` and the like); ``verify`` reports an oracle
+past its size guard as ``skipped(guard)``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,8 @@ import json
 import math
 import os
 import sys
-import time
 
 from .cycles import (
-    DEFAULT_CYCLE_CAP,
     enumerate_cycles,
     enumerate_disjoint_families,
     four_k_cycles,
@@ -53,11 +54,6 @@ from .graphs import (
     parse_edge_list,
 )
 from .oracles import (
-    NAIVE_GUARD,
-    REMOVAL_GUARD,
-    RYSER_GUARD,
-    SACHS_GUARD,
-    SUBSET_GUARD,
     check_parity_identity,
     check_removal_identity,
     det_via_sachs,
@@ -87,12 +83,9 @@ _EXIT_CODES = (
 
 FORMATS = ("edge-list", "adjacency", "biadjacency")
 
-_GUARDS = {"ryser": RYSER_GUARD, "naive": NAIVE_GUARD, "sachs": SACHS_GUARD,
-           "removal": REMOVAL_GUARD, "subsets": SUBSET_GUARD}
-
 
 def _non_negative(text: str) -> int:
-    """The type of every cap, guard and size on the command line."""
+    """The type of ``verify --m``."""
     try:
         value = int(text)
     except ValueError:
@@ -102,7 +95,7 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _add_command(sub, name, summary, formats=FORMATS, cycle_cap=True, guards=()):
+def _add_command(sub, name, summary, formats=FORMATS):
     sp = sub.add_parser(name, help=summary)
     sp.add_argument("path", nargs="?", default="-",
                     help="input file, or - for stdin (default)")
@@ -110,11 +103,6 @@ def _add_command(sub, name, summary, formats=FORMATS, cycle_cap=True, guards=())
                     help=f"input format (default {formats[0]})")
     sp.add_argument("--output", choices=("text", "records"), default="text",
                     help="text lines or JSON records")
-    if cycle_cap:
-        sp.add_argument("--cycle-cap", type=_non_negative, default=DEFAULT_CYCLE_CAP,
-                        help="abort cycle enumeration beyond this many cycles")
-    for guard in guards:
-        sp.add_argument(f"--guard-{guard}", type=_non_negative, default=_GUARDS[guard])
     return sp
 
 
@@ -129,19 +117,15 @@ def build_parser() -> argparse.ArgumentParser:
     per.add_argument("--show-terms", action="store_true",
                      help="also print the reference whole-graph expansion's "
                           "per-family term table")
-    _add_command(sub, "det", "exact determinant of the adjacency matrix",
-                 cycle_cap=False)
+    _add_command(sub, "det", "exact determinant of the adjacency matrix")
     _add_command(sub, "cycles", "cycle inventory and disjoint 4k families")
     _add_command(sub, "pm-count", "perfect matchings from a biadjacency matrix",
-                 formats=("biadjacency",), cycle_cap=False)
-    ver = _add_command(sub, "verify", "cross-check the engine against oracles",
-                       guards=tuple(_GUARDS))
+                 formats=("biadjacency",))
+    ver = _add_command(sub, "verify", "cross-check the engine against oracles")
     ver.add_argument("--m", type=_non_negative, default=None,
                      help="truncation size for the induced-subgraph check "
                           "(default: the full expansion's m)")
     _add_command(sub, "classify", "girth/cactus efficiency condition")
-    _add_command(sub, "bench", "time the engine against the oracles",
-                 guards=("ryser", "sachs"))
     return parser
 
 
@@ -162,13 +146,14 @@ def _load_graph(text: str, fmt: str) -> Graph:
 
 def _cmd_per(args, text: str) -> list:
     g = _load_graph(text, args.format)
-    report = permanent_auto(g, cycle_cap=args.cycle_cap)
+    report = permanent_auto(g)
     recs = [dict(record="permanent", value=report.value, n=report.n, m=report.m,
-                 num_4k_cycles=report.num_4k_cycles, path=report.path_taken)]
+                 families=report.families, num_4k_cycles=report.num_4k_cycles,
+                 path=report.path_taken)]
     if not args.show_terms:
         return recs
     # The term table is the whole graph's expansion, never a piecewise one.
-    table = permanent_theorem1(g, cycle_cap=args.cycle_cap)
+    table = permanent_theorem1(g)
     groups = {}
     for term in table.per_family_terms:
         recs.append(dict(record="term", z=term.z, covered=list(term.covered.labels()),
@@ -195,7 +180,7 @@ def _cmd_det(args, text: str) -> list:
 
 def _cmd_cycles(args, text: str) -> list:
     g = _load_graph(text, args.format)
-    cycles = enumerate_cycles(g, cap=args.cycle_cap)
+    cycles = enumerate_cycles(g)
     c4k = four_k_cycles(cycles)
     families = enumerate_disjoint_families(c4k)
     recs = [dict(record="cycle", index=idx, vertices=list(cy.labels()),
@@ -219,58 +204,40 @@ def _cmd_verify(args, text: str):
     """Yield the report, then raise on a mismatch, so the report still
     prints before the exit code."""
     g = _load_graph(text, args.format)
-    report = permanent_auto(g, cycle_cap=args.cycle_cap)
-    full = permanent_theorem1(g, cycle_cap=args.cycle_cap)
+    report = permanent_auto(g)
+    full = permanent_theorem1(g)
+    value = report.value
     checks = []
 
-    def record(name, ok, value=None):
+    def check(name, run):
+        """Record ``run() -> (ok, value)``, or skipped(guard) when an
+        oracle refuses the input's size."""
+        try:
+            ok, shown = run()
+        except SizeGuardExceeded:
+            checks.append(dict(record="check", name=name, status="skipped(guard)",
+                               value=None))
+            return
         checks.append(dict(record="check", name=name,
-                           status="ok" if ok else "mismatch", value=value))
+                           status="ok" if ok else "mismatch", value=shown))
 
-    def skipped(name):
-        checks.append(dict(record="check", name=name, status="skipped(guard)",
-                           value=None))
-
-    record("engine-agreement", full.value == report.value, report.value)
-
-    if g.n <= args.guard_ryser:
-        record("ryser", per_ryser(g.adj, guard=args.guard_ryser) == report.value,
-               report.value)
-    else:
-        skipped("ryser")
-
-    if g.n <= args.guard_naive:
-        record("naive", per_naive(g.adj, guard=args.guard_naive) == report.value,
-               report.value)
-    else:
-        skipped("naive")
-
-    if g.n <= args.guard_sachs:
-        record("sachs-per", per_via_sachs(g, guard=args.guard_sachs) == report.value,
-               report.value)
+    def sachs_det():
+        d = det_via_sachs(g)
         det_value = determinant(g.adj)
-        record("sachs-det", det_via_sachs(g, guard=args.guard_sachs) == det_value,
-               det_value)
-        record("parity-identity", check_parity_identity(g, guard=args.guard_sachs))
-    else:
-        skipped("sachs-per")
-        skipped("sachs-det")
-        skipped("parity-identity")
+        return d == det_value, det_value
 
-    if g.n <= args.guard_removal:
-        record("removal-identity", check_removal_identity(g, guard=args.guard_removal))
-    else:
-        skipped("removal-identity")
-
+    check("engine-agreement", lambda: (full.value == value, value))
+    check("ryser", lambda: (per_ryser(g.adj) == value, value))
+    check("naive", lambda: (per_naive(g.adj) == value, value))
+    check("sachs-per", lambda: (per_via_sachs(g) == value, value))
+    check("sachs-det", sachs_det)
+    check("parity-identity", lambda: (check_parity_identity(g), None))
+    check("removal-identity", lambda: (check_removal_identity(g), None))
     # The engine's m sums the pieces' largest families of bad alternating
     # cycles and can fall below the whole graph's largest 4k-cycle family,
     # which Theorem 2 is about.
     m = args.m if args.m is not None else full.m
-    if g.n <= args.guard_subsets:
-        t2 = verify_theorem2(g, m, guard=args.guard_subsets)
-        record(f"theorem2(m={m})", t2.holds_for_all)
-    else:
-        skipped(f"theorem2(m={m})")
+    check(f"theorem2(m={m})", lambda: (verify_theorem2(g, m).holds_for_all, None))
 
     failed = [c["name"] for c in checks if c["status"] == "mismatch"]
     yield dict(record="verify-path", path=report.path_taken)
@@ -282,36 +249,9 @@ def _cmd_verify(args, text: str):
 
 def _cmd_classify(args, text: str) -> list:
     g = _load_graph(text, args.format)
-    rec = classify_efficient(g, cycle_cap=args.cycle_cap)
+    rec = classify_efficient(g)
     return [dict(record="classify", is_cactus=rec.is_cactus, girth=rec.girth,
                  n=rec.n, c=rec.c, condition_holds=rec.condition_holds)]
-
-
-def _cmd_bench(args, text: str) -> list:
-    g = _load_graph(text, args.format)
-    start = time.perf_counter()
-    report = permanent_auto(g, cycle_cap=args.cycle_cap)
-    rows = [("engine", report.value, time.perf_counter() - start)]
-    oracles = (
-        ("ryser", args.guard_ryser, lambda: per_ryser(g.adj, guard=args.guard_ryser)),
-        ("sachs-per", args.guard_sachs, lambda: per_via_sachs(g, guard=args.guard_sachs)),
-    )
-    for method, guard, oracle in oracles:
-        if g.n <= guard:
-            start = time.perf_counter()
-            value = oracle()
-            rows.append((method, value, time.perf_counter() - start))
-        else:
-            rows.append((method, None, None))
-    # fixed-decimal string: json would render tiny floats in scientific notation
-    recs = [dict(record="bench", method=method, status="skipped(guard)")
-            if value is None else
-            dict(record="bench", method=method, value=value, seconds=f"{seconds:.6f}")
-            for method, value, seconds in rows]
-    recs.append(dict(record="bench-counts", n=g.n, num_cycles=report.num_cycles,
-                     num_4k_cycles=report.num_4k_cycles, num_families=report.families,
-                     path=report.path_taken))
-    return recs
 
 
 _DISPATCH = {
@@ -321,7 +261,6 @@ _DISPATCH = {
     "pm-count": _cmd_pm_count,
     "verify": _cmd_verify,
     "classify": _cmd_classify,
-    "bench": _cmd_bench,
 }
 
 
@@ -344,16 +283,10 @@ def _classify_text(r) -> str:
             f"girth-cycles: {r['c']}\ncondition-holds: {_yes(r['condition_holds'])}")
 
 
-def _bench_text(r) -> str:
-    if "value" not in r:
-        return f"{r['method']:<10} {r['status']:<24} -"
-    return f"{r['method']:<10} {str(r['value']):<24} {float(r['seconds']):.4f}"
-
-
 # Text rendering of each record kind.
 _TEXT = {
     "permanent": "permanent: {value}\npath: {path}\nn: {n}\n"
-                 "4k-cycles: {num_4k_cycles}\nm: {m}".format_map,
+                 "4k-cycles: {num_4k_cycles}\nm: {m}\nfamilies: {families}".format_map,
     "term": lambda r: f"  z={r['z']} covered={{{_labels(r['covered'])}}} det={r['det']}",
     "zgroup": "  {z}  {families}  {det_sum}  {coefficient}  {contribution}  "
               "{ordered_det_sum}".format_map,
@@ -370,16 +303,12 @@ _TEXT = {
     "check": _check_text,
     "verify": lambda r: f"verify: {'PASS' if r['passed'] else 'FAIL'}",
     "classify": _classify_text,
-    "bench": _bench_text,
-    "bench-counts": "n={n} cycles={num_cycles} 4k-cycles={num_4k_cycles} "
-                    "families={num_families} path={path}".format_map,
 }
 
 # Text lines printed once, before the first record of their kind.
 _HEADERS = {
     "term": "families:",
     "zgroup": "term table:\n  z  families  det-sum  coeff  contribution  ordered-det-sum",
-    "bench": f"{'method':<10} {'value':<24} time_s",
 }
 
 

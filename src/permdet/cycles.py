@@ -26,8 +26,8 @@ most L vertices, each family costs O(L) AND operations on c-bit
 integers, whatever the number of cycles it cannot take.  Per-vertex
 cycle masks, built in O(n * c) time, keep the extra memory at O(n * c)
 bits; a conflict mask per cycle would need O(c^2).  Both enumerations
-have a cap, and passing it raises a typed error rather than exhausting
-memory.
+have a cap, a module constant read at call time, and passing it raises
+a typed error rather than exhausting memory.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ def biconnected_blocks(g: Graph) -> list:
     return blocks
 
 
-def enumerate_cycles(g: Graph, max_len: int | None = None, cap: int | None = DEFAULT_CYCLE_CAP):
-    """All elementary cycles of ``g`` (up to ``max_len``), canonical and sorted.
+def enumerate_cycles(g: Graph):
+    """All elementary cycles of ``g``, canonical and sorted.
 
     Every cycle lies inside one biconnected block, so the search runs one
     block at a time (``biconnected_blocks``), with neighbor lists cut
@@ -160,9 +160,9 @@ def enumerate_cycles(g: Graph, max_len: int | None = None, cap: int | None = DEF
     blocked, so every cycle is discovered exactly once, already in
     canonical form, together with its vertex bitmask.  Two blocks share
     no edge, so no cycle is found twice.  Raises CycleCapExceeded when
-    more than ``cap`` cycles are found in all (pass ``cap=None`` to
-    disable the guard).
+    more than ``DEFAULT_CYCLE_CAP`` cycles are found in all.
     """
+    cap = DEFAULT_CYCLE_CAP
     found = []
     masks = {}
     for block in biconnected_blocks(g):
@@ -175,7 +175,6 @@ def enumerate_cycles(g: Graph, max_len: int | None = None, cap: int | None = DEF
             neighbors = [()] * g.n
             for v in block:
                 neighbors[v] = tuple(w for w in g.neighbors[v] if member >> w & 1)
-        limit = len(block) if max_len is None else min(max_len, len(block))
         # A cycle rooted at s needs two more vertices above s in the block.
         for s in block[:-2]:
             path = [s]
@@ -189,10 +188,10 @@ def enumerate_cycles(g: Graph, max_len: int | None = None, cap: int | None = DEF
                             cycle = tuple(path)
                             found.append(cycle)
                             masks[cycle] = onpath
-                            if cap is not None and len(found) > cap:
+                            if len(found) > cap:
                                 raise CycleCapExceeded(cap)
                         continue
-                    if w < s or onpath >> w & 1 or len(path) >= limit:
+                    if w < s or onpath >> w & 1:
                         continue
                     path.append(w)
                     onpath |= 1 << w

@@ -5,8 +5,8 @@ no rounding anywhere.
 
 ``det_after_removal`` gives det(G \\ S), the principal submatrix of A(G)
 on the kept vertices, by Bareiss on the full kept submatrix, memoized in
-a ``DetCache`` keyed by the removed vertex bitmask.  It is the
-reference: the ``det`` command, the oracles and the tests use it.
+a caller's dict keyed by the removed vertex bitmask.  It is the
+reference: the oracles, the demos and the tests use it.
 
 The engine calls ``signed_block_det``, the block evaluator under an edge
 signing, with no memo.  With the vertices ordered left side first, a
@@ -70,46 +70,17 @@ def determinant(matrix) -> int:
     return _bareiss(a)
 
 
-class DetCache:
-    """Memo of ``det_after_removal`` keyed by the removed vertex bitmask,
-    with hit and miss counters for the caller to read.
+def det_after_removal(g: Graph, removed: VertexSet, cache: dict | None = None) -> int:
+    """det of the principal submatrix of A(g) on the kept vertices.
+
+    A given ``cache`` dict memoizes it by the removed vertex bitmask.
     """
-
-    __slots__ = ("_values", "hits", "misses")
-
-    def __init__(self):
-        self._values = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: int):
-        return self._values.get(key)
-
-    def put(self, key: int, value: int):
-        self._values[key] = value
-
-    def __len__(self):
-        return len(self._values)
-
-
-def _memoized(cache: DetCache | None, key: int, compute) -> int:
     if cache is None:
-        return compute()
-    value = cache.get(key)
-    if value is not None:
-        cache.hits += 1
-        return value
-    cache.misses += 1
-    value = compute()
-    cache.put(key, value)
-    return value
-
-
-def det_after_removal(g: Graph, removed: VertexSet, cache: DetCache | None = None) -> int:
-    """det of the principal submatrix of A(g) on the kept vertices."""
-    return _memoized(
-        cache, removed.mask, lambda: determinant(adjacency_after_removal(g, removed))
-    )
+        return determinant(adjacency_after_removal(g, removed))
+    key = removed.mask
+    if key not in cache:
+        cache[key] = determinant(adjacency_after_removal(g, removed))
+    return cache[key]
 
 
 def signed_block_det(

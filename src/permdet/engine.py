@@ -45,10 +45,11 @@ from the engine: ``oracles.permanent_theorem1``, on full-order
 determinants.
 
 The order of work: the bipartition, then, in ``permanent_auto`` only,
-the cycles of the whole graph, used only for the counts reported.  Then
-one perfect matching M; with none, pm = 0 with no elimination.  M splits
-the graph at the edges that lie in no perfect matching (see
-``matching``): pm is the product over the elementary pieces.  Each piece
+the cycles of the whole graph, used only for the 4k-cycle count
+reported.  Then one perfect matching M; with none, pm = 0 with no
+elimination.  M splits the graph at the edges that lie in no perfect
+matching (see ``matching``): pm is the product over the elementary
+pieces.  Each piece
 of more than two vertices gets its signing and its bad alternating
 cycles from one search, ``matching.pfaffian_signing``, and the sum above
 runs over the families of those cycles (``cycles.disjoint_families``, on
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import math
 
-from .cycles import DEFAULT_CYCLE_CAP, disjoint_families, enumerate_cycles, four_k_cycles
+from .cycles import disjoint_families, enumerate_cycles, four_k_cycles
 from .determinant import signed_block_det
 from .errors import InternalInvariantError
 from .graphs import Bipartition, Frozen, Graph, bipartition, graph_from_biadjacency
@@ -102,15 +103,16 @@ class PermanentReport(Frozen):
     matching M the engine found, so they follow M, not the graph alone.
     A piece with no bad cycle expands the empty family alone (m 0,
     families 1), and a graph with no perfect matching reports that
-    family unevaluated.  ``num_cycles`` and ``num_4k_cycles`` count the
-    cycles of the whole graph, whatever the signing.  The terms
-    themselves are not kept; ``oracles.permanent_theorem1`` lists the
-    paper's all-plus terms.
+    family unevaluated.  ``num_4k_cycles`` counts the 4k-cycles of the
+    whole graph, whatever the signing.  The terms themselves are not
+    kept; ``oracles.permanent_theorem1`` lists the paper's all-plus
+    terms.
 
     When M splits the graph into more than one elementary piece,
     ``pieces`` holds one report per piece, whose ``n`` is the piece's
-    and whose cycle counts are 0; the value is their product.  A piece
-    that is a single edge has per 1 and is left out, and adds no family.
+    and whose ``num_4k_cycles`` is 0; the value is their product.  A
+    piece that is a single edge has per 1 and is left out, and adds no
+    family.
     """
 
     __slots__ = _fields = (
@@ -120,7 +122,6 @@ class PermanentReport(Frozen):
         "num_4k_cycles",
         "families",
         "path_taken",
-        "num_cycles",
         "pieces",
     )
 
@@ -132,7 +133,6 @@ class PermanentReport(Frozen):
         num_4k_cycles: int,
         families: int,
         path_taken: str,
-        num_cycles: int = 0,
         pieces: tuple = (),
     ):
         _set(self, "value", value)
@@ -141,7 +141,6 @@ class PermanentReport(Frozen):
         _set(self, "num_4k_cycles", num_4k_cycles)
         _set(self, "families", families)
         _set(self, "path_taken", path_taken)
-        _set(self, "num_cycles", num_cycles)
         _set(self, "pieces", pieces)
 
 
@@ -203,7 +202,7 @@ def _matching_count(g: Graph, parts: Bipartition) -> tuple:
     return math.prod(pm for pm, _ in solved), tuple(r for _, r in solved), len(pieces) > 1
 
 
-def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentReport:
+def permanent_auto(g: Graph) -> PermanentReport:
     """The permanent of ``g``: odd n gives 0 without enumerating anything,
     a graph with no perfect matching gives 0 with no elimination, and any
     other graph is solved per elementary piece by the signed sum over its
@@ -217,18 +216,18 @@ def permanent_auto(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> PermanentRep
     if g.n % 2:
         # No perfect matching can exist, so nothing is enumerated.
         return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD)
-    # The whole graph's cycles serve only the counts reported.
-    cycles = enumerate_cycles(g, cap=cycle_cap)
+    # The whole graph's cycles serve only the count reported.
+    cycles = enumerate_cycles(g)
     _check_even_cycles(cycles)
     num_4k = len(four_k_cycles(cycles))
     pm, reports, split = _matching_count(g, parts)
     if not pm:
         # Every family leaves an unmatchable rest, the empty one too.
-        return PermanentReport(0, g.n, 0, num_4k, 1, PATH_COROLLARY, len(cycles))
+        return PermanentReport(0, g.n, 0, num_4k, 1, PATH_COROLLARY)
     path = max((r.path_taken for r in reports), key=_PATH_ORDER.index, default=PATH_COROLLARY)
     return PermanentReport(
         pm * pm, g.n, sum(r.m for r in reports), num_4k,
-        sum(r.families for r in reports), path, len(cycles), reports if split else (),
+        sum(r.families for r in reports), path, reports if split else (),
     )
 
 
@@ -267,13 +266,13 @@ class EfficiencyReport(Frozen):
         _set(self, "condition_holds", condition_holds)
 
 
-def classify_efficient(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> EfficiencyReport:
+def classify_efficient(g: Graph) -> EfficiencyReport:
     """Classify a bipartite graph by the girth condition
     g0 * (c + 2) > n + c(c-1)/2 + c, compared in exact integers.
     Acyclic graphs pass trivially.
     """
     bipartition(g)
-    cycles = enumerate_cycles(g, cap=cycle_cap)
+    cycles = enumerate_cycles(g)
     _check_even_cycles(cycles)
     if not cycles:
         return EfficiencyReport(True, None, g.n, 0, True)

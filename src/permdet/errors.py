@@ -36,7 +36,7 @@ class NotBipartiteError(PermdetError):
 
 
 class CycleCapExceeded(PermdetError):
-    """Cycle enumeration passed the caller-supplied cap."""
+    """Cycle enumeration passed ``cycles.DEFAULT_CYCLE_CAP``."""
 
     def __init__(self, cap):
         self.cap = cap

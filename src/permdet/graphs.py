@@ -303,7 +303,10 @@ def parse_adjacency_matrix(text: str) -> Graph:
 
 
 def parse_biadjacency(text: str) -> tuple:
-    """Parse a ``"p q"`` header then p rows of q 0/1 entries; returns the matrix."""
+    """Parse a ``"p q"`` header then p rows of q 0/1 entries; returns the matrix.
+
+    p and q are both positive, or both 0 (the empty matrix).
+    """
     lines = list(_tokenize(text))
     if not lines:
         raise ParseError("empty input, expected 'p q' header")
@@ -314,6 +317,11 @@ def parse_biadjacency(text: str) -> tuple:
     q = _parse_int(header[1], header_no)
     if p < 0 or q < 0:
         raise ParseError("header counts must be nonnegative", header_no)
+    if (p == 0) != (q == 0):
+        # Blank rows are skipped, and with p = 0 no row would keep q.
+        raise ParseError(
+            f"header declares a {p} x {q} matrix; a side may be 0 only when both are", header_no
+        )
     body = lines[1:]
     if len(body) != p:
         raise ParseError(f"header declares {p} rows but {len(body)} follow", header_no)

@@ -19,16 +19,19 @@ half-size determinants.  ``verify_theorem2`` sums the table's terms up
 to a family size m to characterize the maximum number of
 vertex-disjoint 4k-cycles.
 
-Everything here is exponential and guarded by explicit size limits or
-caps; exceeding a guard raises instead of truncating.
+Everything here is exponential and bounded by a module constant read
+at call time: a size guard (``RYSER_GUARD``, ``NAIVE_GUARD``,
+``SACHS_GUARD``, ``REMOVAL_GUARD``, ``SUBSET_GUARD``) on the input, and
+``DEFAULT_SACHS_CAP`` on the Sachs subgraphs listed.  Passing one raises
+instead of truncating.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .cycles import DEFAULT_CYCLE_CAP, enumerate_cycles, enumerate_disjoint_families, four_k_cycles
-from .determinant import DetCache, det_after_removal
+from .cycles import enumerate_cycles, enumerate_disjoint_families, four_k_cycles
+from .determinant import det_after_removal
 from .errors import EnumerationCapExceeded, InternalInvariantError, SizeGuardExceeded
 from .graphs import Frozen, Graph, VertexSet, adjacency_after_removal, bipartition, induced_subgraph
 
@@ -50,7 +53,7 @@ def _check_square(matrix):
     return n
 
 
-def per_ryser(matrix, guard: int = RYSER_GUARD) -> int:
+def per_ryser(matrix) -> int:
     """Permanent by Ryser's inclusion-exclusion formula, exact.
 
     Column subsets are walked in Gray-code order so each step updates
@@ -60,8 +63,8 @@ def per_ryser(matrix, guard: int = RYSER_GUARD) -> int:
     n = _check_square(a)
     if n == 0:
         return 1
-    if n > guard:
-        raise SizeGuardExceeded("per_ryser", n, guard)
+    if n > RYSER_GUARD:
+        raise SizeGuardExceeded("per_ryser", n, RYSER_GUARD)
     cols = [tuple(a[i][j] for i in range(n)) for j in range(n)]
     row_sums = [0] * n
     total = 0
@@ -88,12 +91,12 @@ def per_ryser(matrix, guard: int = RYSER_GUARD) -> int:
     return total if n % 2 == 0 else -total
 
 
-def per_naive(matrix, guard: int = NAIVE_GUARD) -> int:
+def per_naive(matrix) -> int:
     """Permanent straight from the definition: sum over all permutations."""
     a = [tuple(row) for row in matrix]
     n = _check_square(a)
-    if n > guard:
-        raise SizeGuardExceeded("per_naive", n, guard)
+    if n > NAIVE_GUARD:
+        raise SizeGuardExceeded("per_naive", n, NAIVE_GUARD)
     total = 0
     for perm in permutations(range(n)):
         prod = 1
@@ -154,15 +157,17 @@ class SachsSubgraph(Frozen):
         return sum(1 for cy in self.cycle_components if cy.length % 4 == 2)
 
 
-def enumerate_sachs(g: Graph, i: int, cap: int = DEFAULT_SACHS_CAP, cycles=None) -> list:
+def enumerate_sachs(g: Graph, i: int, cycles=None) -> list:
     """All Sachs subgraphs of ``g`` covering exactly ``i`` vertices.
 
     Components (edges first, then the canonical cycle list) are chosen
     in strictly increasing position, so each subgraph appears exactly
     once and the output order is deterministic.  ``i = 0`` yields the
     single empty subgraph.  Pass a pre-enumerated ``cycles`` list to
-    avoid re-running cycle search.
+    avoid re-running cycle search.  Raises EnumerationCapExceeded past
+    ``DEFAULT_SACHS_CAP`` subgraphs.
     """
+    cap = DEFAULT_SACHS_CAP
     if not 0 <= i <= g.n:
         raise ValueError(f"i={i} outside 0..{g.n}")
     if cycles is None:
@@ -196,12 +201,12 @@ def enumerate_sachs(g: Graph, i: int, cap: int = DEFAULT_SACHS_CAP, cycles=None)
     return out
 
 
-def det_via_sachs(g: Graph, guard: int = SACHS_GUARD, cap: int = DEFAULT_SACHS_CAP) -> int:
+def det_via_sachs(g: Graph) -> int:
     """Determinant as the signed Sachs sum over spanning subgraphs."""
-    if g.n > guard:
-        raise SizeGuardExceeded("det_via_sachs", g.n, guard)
+    if g.n > SACHS_GUARD:
+        raise SizeGuardExceeded("det_via_sachs", g.n, SACHS_GUARD)
     total = 0
-    for u in enumerate_sachs(g, g.n, cap=cap):
+    for u in enumerate_sachs(g, g.n):
         term = 1 << u.c
         total += -term if (g.n - u.p) & 1 else term
     return total
@@ -212,7 +217,7 @@ def _grouped_sachs_sum(spanning) -> int:
     return sum(1 << (u.s + u.t) for u in spanning)
 
 
-def per_via_sachs(g: Graph, guard: int = SACHS_GUARD, cap: int = DEFAULT_SACHS_CAP) -> int:
+def per_via_sachs(g: Graph) -> int:
     """Permanent as the unsigned Sachs sum over spanning subgraphs.
 
     When the host has only even cycles the sum is recomputed in the
@@ -220,9 +225,9 @@ def per_via_sachs(g: Graph, guard: int = SACHS_GUARD, cap: int = DEFAULT_SACHS_C
     every cycle component is then a 4k- or (4k+2)-cycle.  A disagreement
     raises InternalInvariantError.
     """
-    if g.n > guard:
-        raise SizeGuardExceeded("per_via_sachs", g.n, guard)
-    spanning = enumerate_sachs(g, g.n, cap=cap)
+    if g.n > SACHS_GUARD:
+        raise SizeGuardExceeded("per_via_sachs", g.n, SACHS_GUARD)
+    spanning = enumerate_sachs(g, g.n)
     total = sum(1 << u.c for u in spanning)
     if all(u.c == u.s + u.t for u in spanning):
         grouped = _grouped_sachs_sum(spanning)
@@ -233,17 +238,17 @@ def per_via_sachs(g: Graph, guard: int = SACHS_GUARD, cap: int = DEFAULT_SACHS_C
     return total
 
 
-def check_parity_identity(g: Graph, guard: int = SACHS_GUARD, cap: int = DEFAULT_SACHS_CAP) -> bool:
+def check_parity_identity(g: Graph) -> bool:
     """Every spanning Sachs subgraph has n/2 == t + r (mod 2), and the
     determinant regrouped as sum of (-1)^(s + n/2) 2^(s+t) matches the
     plainly signed sum.  Vacuously true when no spanning subgraph exists.
     """
-    if g.n > guard:
-        raise SizeGuardExceeded("check_parity_identity", g.n, guard)
+    if g.n > SACHS_GUARD:
+        raise SizeGuardExceeded("check_parity_identity", g.n, SACHS_GUARD)
     half = g.n // 2
     det_sum = 0
     regrouped = 0
-    for u in enumerate_sachs(g, g.n, cap=cap):
+    for u in enumerate_sachs(g, g.n):
         if (half - (u.t + u.r)) % 2 != 0:
             return False
         term = 1 << u.c
@@ -253,16 +258,16 @@ def check_parity_identity(g: Graph, guard: int = SACHS_GUARD, cap: int = DEFAULT
     return det_sum == regrouped
 
 
-def check_removal_identity(g: Graph, guard: int = REMOVAL_GUARD, cap: int = DEFAULT_SACHS_CAP) -> bool:
+def check_removal_identity(g: Graph) -> bool:
     """Summing det(G \\ R) over all 4k-cycles R equals the same sum
     written through spanning Sachs subgraphs that contain R.
     """
-    if g.n > guard:
-        raise SizeGuardExceeded("check_removal_identity", g.n, guard)
+    if g.n > REMOVAL_GUARD:
+        raise SizeGuardExceeded("check_removal_identity", g.n, REMOVAL_GUARD)
     cycles = enumerate_cycles(g)
     c4k = four_k_cycles(cycles)
     lhs = sum(det_after_removal(g, r.vertex_set) for r in c4k)
-    spanning = enumerate_sachs(g, g.n, cap=cap, cycles=cycles)
+    spanning = enumerate_sachs(g, g.n, cycles=cycles)
     half = g.n // 2
     rhs = 0
     for r in c4k:
@@ -303,7 +308,7 @@ class Theorem1Report(Frozen):
         _set(self, "per_family_terms", per_family_terms)
 
 
-def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Theorem1Report:
+def permanent_theorem1(g: Graph) -> Theorem1Report:
     """per(G) as the paper's sum over every disjoint 4k-cycle family F of
     4^|F| * det(G minus V(F)), signed by (-1)^(n/2), with no shortcut.
 
@@ -314,8 +319,8 @@ def permanent_theorem1(g: Graph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Theorem1
     bipartition(g)
     if g.n % 2:
         return Theorem1Report(0, g.n, 0, 0, ())
-    c4k = four_k_cycles(enumerate_cycles(g, cap=cycle_cap))
-    cache = DetCache()
+    c4k = four_k_cycles(enumerate_cycles(g))
+    cache = {}
     terms = tuple(
         FamilyTerm(fam.size, fam.covered, det_after_removal(g, fam.covered, cache), 4**fam.size)
         for fam in enumerate_disjoint_families(c4k)
@@ -335,7 +340,7 @@ class Theorem2Report(Frozen):
         _set(self, "violating_subset", violating_subset)
 
 
-def verify_theorem2(g: Graph, m: int, guard: int = SUBSET_GUARD) -> Theorem2Report:
+def verify_theorem2(g: Graph, m: int) -> Theorem2Report:
     """Check per(G_i) against the size-m truncated expansion on every
     even-order induced subgraph G_i (the empty subgraph included, where
     both sides are 1).  The truncation keeps the terms of
@@ -345,8 +350,8 @@ def verify_theorem2(g: Graph, m: int, guard: int = SUBSET_GUARD) -> Theorem2Repo
     ``m`` vertex-disjoint 4k-cycles; the first violating subset (in
     bitmask order) is reported otherwise.
     """
-    if g.n > guard:
-        raise SizeGuardExceeded("verify_theorem2", g.n, guard)
+    if g.n > SUBSET_GUARD:
+        raise SizeGuardExceeded("verify_theorem2", g.n, SUBSET_GUARD)
     for mask in range(1 << g.n):
         if mask.bit_count() & 1:
             continue

@@ -213,8 +213,9 @@ def test_criterion_8_cactus_performance(capsys):
         with pytest.raises(SizeGuardExceeded):
             per_ryser(g.adj)
 
-        code = cli.main(["bench", str(corpus.FIXTURE_DIR / "cactus40.edges")])
-        out = capsys.readouterr().out
+        code = cli.main(["verify", str(corpus.FIXTURE_DIR / "cactus40.edges")])
+        out = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert out.count("skipped(guard)") == 2
-        assert "1024" in out
+        assert "engine-agreement: ok (1024)" in out
+        assert "ryser: skipped(guard)" in out
+        assert "sachs-per: skipped(guard)" in out

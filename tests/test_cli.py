@@ -1,14 +1,27 @@
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 import corpus
 import pytest
-from permdet import SizeGuardExceeded, cli, render_edge_list
+from permdet import (
+    CycleCapExceeded,
+    EnumerationCapExceeded,
+    SizeGuardExceeded,
+    check_removal_identity,
+    cli,
+    cycles,
+    oracles,
+    per_naive,
+    per_ryser,
+    per_via_sachs,
+    permanent_auto,
+    render_edge_list,
+    verify_theorem2,
+)
 
 
 def run(capsys, *argv):
@@ -48,7 +61,7 @@ def test_per_records(capsys):
     assert code == 0
     recs = records(out)
     head = recs[0]
-    assert head == {"record": "permanent", "value": 36, "n": 10, "m": 0,
+    assert head == {"record": "permanent", "value": 36, "n": 10, "m": 0, "families": 2,
                     "num_4k_cycles": 3, "path": "pfaffian_signing"}
     zgroups = {r["z"]: r for r in recs if r["record"] == "zgroup"}
     assert zgroups[1]["ordered_det_sum"] == -1
@@ -134,9 +147,9 @@ def test_verify_pass_on_tree(capsys):
     assert "mismatch" not in out
 
 
-def test_verify_pass_on_example10(capsys):
-    code, out, _ = run(capsys, "verify", fixture("example10.edges"),
-                       "--guard-naive", "8")
+def test_verify_pass_on_example10(capsys, monkeypatch):
+    monkeypatch.setattr(oracles, "NAIVE_GUARD", 8)
+    code, out, _ = run(capsys, "verify", fixture("example10.edges"))
     assert code == 0
     assert "ryser: ok (36)" in out
     assert "naive: skipped(guard)" in out
@@ -195,36 +208,17 @@ def test_classify(capsys):
                              "n": 40, "c": 5, "condition_holds": True}]
 
 
-def test_bench_skips_guarded(capsys):
-    code, out, _ = run(capsys, "bench", fixture("cactus40.edges"))
+def test_per_families_sum_over_pieces(capsys):
+    code, out, _ = run(capsys, "per", fixture("example10.edges"), "--output", "records")
     assert code == 0
-    assert "engine" in out and "1024" in out
-    assert out.count("skipped(guard)") == 2
-
-
-def test_bench_small_graph_runs_all(capsys):
-    code, out, _ = run(capsys, "bench", fixture("c8.edges"), "--output", "records")
-    assert code == 0
-    recs = records(out)
-    values = {r["method"]: r.get("value") for r in recs if r["record"] == "bench"}
-    assert values == {"engine": 4, "ryser": 4, "sachs-per": 4}
-    for r in recs:
-        if r["record"] == "bench":
-            # plain decimal, never scientific notation
-            assert "e" not in r["seconds"]
-            assert float(r["seconds"]) >= 0.0
-
-
-def test_bench_counts_sum_over_pieces(capsys):
-    code, out, _ = run(capsys, "bench", fixture("example10.edges"),
-                       "--output", "records")
-    assert code == 0
-    counts = records(out)[-1]
-    assert counts["path"] == "pfaffian_signing"
+    head = records(out)[0]
+    assert head["path"] == "pfaffian_signing"
     # both pieces are certified: the empty family and one determinant each
-    assert counts["num_families"] == 2
-    assert list(counts) == ["record", "n", "num_cycles", "num_4k_cycles",
-                            "num_families", "path"]
+    assert head["families"] == 2
+    code, out, _ = run(capsys, "per", fixture("cubic20.edges"))
+    assert code == 0
+    # one piece with bad alternating cycles: 32 families expanded
+    assert "families: 32" in out
 
 
 def test_exit_code_parse_error(capsys, monkeypatch):
@@ -246,15 +240,14 @@ def test_exit_code_not_bipartite(capsys):
     assert "odd cycle witness" in err
 
 
-def test_exit_code_cap_exceeded(capsys):
-    code, _, err = run(capsys, "per", fixture("example10.edges"), "--cycle-cap", "1")
+def test_exit_code_cap_exceeded(capsys, monkeypatch):
+    monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 1)
+    code, _, err = run(capsys, "per", fixture("example10.edges"))
     assert code == 3
     assert "cap" in err
 
 
 def test_exit_code_family_cap_exceeded(capsys, monkeypatch):
-    from permdet import cycles
-
     monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", 2)
     # cubic20 has no Pfaffian signing; its bad alternating cycles make 32
     # families
@@ -276,7 +269,7 @@ def test_exit_code_internal_invariant(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [("per", "cactus40.edges", "--show-terms"), ("bench", "c8.edges")],
+    [("per", "cactus40.edges", "--show-terms"), ("cycles", "cactus40.edges")],
 )
 def test_closed_stdout_exits_quietly(argv):
     # The reader closes the pipe before the command has started, so every
@@ -322,6 +315,7 @@ path: pfaffian_signing
 n: 10
 4k-cycles: 3
 m: 0
+families: 2
 families:
   z=0 covered={} det=0
   z=1 covered={1,2,3,4} det=0
@@ -345,6 +339,7 @@ path: odd_shortcut
 n: 3
 4k-cycles: 0
 m: 0
+families: 0
 sign: -1
 unsigned total: 0
 signed total: 0
@@ -381,13 +376,6 @@ condition-holds: no
 """,
     ("det", "example10.edges"): "determinant: 0\n",
     ("pm-count", "example10.biadj"): "perfect-matchings: 6\n",
-    ("bench", "c8.edges"): """\
-method     value                    time_s
-engine     4                        T
-ryser      4                        T
-sachs-per  4                        T
-n=8 cycles=1 4k-cycles=1 families=1 path=pfaffian_signing
-""",
 }
 
 
@@ -396,8 +384,7 @@ def test_text_output_golden(capsys, argv):
     command, name, *flags = argv
     code, out, err = run(capsys, command, fixture(name), *flags)
     assert (code, err) == (0, "")
-    # bench timings vary from run to run
-    assert re.sub(r"\d+\.\d{4}$", "T", out, flags=re.M) == GOLDEN[argv]
+    assert out == GOLDEN[argv]
 
 
 def test_per_records_total(capsys):
@@ -423,9 +410,20 @@ def test_cycles_records_index(capsys):
     [("per", "--bogus", "c4.edges"), ("det", "c4.edges", "--cycle-cap", "3"),
      ("pm-count", "k33.biadj", "--cycle-cap", "3"), ("per", "c4.edges", "--cycle-cap", "-5"),
      ("verify", "c4.edges", "--m", "-1"), ("verify", "c4.edges", "--guard-subsets", "-1"),
-     ("bench", "c4.edges", "--guard-ryser", "-1"), ()],
+     ("bench", "c4.edges", "--guard-ryser", "-1"), (),
+     # caps and guards are module constants, not flags, and bench is gone
+     ("bench", "c8.edges"), ("per", "c4.edges", "--cycle-cap", "3"),
+     ("cycles", "c4.edges", "--cycle-cap", "3"), ("classify", "c4.edges", "--cycle-cap", "3"),
+     ("verify", "c4.edges", "--cycle-cap", "3"), ("verify", "c4.edges", "--guard-ryser", "30"),
+     ("verify", "c4.edges", "--guard-naive", "8"), ("verify", "c4.edges", "--guard-sachs", "14"),
+     ("verify", "c4.edges", "--guard-removal", "12"),
+     ("verify", "c4.edges", "--guard-subsets", "14")],
     ids=["unknown flag", "removed flag", "removed pm-count flag", "negative cycle cap",
-         "negative m", "negative verify guard", "negative bench guard", "no command"],
+         "negative m", "negative verify guard", "negative bench guard", "no command",
+         "removed bench", "removed per cycle cap", "removed cycles cycle cap",
+         "removed classify cycle cap", "removed verify cycle cap", "removed guard-ryser",
+         "removed guard-naive", "removed guard-sachs", "removed guard-removal",
+         "removed guard-subsets"],
 )
 def test_usage_error_exits_1(capsys, argv):
     # 2 means "not bipartite", so a bad command line must not exit 2
@@ -440,3 +438,56 @@ def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "per", "-h")
     assert code == 0
     assert out.startswith("usage: permdet per")
+
+
+def test_biadjacency_with_one_empty_side_exits_1(capsys, monkeypatch):
+    # A 0 x 5 matrix has no perfect matching and its graph 5 vertices, so
+    # reading it as the empty matrix (pm 1, n 0) would be wrong.
+    for argv in (("pm-count", "-"), ("per", "--format", "biadjacency", "-")):
+        for header in ("0 5\n", "3 0\n"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(header))
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            shape = header.split()
+            assert f"{shape[0]} x {shape[1]} matrix" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    assert run(capsys, "pm-count", "-") == (0, "perfect-matchings: 1\n", "")
+
+
+# Each bound on exponential work is a module constant read at call time.
+# Patched below example10's size, the library call raises, and the CLI
+# exits 3 (a cap) or reports the oracle as skipped (a size guard).
+BOUNDS = [
+    (cycles, "DEFAULT_CYCLE_CAP", 3, permanent_auto, CycleCapExceeded, "per", None),
+    (oracles, "RYSER_GUARD", 9, lambda g: per_ryser(g.adj), SizeGuardExceeded,
+     "verify", "ryser: skipped(guard)"),
+    (oracles, "NAIVE_GUARD", 9, lambda g: per_naive(g.adj), SizeGuardExceeded,
+     "verify", "naive: skipped(guard)"),
+    (oracles, "SACHS_GUARD", 9, per_via_sachs, SizeGuardExceeded,
+     "verify", "sachs-per: skipped(guard)"),
+    (oracles, "REMOVAL_GUARD", 9, check_removal_identity, SizeGuardExceeded,
+     "verify", "removal-identity: skipped(guard)"),
+    (oracles, "SUBSET_GUARD", 9, lambda g: verify_theorem2(g, 2), SizeGuardExceeded,
+     "verify", "theorem2(m=2): skipped(guard)"),
+    (oracles, "DEFAULT_SACHS_CAP", 1, per_via_sachs, EnumerationCapExceeded, "verify", None),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,value,call,error,argv,expected", BOUNDS, ids=[b[1] for b in BOUNDS]
+)
+def test_bound_constants_apply_at_call_time(
+    capsys, monkeypatch, module, name, value, call, error, argv, expected
+):
+    g = corpus.example10()
+    call(g)
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(error):
+        call(g)
+    code, out, err = run(capsys, argv, fixture("example10.edges"))
+    if expected is None:
+        assert (code, out) == (3, "")
+        assert f"cap of {value}" in err
+    else:
+        assert code == 0
+        assert expected in out.splitlines()

@@ -92,17 +92,15 @@ def test_enumeration_is_relabeling_invariant():
         assert {c.vertices for c in enumerate_cycles(h)} == mapped
 
 
-def test_cycle_cap_raises():
+def test_cycle_cap_raises(monkeypatch):
+    from permdet import cycles
+
+    monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 2)
     with pytest.raises(CycleCapExceeded):
-        enumerate_cycles(corpus.example10(), cap=2)
+        enumerate_cycles(corpus.example10())
 
 
-def test_max_len_filter():
-    cycles = enumerate_cycles(corpus.example10(), max_len=4)
-    assert [c.length for c in cycles] == [4, 4, 4]
-
-
-def all_paths_cycles(g, max_len=None):
+def all_paths_cycles(g):
     """Reference enumerator: backtracking over the whole graph.
 
     The package's first cycle search, kept as the oracle for the
@@ -110,7 +108,6 @@ def all_paths_cycles(g, max_len=None):
     larger vertices, across bridges and cut vertices too, and returns
     the cycles sorted by (length, vertices).
     """
-    limit = g.n if max_len is None else min(max_len, g.n)
     found = []
     for s in range(g.n):
         path = [s]
@@ -123,7 +120,7 @@ def all_paths_cycles(g, max_len=None):
                     if len(path) >= 3 and path[1] < path[-1]:
                         found.append(tuple(path))
                     continue
-                if w < s or onpath >> w & 1 or len(path) >= limit:
+                if w < s or onpath >> w & 1:
                     continue
                 path.append(w)
                 onpath |= 1 << w
@@ -174,12 +171,11 @@ def _random_trees():
 )
 def test_cycles_match_all_paths_oracle(graphs):
     for g in graphs():
-        for max_len in (None, 3, 4, 6):
-            got = enumerate_cycles(g, max_len=max_len)
-            want = all_paths_cycles(g, max_len=max_len)
-            # Cycle equality compares vertices only; the mask is checked apart.
-            assert got == want
-            assert [c.vertex_set.mask for c in got] == [c.vertex_set.mask for c in want]
+        got = enumerate_cycles(g)
+        want = all_paths_cycles(g)
+        # Cycle equality compares vertices only; the mask is checked apart.
+        assert got == want
+        assert [c.vertex_set.mask for c in got] == [c.vertex_set.mask for c in want]
 
 
 def test_bowtie_has_two_blocks_through_the_cut_vertex():
@@ -208,11 +204,15 @@ def test_acyclic_graphs_have_no_blocks(g):
     assert biconnected_blocks(g) == []
 
 
-def test_cycle_cap_counts_across_blocks():
+def test_cycle_cap_counts_across_blocks(monkeypatch):
+    from permdet import cycles
+
     g = corpus.bridged_c8_chain(6)
+    monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 5)
     with pytest.raises(CycleCapExceeded):
-        enumerate_cycles(g, cap=5)
-    assert len(enumerate_cycles(g, cap=6)) == 6
+        enumerate_cycles(g)
+    monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 6)
+    assert len(enumerate_cycles(g)) == 6
 
 
 def test_disjoint_families_example10():

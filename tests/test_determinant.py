@@ -1,9 +1,9 @@
+import importlib
 import random
 
 import corpus
 import pytest
 from permdet import (
-    DetCache,
     VertexSet,
     bipartition,
     det_after_removal,
@@ -12,7 +12,9 @@ from permdet import (
     enumerate_disjoint_families,
     four_k_cycles,
 )
-from permdet.determinant import _memoized, signed_block_det
+from permdet.determinant import signed_block_det
+
+determinant_module = importlib.import_module("permdet.determinant")
 
 
 def laplace_det(m):
@@ -78,16 +80,18 @@ def test_determinant_rejects_nonsquare():
         determinant(((1, 2),))
 
 
-def test_det_cache_counts_hits_and_misses():
+def test_det_cache_skips_a_second_elimination(monkeypatch):
     g = corpus.example10()
-    cache = DetCache()
+    cache = {}
     removed = VertexSet.from_labels([7, 8, 9, 10])
-    first = det_after_removal(g, removed, cache)
-    again = det_after_removal(g, removed, cache)
-    assert first == again == -1
-    assert cache.misses == 1
-    assert cache.hits == 1
-    assert len(cache) == 1
+    assert det_after_removal(g, removed, cache) == -1
+    assert cache == {removed.mask: -1}
+
+    def forbidden(matrix):
+        raise AssertionError("a cached determinant was eliminated again")
+
+    monkeypatch.setattr(determinant_module, "determinant", forbidden)
+    assert det_after_removal(g, removed, cache) == -1
 
 
 def test_det_after_removal_full_graph_gives_one():
@@ -107,12 +111,16 @@ def biadjacency_det_after_removal(g, parts, removed, cache=None):
     so is every principal submatrix, so with k kept vertices on each side
     det(G minus S) = (-1)^k det(B[L', R'])^2, and 0 when the kept sides
     differ in size.  ``parts`` may be any proper 2-colouring.  A given
-    ``cache`` memoizes the block determinant by the kept mask.
+    ``cache`` dict memoizes the block determinant by the kept mask.
     """
     if removed.mask >> g.n != 0:
         raise ValueError(f"removed set {removed.labels()} not within 1..{g.n}")
     kept = ((1 << g.n) - 1) & ~removed.mask
-    d = _memoized(cache, kept, lambda: signed_block_det(g, parts, kept, {}))
+    d = cache.get(kept) if cache is not None else None
+    if d is None:
+        d = signed_block_det(g, parts, kept, {})
+        if cache is not None:
+            cache[kept] = d
     return -d * d if (kept & parts.left.mask).bit_count() & 1 else d * d
 
 
@@ -154,10 +162,11 @@ def test_biadjacency_det_matches_full_order_on_random_masks():
 def test_biadjacency_det_negative_sign_and_cache():
     g = corpus.cycle_graph(6)  # det(C6) = -4 = (-1)^3 * 2^2
     parts = bipartition(g)
-    cache = DetCache()
+    cache = {}
     assert biadjacency_det_after_removal(g, parts, VertexSet(0), cache) == -4
+    assert list(cache) == [(1 << 6) - 1]
     assert biadjacency_det_after_removal(g, parts, VertexSet(0), cache) == -4
-    assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+    assert len(cache) == 1
     # removing one vertex leaves 2 + 3 kept: zero without elimination
     assert biadjacency_det_after_removal(g, parts, VertexSet(1)) == 0
 

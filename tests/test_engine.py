@@ -84,7 +84,6 @@ def test_odd_shortcut_enumerates_nothing():
     assert report.value == 0
     assert report.path_taken == PATH_ODD
     assert report.families == 0
-    assert report.num_cycles == 0
 
 
 def test_theorem1_on_4k_free_graph_still_expands():
@@ -163,15 +162,14 @@ def test_example10_decomposed_report():
     report = permanent_auto(g)
     assert report.path_taken == PATH_PFAFFIAN
     assert (report.value, report.n, report.num_4k_cycles) == (36, 10, 3)
-    assert report.num_cycles == 4
     # both pieces are certified: one determinant each, no cycle expanded
     assert report.families == 2
     assert [(p.n, p.value, p.m) for p in report.pieces] == [(6, 9, 0), (4, 4, 0)]
     assert report.m == 0
     assert [p.families for p in report.pieces] == [1, 1]
     assert [p.path_taken for p in report.pieces] == [PATH_PFAFFIAN, PATH_PFAFFIAN]
-    # the pieces carry no cycle counts: those are the whole graph's
-    assert [(p.num_cycles, p.num_4k_cycles) for p in report.pieces] == [(0, 0), (0, 0)]
+    # the pieces carry no 4k-cycle count: that is the whole graph's
+    assert [p.num_4k_cycles for p in report.pieces] == [0, 0]
 
 
 # One of the 12 graphs of connected_bipartite_upto(8) with a 4k-cycle and a
@@ -214,7 +212,10 @@ def test_engine_memoizes_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the engine reached the determinant memo")
 
-    monkeypatch.setattr(determinant_module, "_memoized", forbidden)
+    # The memo is det_after_removal's; it builds its matrix through the
+    # module's adjacency_after_removal however a caller imported it.
+    monkeypatch.setattr(determinant_module, "det_after_removal", forbidden)
+    monkeypatch.setattr(determinant_module, "adjacency_after_removal", forbidden)
     for g, value in zip(graphs, expected):
         assert permanent_auto(g).value == value, g.edges
 
@@ -348,7 +349,7 @@ def test_negative_matching_count_raises_invariant_error(monkeypatch):
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
     triangle = Cycle.from_vertices((0, 1, 2))
-    monkeypatch.setattr(engine, "enumerate_cycles", lambda g, cap: (triangle,))
+    monkeypatch.setattr(engine, "enumerate_cycles", lambda g: (triangle,))
     for run in (permanent_auto, classify_efficient):
         with pytest.raises(InternalInvariantError, match="odd cycle"):
             run(corpus.cycle_graph(4))

@@ -135,6 +135,14 @@ def test_parse_biadjacency():
         parse_biadjacency("1 2\n1 2\n")
 
 
+@pytest.mark.parametrize("header", ["0 5", "3 0", "0 1"])
+def test_parse_biadjacency_rejects_one_empty_side(header):
+    # Blank rows are skipped, so 0 x q would lose q and read as 0 x 0.
+    p, q = header.split()
+    with pytest.raises(ParseError, match=f"line 1: header declares a {p} x {q} matrix"):
+        parse_biadjacency(header + "\n")
+
+
 def test_bipartition_example10_sides():
     bp = bipartition(corpus.example10())
     assert bp.left.labels() == (1, 3, 5, 7, 9)

@@ -110,12 +110,12 @@ def test_slotted_values_have_no_instance_dict():
 
 def test_permanent_report_repr_and_defaults():
     report = PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing")
-    assert (report.num_cycles, report.pieces) == (0, ())
+    assert report.pieces == ()
     text = repr(report)
     assert text.startswith("PermanentReport(value=4, ")
     assert "path_taken='pfaffian_signing'" in text
-    assert report == PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", num_cycles=0)
-    assert report != PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", num_cycles=1)
+    assert report == PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", pieces=())
+    assert report != PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", pieces=(report,))
 
 
 def test_values_survive_pickle_and_copy():
