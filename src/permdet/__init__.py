@@ -15,8 +15,6 @@ Quick start::
 
 from .cycles import (
     Cycle,
-    DEFAULT_CYCLE_CAP,
-    DEFAULT_FAMILY_CAP,
     DisjointFamily,
     enumerate_cycles,
     enumerate_disjoint_families,
@@ -37,7 +35,6 @@ from .engine import (
     permanent_auto,
 )
 from .errors import (
-    CycleCapExceeded,
     EnumerationCapExceeded,
     InternalInvariantError,
     NotBipartiteError,
@@ -48,18 +45,15 @@ from .errors import (
 )
 from .graphs import (
     Bipartition,
-    EMPTY_SET,
     Graph,
     VertexSet,
     adjacency_after_removal,
     bipartition,
     graph_from_biadjacency,
     induced_subgraph,
-    is_bipartite,
     parse_adjacency_matrix,
     parse_biadjacency,
     parse_edge_list,
-    render_adjacency,
     render_edge_list,
 )
 from .oracles import (
@@ -83,11 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition",
     "Cycle",
-    "CycleCapExceeded",
-    "DEFAULT_CYCLE_CAP",
-    "DEFAULT_FAMILY_CAP",
     "DisjointFamily",
-    "EMPTY_SET",
     "EfficiencyReport",
     "EnumerationCapExceeded",
     "FamilyTerm",
@@ -123,7 +113,6 @@ __all__ = [
     "four_k_plus_two_cycles",
     "graph_from_biadjacency",
     "induced_subgraph",
-    "is_bipartite",
     "max_disjoint",
     "parse_adjacency_matrix",
     "parse_biadjacency",
@@ -133,7 +122,6 @@ __all__ = [
     "per_via_sachs",
     "permanent_auto",
     "permanent_theorem1",
-    "render_adjacency",
     "render_edge_list",
     "verify_theorem2",
 ]

@@ -37,7 +37,6 @@ from .cycles import (
 from .determinant import determinant
 from .engine import classify_efficient, count_perfect_matchings, permanent_auto
 from .errors import (
-    CycleCapExceeded,
     EnumerationCapExceeded,
     InternalInvariantError,
     NotBipartiteError,
@@ -76,7 +75,7 @@ EXIT_BROKEN_PIPE = 141
 _EXIT_CODES = (
     ((ParseError, ValueError), EXIT_PARSE),
     (NotBipartiteError, EXIT_NOT_BIPARTITE),
-    ((CycleCapExceeded, EnumerationCapExceeded, SizeGuardExceeded), EXIT_CAP),
+    ((EnumerationCapExceeded, SizeGuardExceeded), EXIT_CAP),
     (VerificationMismatch, EXIT_MISMATCH),
     (InternalInvariantError, EXIT_INTERNAL),
 )
@@ -307,7 +306,7 @@ _TEXT = {
 
 # Text lines printed once, before the first record of their kind.
 _HEADERS = {
-    "term": "families:",
+    "term": "reference terms:",
     "zgroup": "term table:\n  z  families  det-sum  coeff  contribution  ordered-det-sum",
 }
 

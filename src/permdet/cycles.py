@@ -32,7 +32,7 @@ a typed error rather than exhausting memory.
 
 from __future__ import annotations
 
-from .errors import CycleCapExceeded, EnumerationCapExceeded
+from .errors import EnumerationCapExceeded
 from .graphs import Frozen, Graph, VertexSet, mask_indices
 
 _set = object.__setattr__
@@ -76,11 +76,6 @@ class Cycle(Frozen):
         if walk[-1] < walk[1]:
             walk = [walk[0]] + walk[:0:-1]
         return cls(tuple(walk))
-
-    @classmethod
-    def from_labels(cls, labels) -> "Cycle":
-        """Canonicalize a 1-indexed traversal order."""
-        return cls.from_vertices(v - 1 for v in labels)
 
     @property
     def length(self) -> int:
@@ -159,8 +154,8 @@ def enumerate_cycles(g: Graph):
     through strictly larger vertices, with vertices on the current path
     blocked, so every cycle is discovered exactly once, already in
     canonical form, together with its vertex bitmask.  Two blocks share
-    no edge, so no cycle is found twice.  Raises CycleCapExceeded when
-    more than ``DEFAULT_CYCLE_CAP`` cycles are found in all.
+    no edge, so no cycle is found twice.  Raises EnumerationCapExceeded
+    when more than ``DEFAULT_CYCLE_CAP`` cycles are found in all.
     """
     cap = DEFAULT_CYCLE_CAP
     found = []
@@ -189,7 +184,7 @@ def enumerate_cycles(g: Graph):
                             found.append(cycle)
                             masks[cycle] = onpath
                             if len(found) > cap:
-                                raise CycleCapExceeded(cap)
+                                raise EnumerationCapExceeded("cycle", cap)
                         continue
                     if w < s or onpath >> w & 1:
                         continue

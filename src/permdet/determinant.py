@@ -47,6 +47,10 @@ def _bareiss(a: list) -> int:
             row_i = a[i]
             row_k = a[k]
             factor = row_i[k]
+            if factor == 0 and pivot == prev:
+                # The update would divide row i by prev after scaling it
+                # by pivot: no change.  Sparse blocks skip most rows.
+                continue
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0

@@ -209,8 +209,8 @@ def permanent_auto(g: Graph) -> PermanentReport:
     bad alternating cycles, the pieces' values multiplied.
 
     Raises NotBipartiteError for non-bipartite input and propagates
-    CycleCapExceeded and EnumerationCapExceeded from enumeration (of
-    cycles, alternating paths or families).
+    EnumerationCapExceeded from enumeration (of cycles, alternating paths
+    or families).
     """
     parts = bipartition(g)
     if g.n % 2:

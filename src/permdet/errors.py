@@ -35,16 +35,14 @@ class NotBipartiteError(PermdetError):
         super().__init__(f"graph is not bipartite; odd cycle witness: {walk}")
 
 
-class CycleCapExceeded(PermdetError):
-    """Cycle enumeration passed ``cycles.DEFAULT_CYCLE_CAP``."""
-
-    def __init__(self, cap):
-        self.cap = cap
-        super().__init__(f"cycle enumeration exceeded cap of {cap}")
-
-
 class EnumerationCapExceeded(PermdetError):
-    """A combinatorial enumeration (e.g. Sachs subgraphs) passed its cap."""
+    """An exponential enumeration passed its cap, a module constant.
+
+    ``what`` names the enumeration: ``cycle`` (``cycles.DEFAULT_CYCLE_CAP``),
+    ``disjoint family`` (``cycles.DEFAULT_FAMILY_CAP``), ``alternating
+    path`` (``matching.DEFAULT_SIGNING_CAP``) or ``Sachs subgraph``
+    (``oracles.DEFAULT_SACHS_CAP``).
+    """
 
     def __init__(self, what, cap):
         self.cap = cap

@@ -65,33 +65,12 @@ class Frozen:
 
 
 class VertexSet(Frozen):
-    """An immutable subset of {0..n-1} stored as a bitmask, ordered by
-    ``mask``."""
+    """An immutable subset of {0..n-1} stored as a bitmask."""
 
     __slots__ = _fields = ("mask",)
 
     def __init__(self, mask: int = 0):
         _set(self, "mask", mask)
-
-    def __lt__(self, other):
-        if other.__class__ is VertexSet:
-            return self.mask < other.mask
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is VertexSet:
-            return self.mask <= other.mask
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is VertexSet:
-            return self.mask > other.mask
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is VertexSet:
-            return self.mask >= other.mask
-        return NotImplemented
 
     @classmethod
     def from_indices(cls, indices) -> "VertexSet":
@@ -102,11 +81,6 @@ class VertexSet(Frozen):
             mask |= 1 << i
         return cls(mask)
 
-    @classmethod
-    def from_labels(cls, labels) -> "VertexSet":
-        """Build from 1-indexed vertex labels."""
-        return cls.from_indices(v - 1 for v in labels)
-
     def indices(self) -> tuple:
         return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
 
@@ -114,29 +88,8 @@ class VertexSet(Frozen):
         """Sorted 1-indexed labels of the members."""
         return tuple(i + 1 for i in self.indices())
 
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        return self.mask & other.mask == 0
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
     def __contains__(self, index: int) -> bool:
         return index >= 0 and self.mask >> index & 1 == 1
-
-    def __iter__(self):
-        return iter(self.indices())
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.mask & other.mask)
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-
-EMPTY_SET = VertexSet(0)
 
 
 def mask_indices(mask: int) -> list:
@@ -216,16 +169,6 @@ class Graph(Frozen):
             (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]
         )
         return cls(n, edges)
-
-    def edge_labels(self) -> tuple:
-        """Edges as 1-indexed (u, v) pairs."""
-        return tuple((u + 1, v + 1) for u, v in self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
-
-    def vertex_set(self) -> VertexSet:
-        return VertexSet((1 << self.n) - 1)
 
 
 class Bipartition(Frozen):
@@ -344,11 +287,6 @@ def render_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_adjacency(g: Graph) -> str:
-    """Inverse of parse_adjacency_matrix."""
-    return "\n".join(" ".join(str(a) for a in row) for row in g.adj) + "\n"
-
-
 def _odd_cycle_witness(parent, u, v):
     """Closed odd walk through tree edges plus the conflict edge (u, v)."""
     chain = []
@@ -398,14 +336,6 @@ def bipartition(g: Graph) -> Bipartition:
         if c == 0:
             left |= 1 << i
     return Bipartition(VertexSet(left), VertexSet(((1 << g.n) - 1) ^ left))
-
-
-def is_bipartite(g: Graph) -> bool:
-    try:
-        bipartition(g)
-    except NotBipartiteError:
-        return False
-    return True
 
 
 def graph_from_biadjacency(b) -> Graph:

@@ -43,14 +43,34 @@ from .graphs import Bipartition, Graph, mask_indices
 DEFAULT_SIGNING_CAP = 10**6
 
 
-def _augment(u: int, neighbors, mate: list, visited: bytearray) -> bool:
-    for w in neighbors[u]:
-        if not visited[w]:
-            visited[w] = 1
-            if mate[w] < 0 or _augment(mate[w], neighbors, mate, visited):
-                mate[u] = w
-                mate[w] = u
-                return True
+def _augment(root: int, neighbors, mate: list, visited: bytearray) -> bool:
+    """Search for an augmenting path from the free left vertex ``root`` and
+    flip it into ``mate``.  Depth-first, with an explicit stack: ``path``
+    holds the left vertices and ``via[k]`` the right vertex that leads
+    from ``path[k]`` to ``path[k + 1]``, so a long path cannot overflow
+    the interpreter's recursion limit."""
+    path = [root]
+    via = []
+    iters = [iter(neighbors[root])]
+    while iters:
+        for w in iters[-1]:
+            if not visited[w]:
+                visited[w] = 1
+                break
+        else:
+            iters.pop()
+            path.pop()
+            if via:
+                via.pop()
+            continue
+        via.append(w)
+        if mate[w] < 0:
+            for u, v in zip(path, via):
+                mate[u] = v
+                mate[v] = u
+            return True
+        path.append(mate[w])
+        iters.append(iter(neighbors[mate[w]]))
     return False
 
 
@@ -59,8 +79,7 @@ def perfect_matching(g: Graph, parts: Bipartition) -> list | None:
     None when there is none.
 
     A greedy pass, then an augmenting-path (Kuhn) search from each left
-    vertex it left unmatched: O(n * e), and the recursion is at most one
-    level per left vertex.
+    vertex it left unmatched: O(n * e).
     """
     left = parts.left.indices()
     if 2 * len(left) != g.n:
@@ -78,62 +97,59 @@ def perfect_matching(g: Graph, parts: Bipartition) -> list | None:
     return mate
 
 
-def elementary_pieces(g: Graph, parts: Bipartition, mate: list | None = None) -> list:
+def elementary_pieces(g: Graph, parts: Bipartition, mate: list) -> list:
     """Vertex masks of the elementary pieces of ``g``, by smallest vertex.
 
-    ``mate`` is a perfect matching of ``g`` from ``perfect_matching``,
-    found here when not given; the result is empty when there is none.
+    ``mate`` is a perfect matching of ``g`` from ``perfect_matching``.
     The SCCs are found with Tarjan's algorithm on the alternating digraph
     of that matching, so restricted to each piece it is a perfect
-    matching of the piece.
+    matching of the piece.  The depth-first search keeps its own stack
+    of ``(vertex, arcs left)``, as ``cycles.biconnected_blocks`` does.
     """
-    if mate is None:
-        mate = perfect_matching(g, parts)
-        if mate is None:
-            return []
     neighbors = g.neighbors
     index = [-1] * g.n
     low = [0] * g.n
     on_stack = bytearray(g.n)
     stack = []
     pieces = []
-
-    def visit(u: int, visited: int) -> int:
-        index[u] = low[u] = visited
-        visited += 1
-        stack.append(u)
-        on_stack[u] = 1
-        for w in neighbors[u]:
-            x = mate[w]
-            if x == u:
-                continue
-            if index[x] < 0:
-                visited = visit(x, visited)
-                if low[x] < low[u]:
-                    low[u] = low[x]
-            elif on_stack[x] and index[x] < low[u]:
-                low[u] = index[x]
-        if low[u] == index[u]:
-            mask = 0
-            while True:
-                x = stack.pop()
-                on_stack[x] = 0
-                mask |= 1 << x | 1 << mate[x]
-                if x == u:
-                    break
-            pieces.append(mask)
-        return visited
-
-    visited = 0
+    clock = 0
     left = parts.left.mask
-    try:
-        for u in range(g.n):
-            if left >> u & 1 and index[u] < 0:
-                visited = visit(u, visited)
-    finally:
-        # visit refers to itself through its closure cell; emptying the
-        # cell frees the search state now, not at the next cyclic GC.
-        visit = None
+    for root in range(g.n):
+        if not left >> root & 1 or index[root] >= 0:
+            continue
+        index[root] = low[root] = clock
+        clock += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(neighbors[root]))]
+        while work:
+            u, arcs = work[-1]
+            for w in arcs:
+                x = mate[w]
+                if x == u:
+                    continue
+                if index[x] < 0:
+                    index[x] = low[x] = clock
+                    clock += 1
+                    stack.append(x)
+                    on_stack[x] = 1
+                    work.append((x, iter(neighbors[x])))
+                    break
+                if on_stack[x] and index[x] < low[u]:
+                    low[u] = index[x]
+            else:
+                work.pop()
+                if low[u] == index[u]:
+                    mask = 0
+                    while True:
+                        x = stack.pop()
+                        on_stack[x] = 0
+                        mask |= 1 << x | 1 << mate[x]
+                        if x == u:
+                            break
+                    pieces.append(mask)
+                if work and low[u] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[u]
     return sorted(pieces, key=lambda mask: mask & -mask)
 
 

@@ -61,10 +61,17 @@ def per_ryser(matrix) -> int:
     """
     a = [tuple(row) for row in matrix]
     n = _check_square(a)
-    if n == 0:
-        return 1
     if n > RYSER_GUARD:
         raise SizeGuardExceeded("per_ryser", n, RYSER_GUARD)
+    return _ryser(a)
+
+
+def _ryser(a) -> int:
+    """Ryser's formula on the square matrix ``a``, with no size guard, for
+    callers bounded by a guard of their own."""
+    n = len(a)
+    if n == 0:
+        return 1
     cols = [tuple(a[i][j] for i in range(n)) for j in range(n)]
     row_sums = [0] * n
     total = 0
@@ -348,7 +355,8 @@ def verify_theorem2(g: Graph, m: int) -> Theorem2Report:
 
     The check passes for all subsets exactly when ``g`` has at most
     ``m`` vertex-disjoint 4k-cycles; the first violating subset (in
-    bitmask order) is reported otherwise.
+    bitmask order) is reported otherwise.  ``SUBSET_GUARD`` alone bounds
+    the check: each per(G_i) is Ryser's formula without its own guard.
     """
     if g.n > SUBSET_GUARD:
         raise SizeGuardExceeded("verify_theorem2", g.n, SUBSET_GUARD)
@@ -359,6 +367,6 @@ def verify_theorem2(g: Graph, m: int) -> Theorem2Report:
         gi = induced_subgraph(g, keep)
         table = permanent_theorem1(gi)
         total = sum(t.contribution for t in table.per_family_terms if t.z <= m)
-        if per_ryser(gi.adj) != (-total if (gi.n // 2) & 1 else total):
+        if _ryser(gi.adj) != (-total if (gi.n // 2) & 1 else total):
             return Theorem2Report(False, keep)
     return Theorem2Report(True, None)

@@ -223,7 +223,7 @@ def biadjacency_of(g: Graph, left) -> tuple:
     rows = sorted(left)
     side = set(rows)
     cols = [v for v in range(g.n) if v not in side]
-    return tuple(tuple(int(g.has_edge(i, j)) for j in cols) for i in rows)
+    return tuple(tuple(int(j in g.neighbors[i]) for j in cols) for i in rows)
 
 
 def alternating_cycles(g: Graph, mate: list) -> list:

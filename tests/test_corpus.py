@@ -3,7 +3,7 @@ leans on it."""
 
 import corpus
 import pytest
-from permdet import is_bipartite
+from permdet import bipartition
 
 # Connected bipartite graphs on n vertices up to isomorphism; the
 # classical sequence, used to certify the exhaustive generator.
@@ -18,7 +18,7 @@ def test_connected_bipartite_counts(n, expected):
 def test_generated_graphs_are_connected_and_bipartite():
     for g in corpus.connected_bipartite_upto(8):
         assert corpus.is_connected(g)
-        assert is_bipartite(g)
+        bipartition(g)  # raises NotBipartiteError otherwise
 
 
 def test_random_corpus_is_deterministic():
@@ -36,5 +36,5 @@ def test_four_k_free_corpus_has_no_4k_cycles():
     assert len(graphs) == 200
     for g in graphs:
         assert g.n % 2 == 0
-        assert is_bipartite(g)
+        bipartition(g)  # raises NotBipartiteError otherwise
         assert four_k_cycles(enumerate_cycles(g)) == []

@@ -2,10 +2,9 @@ import random
 
 import corpus
 import pytest
+import permdet
 from permdet import (
-    DEFAULT_FAMILY_CAP,
     Cycle,
-    CycleCapExceeded,
     DisjointFamily,
     EnumerationCapExceeded,
     Graph,
@@ -16,7 +15,7 @@ from permdet import (
     four_k_plus_two_cycles,
     max_disjoint,
 )
-from permdet.cycles import biconnected_blocks
+from permdet.cycles import DEFAULT_FAMILY_CAP, biconnected_blocks
 
 
 def test_cycle_canonical_form_ignores_rotation_and_direction():
@@ -35,11 +34,11 @@ def test_cycle_rejects_degenerate_input():
 
 
 def test_cycle_labels_and_length():
-    cy = Cycle.from_labels((1, 2, 3, 4))
+    cy = Cycle.from_vertices((0, 1, 2, 3))
     assert cy.length == 4
     assert cy.is_4k
     assert cy.labels() == (1, 2, 3, 4)
-    assert not Cycle.from_labels((1, 2, 3, 4, 5, 6)).is_4k
+    assert not Cycle.from_vertices((0, 1, 2, 3, 4, 5)).is_4k
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -96,8 +95,16 @@ def test_cycle_cap_raises(monkeypatch):
     from permdet import cycles
 
     monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 2)
-    with pytest.raises(CycleCapExceeded):
+    with pytest.raises(EnumerationCapExceeded, match="^cycle enumeration exceeded cap of 2$") as info:
         enumerate_cycles(corpus.example10())
+    assert info.value.cap == 2
+
+
+def test_caps_are_read_from_cycles_only():
+    # A copy at the package root could be set but would never be read.
+    assert not hasattr(permdet, "DEFAULT_CYCLE_CAP")
+    assert not hasattr(permdet, "DEFAULT_FAMILY_CAP")
+    assert not {"DEFAULT_CYCLE_CAP", "DEFAULT_FAMILY_CAP"} & set(permdet.__all__)
 
 
 def all_paths_cycles(g):
@@ -209,7 +216,7 @@ def test_cycle_cap_counts_across_blocks(monkeypatch):
 
     g = corpus.bridged_c8_chain(6)
     monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 5)
-    with pytest.raises(CycleCapExceeded):
+    with pytest.raises(EnumerationCapExceeded):
         enumerate_cycles(g)
     monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 6)
     assert len(enumerate_cycles(g)) == 6

@@ -1,11 +1,18 @@
 import corpus
-from permdet import Graph, bipartition
+from permdet import (
+    Graph,
+    bipartition,
+    count_perfect_matchings,
+    graph_from_biadjacency,
+    permanent_auto,
+)
 from permdet.matching import elementary_pieces, perfect_matching
 
 
 def pieces(g):
+    parts = bipartition(g)
     return [tuple(i + 1 for i in range(g.n) if mask >> i & 1)
-            for mask in elementary_pieces(g, bipartition(g))]
+            for mask in elementary_pieces(g, parts, perfect_matching(g, parts))]
 
 
 def test_perfect_matching_pairs_every_vertex_along_an_edge():
@@ -13,14 +20,15 @@ def test_perfect_matching_pairs_every_vertex_along_an_edge():
         mate = perfect_matching(g, bipartition(g))
         if mate is None:
             continue
-        assert all(mate[mate[v]] == v and g.has_edge(v, mate[v]) for v in range(g.n))
+        assert all(mate[mate[v]] == v and mate[v] in g.neighbors[v] for v in range(g.n))
 
 
 def test_no_perfect_matching_means_no_pieces():
     for g in (corpus.complete_bipartite(2, 4), corpus.path_graph(5),
               Graph.from_edge_labels(4, [(1, 2), (1, 4)])):
         assert perfect_matching(g, bipartition(g)) is None
-        assert elementary_pieces(g, bipartition(g)) == []
+        report = permanent_auto(g)
+        assert (report.value, report.pieces) == (0, ())
 
 
 def test_elementary_graphs_are_one_piece():
@@ -37,3 +45,38 @@ def test_inadmissible_edges_split_the_graph():
         tuple(range(8 * b + 1, 8 * b + 9)) for b in range(3)
     ]
 
+
+# The searches below go one level deeper per left vertex, past Python's
+# default recursion limit of 1,000 for a recursive search.
+
+
+def test_long_cycle_is_one_piece_without_recursion():
+    # The alternating digraph of the 2,000-cycle is one directed
+    # 1,000-cycle, which Tarjan's search walks to its end.
+    g = corpus.cycle_graph(2000)
+    assert pieces(g) == [tuple(range(1, 2001))]
+    assert permanent_auto(g).value == 4
+    assert count_perfect_matchings(corpus.biadjacency_of(g, range(0, 2000, 2))) == 2
+
+
+def test_long_cyclic_biadjacency():
+    # Row i has 1s in columns i and i + 1 mod 1000: the 2,000-cycle again.
+    b = tuple(tuple(int(j in (i, (i + 1) % 1000)) for j in range(1000)) for i in range(1000))
+    assert count_perfect_matchings(b) == 2
+    assert permanent_auto(graph_from_biadjacency(b)).value == 4
+
+
+def test_long_augmenting_path():
+    # The path L1 R1 L2 R2 ... L1500 R1500, numbered so that the greedy
+    # pass meets L1500 first and gives every L_k with k > 1 the vertex
+    # R_(k-1).  L1 is left free, and its augmenting path runs the length
+    # of the graph.
+    n = 1500
+    left = {k: 2 * (n - k) for k in range(1, n + 1)}
+    right = {k: 2 * k - 1 for k in range(1, n + 1)}
+    edges = [(left[k], right[k]) for k in range(1, n + 1)]
+    edges += [(left[k + 1], right[k]) for k in range(1, n)]
+    g = Graph.from_edges(2 * n, edges)
+    mate = perfect_matching(g, bipartition(g))
+    assert mate is not None
+    assert all(mate[left[k]] == right[k] for k in range(1, n + 1))

@@ -86,7 +86,7 @@ def test_sachs_component_classification():
         assert u.p == u.c + u.r
         assert u.c == u.s + u.t  # bipartite host: every cycle is even
         assert u.i == 10
-        assert len(u.covered) == 10
+        assert u.covered.mask.bit_count() == 10
 
 
 def test_sachs_empty_and_odd_sizes():

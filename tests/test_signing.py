@@ -68,7 +68,7 @@ def test_cubic20_fixture_matches_ryser():
     report = permanent_auto(g)
     assert per_ryser(corpus.biadjacency_of(g, parts.left.indices())) == 76
     assert (report.value, report.path_taken) == (76**2, PATH_THEOREM1)
-    assert len(elementary_pieces(g, parts)) == 1
+    assert len(elementary_pieces(g, parts, perfect_matching(g, parts))) == 1
 
 
 def test_expansion_runs_over_the_bad_alternating_cycles():
