@@ -16,7 +16,7 @@ or bad command line), 2 not bipartite, 3 cap or size guard exceeded,
 output closed before all of it was written (128 + SIGPIPE, as a shell
 reports a writer that a closed pipe stopped).  Caps and guards are
 module constants, not flags (``cycles.DEFAULT_CYCLE_CAP``,
-``oracles.RYSER_GUARD`` and the like); ``verify`` reports an oracle
+``cycles.DEFAULT_PATH_CAP``, ``oracles.RYSER_GUARD`` and the like); ``verify`` reports an oracle
 past its size guard as ``skipped(guard)``.
 """
 

@@ -8,9 +8,9 @@ deterministic, sorted by (length, vertices).
 Every cycle lies inside one biconnected block, so cycles are searched
 one block at a time: a Hopcroft-Tarjan pass, O(n + e), splits the graph
 into blocks, and the backtracking search then runs in each block with
-neighbor lists cut down to it.  Bridges, trees and the paths between
-blocks are never walked, and since two blocks share no edge, no cycle
-is found twice.
+every vertex outside it marked as already on the path.  Bridges, trees
+and the paths between blocks are never walked, and since two blocks
+share no edge, no cycle is found twice.
 
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
@@ -26,8 +26,9 @@ most L vertices, each family costs O(L) AND operations on c-bit
 integers, whatever the number of cycles it cannot take.  Per-vertex
 cycle masks, built in O(n * c) time, keep the extra memory at O(n * c)
 bits; a conflict mask per cycle would need O(c^2).  Both enumerations
-have a cap, a module constant read at call time, and passing it raises
-a typed error rather than exhausting memory.
+have a cap, a module constant read at call time, and the cycle search
+a second one on the paths it walks; passing a cap raises a typed error
+rather than exhausting memory or running for minutes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ _set = object.__setattr__
 
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
+# Path extensions the cycle search may make per call.  An extension
+# costs 0.25-0.3 us (AMD EPYC, Python 3.11.7), so the cap stops a search
+# within about 3 s: the 2 x 22 ladder and the 6 x 6 grid stop at it.
+# The tests, demos and benchmark need at most 2,000,998 (the
+# 2,000-vertex cycle; grid_4xk 172,920, mixed_batch 23,628).
+DEFAULT_PATH_CAP = 10**7
 
 
 class Cycle(Frozen):
@@ -147,55 +154,58 @@ def enumerate_cycles(g: Graph):
     """All elementary cycles of ``g``, canonical and sorted.
 
     Every cycle lies inside one biconnected block, so the search runs one
-    block at a time (``biconnected_blocks``), with neighbor lists cut
-    down to the block; it never walks a bridge or crosses a cut vertex
-    into a block where the path cannot close.  Within a block it is a
-    backtracking search rooted at each vertex in turn: paths grow only
-    through strictly larger vertices, with vertices on the current path
-    blocked, so every cycle is discovered exactly once, already in
-    canonical form, together with its vertex bitmask.  Two blocks share
-    no edge, so no cycle is found twice.  Raises EnumerationCapExceeded
-    when more than ``DEFAULT_CYCLE_CAP`` cycles are found in all.
+    block at a time (``biconnected_blocks``), on the graph's own neighbor
+    lists with every vertex outside the block marked as already on the
+    path; it never walks a bridge or crosses a cut vertex into a block
+    where the path cannot close.  Within a block it is a backtracking
+    search rooted at each vertex in turn: paths grow only through
+    strictly larger vertices, with vertices on the current path blocked,
+    so every cycle is discovered exactly once, already in canonical form,
+    together with its vertex bitmask.  Two blocks share no edge, so no
+    cycle is found twice.
+
+    Raises EnumerationCapExceeded when more than ``DEFAULT_CYCLE_CAP``
+    cycles are found in all, or when the search extends a path more than
+    ``DEFAULT_PATH_CAP`` times in all: it walks every simple path through
+    larger vertices, and a graph with few cycles can have exponentially
+    many such paths.
     """
     cap = DEFAULT_CYCLE_CAP
+    steps = path_cap = DEFAULT_PATH_CAP
+    neighbors = g.neighbors
+    everything = (1 << g.n) - 1
     found = []
     masks = {}
     for block in biconnected_blocks(g):
-        if len(block) == g.n:
-            neighbors = g.neighbors
-        else:
-            member = 0
-            for v in block:
-                member |= 1 << v
-            neighbors = [()] * g.n
-            for v in block:
-                neighbors[v] = tuple(w for w in g.neighbors[v] if member >> w & 1)
+        outside = everything
+        for v in block:
+            outside ^= 1 << v
         # A cycle rooted at s needs two more vertices above s in the block.
         for s in block[:-2]:
             path = [s]
-            onpath = 1 << s
+            onpath = outside | 1 << s
             iters = [iter(neighbors[s])]
             while iters:
-                descended = False
                 for w in iters[-1]:
                     if w == s:
                         if len(path) >= 3 and path[1] < path[-1]:
                             cycle = tuple(path)
                             found.append(cycle)
-                            masks[cycle] = onpath
+                            masks[cycle] = onpath ^ outside
                             if len(found) > cap:
                                 raise EnumerationCapExceeded("cycle", cap)
-                        continue
-                    if w < s or onpath >> w & 1:
-                        continue
-                    path.append(w)
-                    onpath |= 1 << w
-                    iters.append(iter(neighbors[w]))
-                    descended = True
-                    break
-                if not descended:
+                    elif w > s and not onpath >> w & 1:
+                        break
+                else:
                     iters.pop()
                     onpath ^= 1 << path.pop()
+                    continue
+                steps -= 1
+                if steps < 0:
+                    raise EnumerationCapExceeded("cycle path", path_cap)
+                path.append(w)
+                onpath |= 1 << w
+                iters.append(iter(neighbors[w]))
     found.sort(key=lambda c: (len(c), c))
     # The Cycle objects are made after the search, not inside it: made
     # inside, they held about 0.6 MiB more peak RSS on 4x4-4x6 grids.

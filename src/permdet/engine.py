@@ -44,28 +44,35 @@ memoized.  The paper's whole-graph term table is a reference kept apart
 from the engine: ``oracles.permanent_theorem1``, on full-order
 determinants.
 
-The order of work: the bipartition, then, in ``permanent_auto`` only,
-the cycles of the whole graph, used only for the 4k-cycle count
-reported.  Then one perfect matching M; with none, pm = 0 with no
-elimination.  M splits the graph at the edges that lie in no perfect
-matching (see ``matching``): pm is the product over the elementary
-pieces.  Each piece
-of more than two vertices gets its signing and its bad alternating
-cycles from one search, ``matching.pfaffian_signing``, and the sum above
-runs over the families of those cycles (``cycles.disjoint_families``, on
-vertex masks).  On a piece with no 4k-cycle every alternating cycle has
-odd l, so every equation of the search asks for an even number of
-negative edges: the signing is empty, no cycle is bad, and the sum is
-the one determinant sigma_M * det(B), the paper's corollary.
-``permanent_auto`` reports per(G) = pm^2; ``count_perfect_matchings``
-returns pm itself.
+The order of work, each step on the graph the parser built:
+
+1. ``bipartition``; an odd n stops here with per 0.
+2. In ``permanent_auto`` only: the cycles of the whole graph
+   (``cycles.enumerate_cycles``) and one pass over them that checks
+   each is even and counts the 4k-cycles, the count reported.  Nothing
+   else reads them.
+3. One perfect matching M (``matching.perfect_matching``); with none,
+   pm = 0 with no elimination.
+4. The elementary pieces of M (``matching.elementary_pieces``): M splits
+   the graph at the edges that lie in no perfect matching, and pm is the
+   product over the pieces.
+5. Per piece of more than two vertices: its signing and its bad
+   alternating cycles from one search (``matching.pfaffian_signing``),
+   the families of those cycles (``cycles.disjoint_families``, on vertex
+   masks), and one determinant per family (``signed_block_det``).
+
+On a piece with no 4k-cycle every alternating cycle has odd l, so every
+equation of the search asks for an even number of negative edges: the
+signing is empty, no cycle is bad, and the sum is the one determinant
+sigma_M * det(B), the paper's corollary.  ``permanent_auto`` reports
+per(G) = pm^2; ``count_perfect_matchings`` returns pm itself.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cycles import disjoint_families, enumerate_cycles, four_k_cycles
+from .cycles import disjoint_families, enumerate_cycles
 from .determinant import signed_block_det
 from .errors import InternalInvariantError
 from .graphs import Bipartition, Frozen, Graph, bipartition, graph_from_biadjacency
@@ -144,12 +151,19 @@ class PermanentReport(Frozen):
         _set(self, "pieces", pieces)
 
 
-def _check_even_cycles(cycles) -> None:
-    # The host was already bipartition-checked, so an odd cycle here can
-    # only mean a bug in the enumerator.
+def _count_4k(cycles) -> int:
+    """The number of 4k-cycles in ``cycles``, checked to be all even in
+    the same pass."""
+    count = 0
     for cyc in cycles:
-        if cyc.length % 2:
+        length = len(cyc.vertices)
+        if length & 1:
+            # The host was already bipartition-checked, so an odd cycle
+            # here can only mean a bug in the enumerator.
             raise InternalInvariantError(f"odd cycle {cyc.labels()} in bipartite host")
+        if not length & 3:
+            count += 1
+    return count
 
 
 def _signed_sum(
@@ -209,17 +223,15 @@ def permanent_auto(g: Graph) -> PermanentReport:
     bad alternating cycles, the pieces' values multiplied.
 
     Raises NotBipartiteError for non-bipartite input and propagates
-    EnumerationCapExceeded from enumeration (of cycles, alternating paths
-    or families).
+    EnumerationCapExceeded from enumeration (of cycles or the paths their
+    search walks, alternating paths or families).
     """
     parts = bipartition(g)
     if g.n % 2:
         # No perfect matching can exist, so nothing is enumerated.
         return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD)
     # The whole graph's cycles serve only the count reported.
-    cycles = enumerate_cycles(g)
-    _check_even_cycles(cycles)
-    num_4k = len(four_k_cycles(cycles))
+    num_4k = _count_4k(enumerate_cycles(g))
     pm, reports, split = _matching_count(g, parts)
     if not pm:
         # Every family leaves an unmatchable rest, the empty one too.
@@ -273,7 +285,7 @@ def classify_efficient(g: Graph) -> EfficiencyReport:
     """
     bipartition(g)
     cycles = enumerate_cycles(g)
-    _check_even_cycles(cycles)
+    _count_4k(cycles)
     if not cycles:
         return EfficiencyReport(True, None, g.n, 0, True)
     masks = [cy.vertex_set.mask for cy in cycles]

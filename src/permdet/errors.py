@@ -39,8 +39,9 @@ class EnumerationCapExceeded(PermdetError):
     """An exponential enumeration passed its cap, a module constant.
 
     ``what`` names the enumeration: ``cycle`` (``cycles.DEFAULT_CYCLE_CAP``),
-    ``disjoint family`` (``cycles.DEFAULT_FAMILY_CAP``), ``alternating
-    path`` (``matching.DEFAULT_SIGNING_CAP``) or ``Sachs subgraph``
+    ``cycle path`` (``cycles.DEFAULT_PATH_CAP``), ``disjoint family``
+    (``cycles.DEFAULT_FAMILY_CAP``), ``alternating path``
+    (``matching.DEFAULT_SIGNING_CAP``) or ``Sachs subgraph``
     (``oracles.DEFAULT_SACHS_CAP``).
     """
 

@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
 from .errors import NotBipartiteError, ParseError
@@ -82,7 +81,7 @@ class VertexSet(Frozen):
         return cls(mask)
 
     def indices(self) -> tuple:
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+        return tuple(mask_indices(self.mask))
 
     def labels(self) -> tuple:
         """Sorted 1-indexed labels of the members."""
@@ -107,8 +106,10 @@ class Graph(Frozen):
     """Simple undirected graph on vertices 0..n-1.
 
     ``edges`` holds the 0-indexed pairs (u, v) with u < v, sorted, and
-    equality and hashing are on ``(n, edges)``.  ``neighbors[i]`` is the
-    sorted tuple of vertices adjacent to i, derived from ``edges``.
+    equality and hashing are on ``(n, edges)``.  Every constructor below
+    sorts them, and a direct ``Graph(n, edges)`` must pass them sorted:
+    ``neighbors[i]``, the tuple of vertices adjacent to i, is read off
+    ``edges`` in one pass and comes out sorted only because they are.
     ``adj``, the n x n 0/1 adjacency matrix as a tuple of tuples, is
     derived on first use and cached in the instance ``__dict__``.
     """
@@ -119,10 +120,18 @@ class Graph(Frozen):
         _set(self, "n", n)
         _set(self, "edges", edges)
         nbrs = [[] for _ in range(n)]
+        # Sorted pairs with u < v list each vertex's smaller neighbours,
+        # in increasing order, before its larger ones: no sort is needed.
         for u, v in edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        _set(self, "neighbors", tuple(tuple(sorted(b)) for b in nbrs))
+        # tuple() of a list is allocated at its final length, so it can
+        # reuse a freed tuple.  tuple() of an iterator is grown by
+        # resizing, which never does, yet it is freed onto CPython's
+        # free list for its length (up to 2,000 each): one more idle
+        # tuple per graph, a slow RSS climb over tens of thousands of
+        # solves.
+        _set(self, "neighbors", tuple([tuple(b) for b in nbrs]))
 
     @cached_property
     def adj(self) -> tuple:
@@ -214,18 +223,29 @@ def parse_edge_list(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header declares {m} edges but {len(body)} edge lines follow", header_no)
-    edges = []
+    # Each edge is checked once and stored as (smaller, larger), so the
+    # sorted set is the Graph's edge tuple as it stands.
+    edges = set()
     for line_no, tokens in body:
         if len(tokens) != 2:
             raise ParseError(f"expected 'u v', got {' '.join(tokens)!r}", line_no)
-        u = _parse_int(tokens[0], line_no)
-        v = _parse_int(tokens[1], line_no)
+        try:
+            u = int(tokens[0])
+            v = int(tokens[1])
+        except ValueError:
+            # _parse_int names the first token that is not an integer.
+            for token in tokens:
+                _parse_int(token, line_no)
+            raise
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"vertex index out of range 1..{n} in edge ({u}, {v})", line_no)
-        if u == v:
+        if u < v:
+            edges.add((u - 1, v - 1))
+        elif u > v:
+            edges.add((v - 1, u - 1))
+        else:
             raise ParseError(f"self-loop at vertex {u}", line_no)
-        edges.append((u - 1, v - 1))
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(sorted(edges)))
 
 
 def parse_adjacency_matrix(text: str) -> Graph:
@@ -313,28 +333,30 @@ def bipartition(g: Graph) -> Bipartition:
     Raises NotBipartiteError with an odd-cycle witness (1-indexed labels)
     when no 2-coloring exists.
     """
+    neighbors = g.neighbors
     color = [-1] * g.n
     parent = [0] * g.n
     left = 0
     for root in range(g.n):
-        if color[root] != -1:
+        if color[root] >= 0:
             continue
         color[root] = 0
         parent[root] = root
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
+        left |= 1 << root
+        # The loop reads the vertices appended behind it: a FIFO queue.
+        queue = [root]
+        for u in queue:
+            side = color[u]
+            for v in neighbors[u]:
+                if color[v] < 0:
+                    color[v] = side ^ 1
                     parent[v] = u
+                    if side:
+                        left |= 1 << v
                     queue.append(v)
-                elif color[v] == color[u]:
+                elif color[v] == side:
                     witness = _odd_cycle_witness(parent, u, v)
                     raise NotBipartiteError(x + 1 for x in witness)
-    for i, c in enumerate(color):
-        if c == 0:
-            left |= 1 << i
     return Bipartition(VertexSet(left), VertexSet(((1 << g.n) - 1) ^ left))
 
 
@@ -352,7 +374,8 @@ def graph_from_biadjacency(b) -> Graph:
                 raise ValueError(f"entry ({i + 1}, {j + 1}) is {a}, expected 0 or 1")
             if a:
                 edges.append((i, p + j))
-    return Graph.from_edges(p + q, edges)
+    # Row by row, column by column: already sorted, with no duplicate.
+    return Graph(p + q, tuple(edges))
 
 
 def adjacency_after_removal(g: Graph, removed: VertexSet) -> tuple:

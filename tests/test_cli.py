@@ -459,6 +459,8 @@ def test_biadjacency_with_one_empty_side_exits_1(capsys, monkeypatch):
 # exits 3 (a cap) or reports the oracle as skipped (a size guard).
 BOUNDS = [
     (cycles, "DEFAULT_CYCLE_CAP", 3, permanent_auto, EnumerationCapExceeded, "per", None),
+    # example10's whole-graph cycle search makes 40 path extensions.
+    (cycles, "DEFAULT_PATH_CAP", 39, permanent_auto, EnumerationCapExceeded, "per", None),
     # example10's two pieces need 3 path extensions in all.
     (matching, "DEFAULT_SIGNING_CAP", 2, permanent_auto, EnumerationCapExceeded, "per", None),
     # Theorem 2's check is bounded by SUBSET_GUARD alone, not by Ryser's.

@@ -158,6 +158,21 @@ def _k4():
     return Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
 
+def _bowtie():
+    """Two squares sharing vertex 0: two blocks through one cut vertex."""
+    return Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+
+
+def _bridged_blocks():
+    """A square and a hexagon through a cut vertex, then a bridge to a
+    second square, vertices shuffled, so blocks interleave in index order."""
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 0),
+             (8, 9), (9, 10), (10, 11), (11, 12), (12, 9)]
+    perm = list(range(13))
+    random.Random(3).shuffle(perm)
+    return corpus.relabel(Graph.from_edges(13, edges), perm)
+
+
 def _random_trees():
     rng = random.Random(11)
     return [corpus.random_tree(rng.randint(1, 14), rng) for _ in range(20)]
@@ -173,6 +188,7 @@ def _random_trees():
         pytest.param(lambda: (corpus.example10(),), id="example10"),
         pytest.param(_random_trees, id="random_trees"),
         pytest.param(lambda: (_k4(),), id="k4"),
+        pytest.param(lambda: (_bowtie(), _bridged_blocks()), id="cut_vertices_and_bridges"),
         pytest.param(_random_general_graphs, id="random_general_graphs"),
     ],
 )
@@ -186,8 +202,7 @@ def test_cycles_match_all_paths_oracle(graphs):
 
 
 def test_bowtie_has_two_blocks_through_the_cut_vertex():
-    # Two squares sharing vertex 0.
-    bowtie = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+    bowtie = _bowtie()
     assert biconnected_blocks(bowtie) == [(0, 1, 2, 3), (0, 4, 5, 6)]
     assert [c.vertices for c in enumerate_cycles(bowtie)] == [(0, 1, 2, 3), (0, 4, 5, 6)]
 
@@ -219,6 +234,36 @@ def test_cycle_cap_counts_across_blocks(monkeypatch):
     with pytest.raises(EnumerationCapExceeded):
         enumerate_cycles(g)
     monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 6)
+    assert len(enumerate_cycles(g)) == 6
+
+
+def test_path_cap_raises(monkeypatch):
+    from permdet import cycles
+
+    # The 2 x 12 ladder has 66 cycles but far more paths through larger
+    # vertices, and the path cap, not the cycle cap, stops the search.
+    ladder = corpus.grid_graph(2, 12)
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 1000)
+    with pytest.raises(
+        EnumerationCapExceeded, match="^cycle path enumeration exceeded cap of 1000$"
+    ) as info:
+        enumerate_cycles(ladder)
+    assert info.value.cap == 1000
+    monkeypatch.undo()
+    assert len(enumerate_cycles(ladder)) == 66
+
+
+def test_path_cap_counts_across_blocks(monkeypatch):
+    from permdet import cycles
+
+    # One 8-cycle block takes 34 path extensions, and six take 6 * 34.
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 34)
+    assert len(enumerate_cycles(corpus.bridged_c8_chain(1))) == 1
+    g = corpus.bridged_c8_chain(6)
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 203)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_cycles(g)
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 204)
     assert len(enumerate_cycles(g)) == 6
 
 

@@ -100,6 +100,75 @@ def test_parse_error_reports_line_number():
     assert str(exc.value).startswith("line 3:")
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("x 2", "line 3: non-integer token 'x'"),
+        ("1 y", "line 3: non-integer token 'y'"),
+        ("x y", "line 3: non-integer token 'x'"),
+        ("1.0 2", "line 3: non-integer token '1.0'"),
+        ("0 2", "line 3: vertex index out of range 1..3 in edge (0, 2)"),
+        ("2 4", "line 3: vertex index out of range 1..3 in edge (2, 4)"),
+        ("-1 2", "line 3: vertex index out of range 1..3 in edge (-1, 2)"),
+        ("3 3", "line 3: self-loop at vertex 3"),
+        ("1 2 3", "line 3: expected 'u v', got '1 2 3'"),
+    ],
+)
+def test_parse_edge_list_error_text(body, message):
+    # The bad line comes after a blank line, so the number counts it.
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list(f"3 1\n\n{body}\n")
+    assert str(exc.value) == message
+    assert exc.value.line_no == 3
+
+
+def _random_edges(rng, n, p):
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def _from_messy_pairs(rng):
+    # Pairs in random order and orientation, each given twice.
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in _random_edges(rng, 9, 0.4)]
+    pairs += pairs
+    rng.shuffle(pairs)
+    return Graph.from_edges(9, pairs)
+
+
+def _from_adjacency(rng):
+    return Graph.from_adjacency(Graph.from_edges(9, _random_edges(rng, 9, 0.4)).adj)
+
+
+def _from_shuffled_text(rng):
+    lines = [f"{v + 1} {u + 1}" if rng.random() < 0.5 else f"{u + 1} {v + 1}"
+             for u, v in _random_edges(rng, 9, 0.4)]
+    lines += lines[: len(lines) // 2]
+    rng.shuffle(lines)
+    return parse_edge_list("\n".join([f"9 {len(lines)}", *lines]) + "\n")
+
+
+def _from_biadjacency(rng):
+    return graph_from_biadjacency(
+        tuple(tuple(int(rng.random() < 0.5) for _ in range(5)) for _ in range(4))
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_from_messy_pairs, _from_adjacency, _from_shuffled_text, _from_biadjacency],
+    ids=["from_edges", "from_adjacency", "parse_edge_list", "graph_from_biadjacency"],
+)
+def test_neighbors_sorted_for_every_constructor(build):
+    # Graph reads neighbors off its sorted edges without sorting them.
+    rng = random.Random(17)
+    for _ in range(20):
+        g = build(rng)
+        assert list(g.edges) == sorted(set(g.edges))
+        assert all(u < v for u, v in g.edges)
+        for v, nbrs in enumerate(g.neighbors):
+            expected = sorted({b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v})
+            assert list(nbrs) == expected
+
+
 def test_parse_adjacency_round_trip():
     g = corpus.example10()
     text = "\n".join(" ".join(str(a) for a in row) for row in g.adj) + "\n"
