@@ -12,13 +12,16 @@ up, even though the expansion itself stays fast.
 Run from the repository root:
 
     python3 demos/cactus_benchmark.py
-    python3 demos/cactus_benchmark.py --max-blocks 8 --oracle-limit 16
 """
 
-import argparse
 import time
 
 from permdet import Graph, classify_efficient, per_ryser, permanent_auto
+
+# The largest number of 8-cycle blocks, and the most vertices the 2^n
+# oracle runs on.
+MAX_BLOCKS = 6
+ORACLE_LIMIT = 16
 
 
 def bridged_c8_chain(blocks: int) -> Graph:
@@ -37,18 +40,9 @@ def bridged_c8_chain(blocks: int) -> Graph:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="time the cycle-family expansion on growing cacti"
-    )
-    parser.add_argument("--max-blocks", type=int, default=6,
-                        help="largest number of 8-cycle blocks (default 6)")
-    parser.add_argument("--oracle-limit", type=int, default=16,
-                        help="run the 2^n oracle only up to this many vertices")
-    args = parser.parse_args()
-
     print(f"{'blocks':>6} {'n':>4} {'permanent':>12} {'engine_s':>9} {'oracle_s':>9} "
           f"{'certified':>9}")
-    for blocks in range(1, args.max_blocks + 1):
+    for blocks in range(1, MAX_BLOCKS + 1):
         g = bridged_c8_chain(blocks)
 
         start = time.perf_counter()
@@ -60,7 +54,7 @@ def main() -> int:
         # factor block by block, 4 ways each.
         assert report.value == 4**blocks
 
-        if g.n <= args.oracle_limit:
+        if g.n <= ORACLE_LIMIT:
             start = time.perf_counter()
             check = per_ryser(g.adj)
             oracle_s = f"{time.perf_counter() - start:9.3f}"

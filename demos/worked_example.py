@@ -20,7 +20,6 @@ from permdet import (
     determinant,
     enumerate_cycles,
     four_k_cycles,
-    four_k_plus_two_cycles,
     parse_edge_list,
     per_ryser,
     permanent_auto,
@@ -36,8 +35,9 @@ text = (FIXTURES / "example10.edges").read_text()
 g = parse_edge_list(text)
 print(f"graph: {g.n} vertices, {len(g.edges)} edges")
 
-sides = bipartition(g)
-print(f"bipartition: {sides.left.labels()} | {sides.right.labels()}")
+left = bipartition(g)
+right = tuple(v + 1 for v in range(g.n) if v not in left)
+print(f"bipartition: {left.labels()} | {right}")
 
 # ---------------------------------------------------------------------------
 # Enumerate every cycle and split by length mod 4.  Only cycles whose
@@ -45,7 +45,7 @@ print(f"bipartition: {sides.left.labels()} | {sides.right.labels()}")
 # for nothing but the inventory.
 cycles = enumerate_cycles(g)
 c4k = four_k_cycles(cycles)
-c4k2 = four_k_plus_two_cycles(cycles)
+c4k2 = [cyc for cyc in cycles if cyc.length % 4 == 2]
 print(f"\ncycles ({len(cycles)} total):")
 for cyc in cycles:
     tag = "4k" if cyc.is_4k else "4k+2"

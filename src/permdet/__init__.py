@@ -19,8 +19,6 @@ from .cycles import (
     enumerate_cycles,
     enumerate_disjoint_families,
     four_k_cycles,
-    four_k_plus_two_cycles,
-    max_disjoint,
 )
 from .determinant import det_after_removal, determinant
 from .engine import (
@@ -44,7 +42,6 @@ from .errors import (
     VerificationMismatch,
 )
 from .graphs import (
-    Bipartition,
     Graph,
     VertexSet,
     adjacency_after_removal,
@@ -54,7 +51,6 @@ from .graphs import (
     parse_adjacency_matrix,
     parse_biadjacency,
     parse_edge_list,
-    render_edge_list,
 )
 from .oracles import (
     FamilyTerm,
@@ -75,7 +71,6 @@ from .oracles import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bipartition",
     "Cycle",
     "DisjointFamily",
     "EfficiencyReport",
@@ -110,10 +105,8 @@ __all__ = [
     "enumerate_disjoint_families",
     "enumerate_sachs",
     "four_k_cycles",
-    "four_k_plus_two_cycles",
     "graph_from_biadjacency",
     "induced_subgraph",
-    "max_disjoint",
     "parse_adjacency_matrix",
     "parse_biadjacency",
     "parse_edge_list",
@@ -122,6 +115,5 @@ __all__ = [
     "per_via_sachs",
     "permanent_auto",
     "permanent_theorem1",
-    "render_edge_list",
     "verify_theorem2",
 ]

@@ -28,12 +28,7 @@ import math
 import os
 import sys
 
-from .cycles import (
-    enumerate_cycles,
-    enumerate_disjoint_families,
-    four_k_cycles,
-    four_k_plus_two_cycles,
-)
+from .cycles import enumerate_cycles, enumerate_disjoint_families, four_k_cycles
 from .determinant import determinant
 from .engine import classify_efficient, count_perfect_matchings, permanent_auto
 from .errors import (
@@ -186,7 +181,7 @@ def _cmd_cycles(args, text: str) -> list:
                  length=cy.length, is_4k=cy.is_4k)
             for idx, cy in enumerate(cycles, start=1)]
     recs.append(dict(record="cycle-summary", num_cycles=len(cycles),
-                     num_4k=len(c4k), num_4k_plus_2=len(four_k_plus_two_cycles(cycles)),
+                     num_4k=len(c4k), num_4k_plus_2=sum(cy.length % 4 == 2 for cy in cycles),
                      num_families=len(families),
                      m=max((f.size for f in families), default=0)))
     return recs

@@ -49,7 +49,10 @@ DEFAULT_PATH_CAP = 10**7
 
 
 class Cycle(Frozen):
-    """An elementary cycle in canonical traversal order (0-indexed).
+    """An elementary cycle in canonical traversal order (0-indexed), as
+    ``enumerate_cycles`` finds it: smallest vertex first, then its smaller
+    neighbour on the cycle.  ``mask`` is the bitmask of ``vertices``;
+    neither is checked.
 
     Equality and hashing are on ``vertices``; ``vertex_set`` is derived.
     """
@@ -57,32 +60,12 @@ class Cycle(Frozen):
     __slots__ = ("vertices", "vertex_set")
     _fields = ("vertices",)
 
-    def __init__(self, vertices: tuple):
+    def __init__(self, vertices: tuple, mask: int):
         _set(self, "vertices", vertices)
-        _set(self, "vertex_set", VertexSet.from_indices(vertices))
+        _set(self, "vertex_set", VertexSet(mask))
 
-    @classmethod
-    def _from_search(cls, vertices: tuple, mask: int) -> "Cycle":
-        """A cycle the search found: ``vertices`` already canonical and
-        ``mask`` their bitmask, so neither is checked or rebuilt."""
-        cycle = object.__new__(cls)
-        _set(cycle, "vertices", vertices)
-        _set(cycle, "vertex_set", VertexSet(mask))
-        return cycle
-
-    @classmethod
-    def from_vertices(cls, vertices) -> "Cycle":
-        """Canonicalize any traversal order of the cycle."""
-        walk = list(vertices)
-        if len(walk) < 3:
-            raise ValueError("a cycle needs at least 3 vertices")
-        if len(set(walk)) != len(walk):
-            raise ValueError("cycle vertices must be distinct")
-        pivot = walk.index(min(walk))
-        walk = walk[pivot:] + walk[:pivot]
-        if walk[-1] < walk[1]:
-            walk = [walk[0]] + walk[:0:-1]
-        return cls(tuple(walk))
+    def __reduce__(self):
+        return self.__class__, (self.vertices, self.vertex_set.mask)
 
     @property
     def length(self) -> int:
@@ -209,17 +192,12 @@ def enumerate_cycles(g: Graph):
     found.sort(key=lambda c: (len(c), c))
     # The Cycle objects are made after the search, not inside it: made
     # inside, they held about 0.6 MiB more peak RSS on 4x4-4x6 grids.
-    return [Cycle._from_search(c, masks[c]) for c in found]
+    return [Cycle(c, masks[c]) for c in found]
 
 
 def four_k_cycles(cycles) -> list:
     """The sublist of cycles whose length is a multiple of four."""
     return [c for c in cycles if c.is_4k]
-
-
-def four_k_plus_two_cycles(cycles) -> list:
-    """The sublist of cycles whose length is two more than a multiple of four."""
-    return [c for c in cycles if c.length % 4 == 2]
 
 
 class DisjointFamily(Frozen):
@@ -327,7 +305,3 @@ def enumerate_disjoint_families(c4k) -> list:
         for indices, covered in disjoint_families([c.vertex_set.mask for c in c4k])
     ]
 
-
-def max_disjoint(families) -> int:
-    """Largest family size; 0 when only the empty family exists."""
-    return max(f.size for f in families)

@@ -11,19 +11,19 @@ reference: the oracles, the demos and the tests use it.
 The engine calls ``signed_block_det``, the block evaluator under an edge
 signing, with no memo.  With the vertices ordered left side first, a
 bipartite A(G) is [[0, B], [B^T, 0]], and so is every principal
-submatrix; the engine
-needs only det(B_s[L', R']) on the kept left vertices L' and right
-vertices R', with entry -1 on the negative edges, its rows read from the
-neighbour lists.  The all-plus signing gives det(B[L', R']), and
-det(G \\ S) is 0 when |L'| != |R'| and (-1)^|L'| det(B[L', R'])^2
-otherwise.  Given a perfect matching of the kept vertices, the block's
-columns follow the rows' mates, which multiplies the determinant by the
-matching's sign as a permutation (the engine's sigma_T).
+submatrix, so det(G \\ S) is 0 when the kept sides L' and R' differ in
+size and (-1)^|L'| det(B[L', R'])^2 otherwise.  The engine needs only
+det(B_s[L', R']), with entry -1 on the negative edges, and only where
+it holds a perfect matching of the kept vertices: the rows are L' and
+the columns the rows' mates, read from the neighbour lists, which
+multiplies the determinant by the matching's sign as a permutation (the
+engine's sigma_T).  The left side is passed as a bitmask, the ``mask``
+of what ``graphs.bipartition`` returns.
 """
 
 from __future__ import annotations
 
-from .graphs import Bipartition, Graph, VertexSet, adjacency_after_removal, mask_indices
+from .graphs import Graph, VertexSet, adjacency_after_removal, mask_indices
 
 
 def _bareiss(a: list) -> int:
@@ -87,28 +87,20 @@ def det_after_removal(g: Graph, removed: VertexSet, cache: dict | None = None) -
     return cache[key]
 
 
-def signed_block_det(
-    g: Graph, parts: Bipartition, kept: int, negative: dict, mate: list | None = None
-) -> int:
-    """det(B_s[L', R']) on the vertices of the bitmask ``kept``.
+def signed_block_det(g: Graph, left: int, kept: int, negative: dict, mate: list) -> int:
+    """sigma * det(B_s[L', R']) on the vertices of the bitmask ``kept``.
 
-    B_s is the biadjacency block of ``g`` (rows the left side of the
-    2-colouring ``parts``, columns the right side) with entry -1 on the
-    edge from left u to right w when bit w of ``negative.get(u, 0)`` is
-    set, and +1 on every other edge.  Rows and columns are in increasing
-    vertex order, and the result is 0 without elimination when the kept
-    sides differ in size.  Given a perfect matching ``mate`` of the kept
-    vertices, column k is instead the mate of row k: that determinant is
-    sigma * det in vertex order, sigma the sign of ``mate`` as a
-    permutation.  Only the kept vertices are walked.
+    B_s is the biadjacency block of ``g`` (rows the vertices of the
+    bitmask ``left``, one side of a 2-colouring, and columns the other
+    side) with entry -1 on the edge from left u to right w when bit w of
+    ``negative.get(u, 0)`` is set, and +1 on every other edge.  ``mate``
+    is a perfect matching of the kept vertices: the rows are the kept
+    left vertices in increasing order, and column k is the mate of row k.
+    That determinant is sigma * det in vertex order, sigma the sign of
+    ``mate`` as a permutation.  Only the kept vertices are walked.
     """
-    rows = mask_indices(kept & parts.left.mask)
-    if mate is None:
-        cols = mask_indices(kept & parts.right.mask)
-        if len(rows) != len(cols):
-            return 0
-    else:
-        cols = [mate[i] for i in rows]
+    rows = mask_indices(kept & left)
+    cols = [mate[i] for i in rows]
     position = {j: k for k, j in enumerate(cols)}
     block = []
     for i in rows:

@@ -46,7 +46,8 @@ determinants.
 
 The order of work, each step on the graph the parser built:
 
-1. ``bipartition``; an odd n stops here with per 0.
+1. ``bipartition``, whose left side every later step reads as one
+   bitmask, ``left``; an odd n stops here with per 0.
 2. In ``permanent_auto`` only: the cycles of the whole graph
    (``cycles.enumerate_cycles``) and one pass over them that checks
    each is even and counts the 4k-cycles, the count reported.  Nothing
@@ -75,7 +76,7 @@ import math
 from .cycles import disjoint_families, enumerate_cycles
 from .determinant import signed_block_det
 from .errors import InternalInvariantError
-from .graphs import Bipartition, Frozen, Graph, bipartition, graph_from_biadjacency
+from .graphs import Frozen, Graph, bipartition, graph_from_biadjacency
 from .matching import elementary_pieces, perfect_matching, pfaffian_signing
 
 _set = object.__setattr__
@@ -166,9 +167,7 @@ def _count_4k(cycles) -> int:
     return count
 
 
-def _signed_sum(
-    g: Graph, parts: Bipartition, mate: list, piece: int, negative: dict, bad: list
-) -> tuple:
+def _signed_sum(g: Graph, left: int, mate: list, piece: int, negative: dict, bad: list) -> tuple:
     """pm of the subgraph induced by the vertex mask ``piece``, matched by
     ``mate``: the sum over the families T of the disjoint cycles ``bad``
     (vertex masks) of 2^|T| * sigma_T * det(B_s) on the rest, under the
@@ -180,17 +179,17 @@ def _signed_sum(
     total = 0
     for indices, covered in families:
         # Columns in the order of the rows' mates give sigma_T * det.
-        d = signed_block_det(g, parts, piece & ~covered, negative, mate)
+        d = signed_block_det(g, left, piece & ~covered, negative, mate)
         total += d << len(indices)
     return total, families
 
 
-def _piece_report(g: Graph, parts: Bipartition, mate: list, piece: int) -> tuple:
+def _piece_report(g: Graph, left: int, mate: list, piece: int) -> tuple:
     """pm of the elementary piece ``piece`` and its report: its signing
     and bad alternating cycles, then the signed sum over their families."""
-    negative, bad = pfaffian_signing(g, parts, mate, piece)
+    negative, bad = pfaffian_signing(g, left, mate, piece)
     path = PATH_THEOREM1 if bad else PATH_PFAFFIAN if negative else PATH_COROLLARY
-    pm, families = _signed_sum(g, parts, mate, piece, negative, bad)
+    pm, families = _signed_sum(g, left, mate, piece, negative, bad)
     if pm < 1:
         what = "zero permanent" if not pm else f"negative matching count {pm}"
         raise InternalInvariantError(
@@ -202,17 +201,18 @@ def _piece_report(g: Graph, parts: Bipartition, mate: list, piece: int) -> tuple
     )
 
 
-def _matching_count(g: Graph, parts: Bipartition) -> tuple:
+def _matching_count(g: Graph, left: int) -> tuple:
     """pm(g) from one perfect matching M, the product over the elementary
-    pieces M splits ``g`` into.  Returns ``(pm, reports, split)``: the
-    reports of the pieces of more than two vertices, and whether there is
-    more than one piece.  With no perfect matching, ``(0, (), False)``."""
-    mate = perfect_matching(g, parts)
+    pieces M splits ``g`` into, ``left`` the bitmask of one side.
+    Returns ``(pm, reports, split)``: the reports of the pieces of more
+    than two vertices, and whether there is more than one piece.  With
+    no perfect matching, ``(0, (), False)``."""
+    mate = perfect_matching(g, left)
     if mate is None:
         return 0, (), False
-    pieces = elementary_pieces(g, parts, mate)
+    pieces = elementary_pieces(g, left, mate)
     # A piece of two vertices is a single matched edge: pm 1.
-    solved = [_piece_report(g, parts, mate, piece) for piece in pieces if piece.bit_count() > 2]
+    solved = [_piece_report(g, left, mate, piece) for piece in pieces if piece.bit_count() > 2]
     return math.prod(pm for pm, _ in solved), tuple(r for _, r in solved), len(pieces) > 1
 
 
@@ -226,13 +226,13 @@ def permanent_auto(g: Graph) -> PermanentReport:
     EnumerationCapExceeded from enumeration (of cycles or the paths their
     search walks, alternating paths or families).
     """
-    parts = bipartition(g)
+    left = bipartition(g).mask
     if g.n % 2:
         # No perfect matching can exist, so nothing is enumerated.
         return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD)
     # The whole graph's cycles serve only the count reported.
     num_4k = _count_4k(enumerate_cycles(g))
-    pm, reports, split = _matching_count(g, parts)
+    pm, reports, split = _matching_count(g, left)
     if not pm:
         # Every family leaves an unmatchable rest, the empty one too.
         return PermanentReport(0, g.n, 0, num_4k, 1, PATH_COROLLARY)
@@ -259,7 +259,7 @@ def count_perfect_matchings(b) -> int:
     # g has p + q vertices, so this is p != q.
     if 2 * len(rows) != g.n:
         return 0
-    return _matching_count(g, bipartition(g))[0]
+    return _matching_count(g, bipartition(g).mask)[0]
 
 
 class EfficiencyReport(Frozen):

@@ -71,15 +71,6 @@ class VertexSet(Frozen):
     def __init__(self, mask: int = 0):
         _set(self, "mask", mask)
 
-    @classmethod
-    def from_indices(cls, indices) -> "VertexSet":
-        mask = 0
-        for i in indices:
-            if i < 0:
-                raise ValueError(f"negative vertex index {i}")
-            mask |= 1 << i
-        return cls(mask)
-
     def indices(self) -> tuple:
         return tuple(mask_indices(self.mask))
 
@@ -178,16 +169,6 @@ class Graph(Frozen):
             (i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]
         )
         return cls(n, edges)
-
-
-class Bipartition(Frozen):
-    """A 2-coloring: ``left`` holds the smallest vertex of each component."""
-
-    __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: VertexSet, right: VertexSet):
-        _set(self, "left", left)
-        _set(self, "right", right)
 
 
 def _tokenize(text: str):
@@ -300,13 +281,6 @@ def parse_biadjacency(text: str) -> tuple:
     return tuple(rows)
 
 
-def render_edge_list(g: Graph) -> str:
-    """Inverse of parse_edge_list (1-indexed output)."""
-    out = [f"{g.n} {len(g.edges)}"]
-    out.extend(f"{u + 1} {v + 1}" for u, v in g.edges)
-    return "\n".join(out) + "\n"
-
-
 def _odd_cycle_witness(parent, u, v):
     """Closed odd walk through tree edges plus the conflict edge (u, v)."""
     chain = []
@@ -327,8 +301,9 @@ def _odd_cycle_witness(parent, u, v):
     return cycle
 
 
-def bipartition(g: Graph) -> Bipartition:
-    """2-color ``g`` by BFS, smallest vertex of each component going left.
+def bipartition(g: Graph) -> VertexSet:
+    """2-color ``g`` by BFS and return the left side, which holds the
+    smallest vertex of each component; the right side is the rest.
 
     Raises NotBipartiteError with an odd-cycle witness (1-indexed labels)
     when no 2-coloring exists.
@@ -357,7 +332,7 @@ def bipartition(g: Graph) -> Bipartition:
                 elif color[v] == side:
                     witness = _odd_cycle_witness(parent, u, v)
                     raise NotBipartiteError(x + 1 for x in witness)
-    return Bipartition(VertexSet(left), VertexSet(((1 << g.n) - 1) ^ left))
+    return VertexSet(left)
 
 
 def graph_from_biadjacency(b) -> Graph:
@@ -392,6 +367,13 @@ def adjacency_after_removal(g: Graph, removed: VertexSet) -> tuple:
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> Graph:
-    """Induced subgraph on ``keep``, relabeled to 1..|keep| in index order."""
-    removed = VertexSet(((1 << g.n) - 1) ^ (keep.mask & ((1 << g.n) - 1)))
-    return Graph.from_adjacency(adjacency_after_removal(g, removed))
+    """Induced subgraph on ``keep``, relabeled to 1..|keep| in index order.
+
+    Members of ``keep`` at or above ``g.n`` are ignored.  Relabelling by
+    rank keeps the order of the vertices, so the kept edges, read in the
+    order of ``g.edges``, are already sorted.
+    """
+    kept = keep.mask & ((1 << g.n) - 1)
+    rank = {v: k for k, v in enumerate(mask_indices(kept))}
+    edges = tuple((rank[u], rank[v]) for u, v in g.edges if kept >> u & 1 and kept >> v & 1)
+    return Graph(len(rank), edges)

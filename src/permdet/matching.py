@@ -28,12 +28,16 @@ a Pfaffian signing (Kasteleyn 1961; Lovasz-Plummer ch. 8).
 GF(2), one row per cycle, and returns the cycles left bad.  No
 matchability test is needed: removing an M-alternating cycle leaves M
 on the rest.
+
+Each function takes the left side as one bitmask, ``left``, the
+``mask`` of what ``graphs.bipartition`` returns, and vertex sets as
+bitmasks.
 """
 
 from __future__ import annotations
 
 from .errors import EnumerationCapExceeded
-from .graphs import Bipartition, Graph, mask_indices
+from .graphs import Graph, mask_indices
 
 # Path extensions the alternating-cycle search may make per piece before
 # it raises EnumerationCapExceeded.  An extension costs 0.5-1.8 us
@@ -45,13 +49,14 @@ DEFAULT_SIGNING_CAP = 10**6
 
 def _augment(root: int, neighbors, mate: list, visited: bytearray) -> bool:
     """Search for an augmenting path from the free left vertex ``root`` and
-    flip it into ``mate``.  Depth-first, with an explicit stack: ``path``
-    holds the left vertices and ``via[k]`` the right vertex that leads
-    from ``path[k]`` to ``path[k + 1]``, so a long path cannot overflow
-    the interpreter's recursion limit."""
-    path = [root]
-    via = []
+    flip it into ``mate``.  Depth-first, with an explicit stack of the
+    left vertices' neighbour iterators, so a long path cannot overflow
+    the interpreter's recursion limit.  ``via[k]`` is the right vertex
+    taken at depth k, and until the flip the next left vertex on the
+    path is its mate, so the flip walks the path from ``root`` and no
+    list of left vertices is kept."""
     iters = [iter(neighbors[root])]
+    via = []
     while iters:
         for w in iters[-1]:
             if not visited[w]:
@@ -59,48 +64,51 @@ def _augment(root: int, neighbors, mate: list, visited: bytearray) -> bool:
                 break
         else:
             iters.pop()
-            path.pop()
             if via:
                 via.pop()
             continue
         via.append(w)
-        if mate[w] < 0:
-            for u, v in zip(path, via):
+        x = mate[w]
+        if x < 0:
+            u = root
+            for v in via:
+                x = mate[v]
                 mate[u] = v
                 mate[v] = u
+                u = x
             return True
-        path.append(mate[w])
-        iters.append(iter(neighbors[mate[w]]))
+        iters.append(iter(neighbors[x]))
     return False
 
 
-def perfect_matching(g: Graph, parts: Bipartition) -> list | None:
+def perfect_matching(g: Graph, left: int) -> list | None:
     """A perfect matching as a mate list (``mate[v]`` is v's partner), or
-    None when there is none.
+    None when there is none.  ``left`` is the bitmask of one side of a
+    2-colouring of ``g``, such as ``bipartition(g).mask``.
 
     A greedy pass, then an augmenting-path (Kuhn) search from each left
     vertex it left unmatched: O(n * e).
     """
-    left = parts.left.indices()
-    if 2 * len(left) != g.n:
+    rows = mask_indices(left)
+    if 2 * len(rows) != g.n:
         return None
     mate = [-1] * g.n
-    for u in left:
+    for u in rows:
         for w in g.neighbors[u]:
             if mate[w] < 0:
                 mate[u] = w
                 mate[w] = u
                 break
-    for u in left:
+    for u in rows:
         if mate[u] < 0 and not _augment(u, g.neighbors, mate, bytearray(g.n)):
             return None
     return mate
 
 
-def elementary_pieces(g: Graph, parts: Bipartition, mate: list) -> list:
+def elementary_pieces(g: Graph, left: int, mate: list) -> list:
     """Vertex masks of the elementary pieces of ``g``, by smallest vertex.
 
-    ``mate`` is a perfect matching of ``g`` from ``perfect_matching``.
+    ``left`` and ``mate`` are as in and from ``perfect_matching``.
     The SCCs are found with Tarjan's algorithm on the alternating digraph
     of that matching, so restricted to each piece it is a perfect
     matching of the piece.  The depth-first search keeps its own stack
@@ -113,7 +121,6 @@ def elementary_pieces(g: Graph, parts: Bipartition, mate: list) -> list:
     stack = []
     pieces = []
     clock = 0
-    left = parts.left.mask
     for root in range(g.n):
         if not left >> root & 1 or index[root] >= 0:
             continue
@@ -188,9 +195,10 @@ def _solve(basis: dict, edges: list) -> tuple:
     return negative, chosen
 
 
-def pfaffian_signing(g: Graph, parts: Bipartition, mate: list, piece: int) -> tuple:
+def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
     """A signing of the elementary piece ``piece`` (a vertex mask) and the
-    M-alternating cycles that are bad under it, as ``(negative, bad)``.
+    M-alternating cycles that are bad under it, as ``(negative, bad)``;
+    ``left`` and ``mate`` are as in and from ``perfect_matching``.
 
     ``negative`` maps a vertex to the bitmask of its neighbours across a
     negative edge, for both ends of the edge; every other edge, and every
@@ -210,10 +218,10 @@ def pfaffian_signing(g: Graph, parts: Bipartition, mate: list, piece: int) -> tu
     Raises EnumerationCapExceeded after ``DEFAULT_SIGNING_CAP`` path
     extensions, since the expansion is exact only over the whole list.
     """
-    left = mask_indices(piece & parts.left.mask)
+    piece_left = mask_indices(piece & left)
     arcs = {}
     edges = []
-    for u in left:
+    for u in piece_left:
         out = []
         for w in g.neighbors[u]:
             if w != mate[u] and piece >> w & 1:
@@ -224,7 +232,7 @@ def pfaffian_signing(g: Graph, parts: Bipartition, mate: list, piece: int) -> tu
     closed = []
     consistent = True
     steps = DEFAULT_SIGNING_CAP
-    for s in left:
+    for s in piece_left:
         path = [s]
         onpath = 1 << s
         rows = [0]

@@ -33,7 +33,7 @@ from itertools import permutations
 from .cycles import enumerate_cycles, enumerate_disjoint_families, four_k_cycles
 from .determinant import det_after_removal
 from .errors import EnumerationCapExceeded, InternalInvariantError, SizeGuardExceeded
-from .graphs import Frozen, Graph, VertexSet, adjacency_after_removal, bipartition, induced_subgraph
+from .graphs import Frozen, Graph, VertexSet, bipartition, induced_subgraph
 
 _set = object.__setattr__
 
@@ -138,10 +138,6 @@ class SachsSubgraph(Frozen):
         for cy in cycle_components:
             mask |= cy.vertex_set.mask
         _set(self, "covered", VertexSet(mask))
-
-    @property
-    def i(self) -> int:
-        return 2 * self.r + sum(cy.length for cy in self.cycle_components)
 
     @property
     def r(self) -> int:

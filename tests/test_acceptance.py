@@ -26,7 +26,6 @@ from permdet import (
     enumerate_disjoint_families,
     enumerate_sachs,
     four_k_cycles,
-    four_k_plus_two_cycles,
     graph_from_biadjacency,
     per_ryser,
     per_via_sachs,
@@ -77,7 +76,7 @@ def test_criterion_1_example10_end_to_end(capsys):
         cycles = enumerate_cycles(g)
         c4k = four_k_cycles(cycles)
         assert len(c4k) == 3
-        assert len(four_k_plus_two_cycles(cycles)) == 1
+        assert [cy.length for cy in cycles if not cy.is_4k] == [6]
         dets = [det_after_removal(g, cy.vertex_set) for cy in c4k]
         assert dets == [0, 0, -1]  # C1, C2, C3 in canonical order
 

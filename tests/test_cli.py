@@ -19,7 +19,6 @@ from permdet import (
     per_ryser,
     per_via_sachs,
     permanent_auto,
-    render_edge_list,
     verify_theorem2,
 )
 
@@ -94,7 +93,8 @@ def test_per_reads_stdin(capsys, monkeypatch):
 
 
 def test_per_past_128_vertices(capsys, monkeypatch):
-    chain = render_edge_list(corpus.bridged_c8_chain(20))
+    g = corpus.bridged_c8_chain(20)
+    chain = f"{g.n} {len(g.edges)}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in g.edges)
     monkeypatch.setattr("sys.stdin", io.StringIO(chain))
     code, out, _ = run(capsys, "per", "-")
     assert code == 0

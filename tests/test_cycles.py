@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import corpus
@@ -12,33 +13,29 @@ from permdet import (
     enumerate_cycles,
     enumerate_disjoint_families,
     four_k_cycles,
-    four_k_plus_two_cycles,
-    max_disjoint,
 )
 from permdet.cycles import DEFAULT_FAMILY_CAP, biconnected_blocks
 
 
 def test_cycle_canonical_form_ignores_rotation_and_direction():
-    base = Cycle.from_vertices((0, 1, 2, 3))
-    assert Cycle.from_vertices((2, 3, 0, 1)) == base
-    assert Cycle.from_vertices((3, 2, 1, 0)) == base
-    assert Cycle.from_vertices((1, 0, 3, 2)) == base
-    assert base.vertices[0] == min(base.vertices)
-
-
-def test_cycle_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        Cycle.from_vertices((0, 1))
-    with pytest.raises(ValueError):
-        Cycle.from_vertices((0, 1, 1))
+    # However a 6-cycle is labelled, the search returns it from its
+    # smallest vertex, towards the smaller of that vertex's neighbours.
+    ring = corpus.cycle_graph(6)
+    for perm in itertools.permutations(range(6)):
+        g = corpus.relabel(ring, perm)
+        (cy,) = enumerate_cycles(g)
+        walk = cy.vertices
+        assert walk[0] == 0 and walk[1] == min(g.neighbors[0]), perm
+        assert all(walk[i] in g.neighbors[walk[i - 1]] for i in range(6)), perm
+        assert cy.vertex_set.mask == 0b111111
 
 
 def test_cycle_labels_and_length():
-    cy = Cycle.from_vertices((0, 1, 2, 3))
+    cy = Cycle((0, 1, 2, 3), 0b1111)
     assert cy.length == 4
     assert cy.is_4k
     assert cy.labels() == (1, 2, 3, 4)
-    assert not Cycle.from_vertices((0, 1, 2, 3, 4, 5)).is_4k
+    assert not Cycle((0, 1, 2, 3, 4, 5), 0b111111).is_4k
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -57,7 +54,7 @@ def test_example10_cycle_inventory():
         ((1, 2, 3, 6, 5, 4), 6),
     ]
     assert len(four_k_cycles(cycles)) == 3
-    assert len(four_k_plus_two_cycles(cycles)) == 1
+    assert [c.length for c in cycles if not c.is_4k] == [6]
 
 
 def test_k4_has_seven_cycles():
@@ -77,18 +74,22 @@ def test_trees_have_no_cycles():
         assert enumerate_cycles(corpus.random_tree(rng.randint(1, 12), rng)) == []
 
 
+def _edge_set(walk) -> frozenset:
+    return frozenset(frozenset(pair) for pair in zip(walk, [*walk[1:], walk[0]]))
+
+
 def test_enumeration_is_relabeling_invariant():
     g = corpus.example10()
     rng = random.Random(21)
-    base = {c.vertices for c in enumerate_cycles(g)}
+    base = [c.vertices for c in enumerate_cycles(g)]
     for _ in range(5):
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = corpus.relabel(g, perm)
-        mapped = {
-            Cycle.from_vertices(tuple(perm[v] for v in cy)).vertices for cy in base
-        }
-        assert {c.vertices for c in enumerate_cycles(h)} == mapped
+        found = enumerate_cycles(h)
+        # A cycle is its edge set, whichever vertex its traversal starts at.
+        mapped = {_edge_set([perm[v] for v in cy]) for cy in base}
+        assert {_edge_set(c.vertices) for c in found} == mapped
 
 
 def test_cycle_cap_raises(monkeypatch):
@@ -138,7 +139,7 @@ def all_paths_cycles(g):
                 iters.pop()
                 onpath ^= 1 << path.pop()
     found.sort(key=lambda c: (len(c), c))
-    return [Cycle(c) for c in found]
+    return [Cycle(c, sum(1 << v for v in c)) for c in found]
 
 
 def _random_general_graphs(count=300, seed=20251018):
@@ -271,7 +272,7 @@ def test_disjoint_families_example10():
     c4k = four_k_cycles(enumerate_cycles(corpus.example10()))
     fams = enumerate_disjoint_families(c4k)
     assert [f.size for f in fams] == [0, 1, 1, 1, 2, 2]
-    assert max_disjoint(fams) == 2
+    assert max(f.size for f in fams) == 2
     for fam in fams:
         covered = 0
         for idx in fam.cycle_indices:
@@ -290,7 +291,6 @@ def test_disjoint_families_empty_input():
     fams = enumerate_disjoint_families([])
     assert len(fams) == 1
     assert fams[0].size == 0
-    assert max_disjoint(fams) == 0
 
 
 def rescanning_families(c4k) -> list:

@@ -11,8 +11,10 @@ from permdet import (
     enumerate_cycles,
     enumerate_disjoint_families,
     four_k_cycles,
+    induced_subgraph,
 )
 from permdet.determinant import signed_block_det
+from permdet.matching import perfect_matching
 
 determinant_module = importlib.import_module("permdet.determinant")
 
@@ -83,7 +85,7 @@ def test_determinant_rejects_nonsquare():
 def test_det_cache_skips_a_second_elimination(monkeypatch):
     g = corpus.example10()
     cache = {}
-    removed = VertexSet.from_indices([6, 7, 8, 9])
+    removed = VertexSet(0b1111000000)
     assert det_after_removal(g, removed, cache) == -1
     assert cache == {removed.mask: -1}
 
@@ -104,38 +106,49 @@ def test_det_after_removal_without_cache():
     assert det_after_removal(g, VertexSet(0)) == 0
 
 
-def biadjacency_det_after_removal(g, parts, removed, cache=None):
+def kept_matching(g, left, kept):
+    """A perfect matching of the vertices of the bitmask ``kept``, as a
+    mate list over all of g's vertices, or None when they have none;
+    ``perfect_matching`` on the induced subgraph, mapped back."""
+    members = [v for v in range(g.n) if kept >> v & 1]
+    sub = induced_subgraph(g, VertexSet(kept))
+    sub_mate = perfect_matching(sub, sum(1 << k for k, v in enumerate(members) if left >> v & 1))
+    if sub_mate is None:
+        return None
+    mate = [-1] * g.n
+    for k, v in enumerate(members):
+        mate[v] = members[sub_mate[k]]
+    return mate
+
+
+def biadjacency_det_after_removal(g, left, removed):
     """det(G minus ``removed``) from the all-plus biadjacency block.
 
     A bipartite A(G) is [[0, B], [B^T, 0]] with the left side first, and
     so is every principal submatrix, so with k kept vertices on each side
-    det(G minus S) = (-1)^k det(B[L', R'])^2, and 0 when the kept sides
-    differ in size.  ``parts`` may be any proper 2-colouring.  A given
-    ``cache`` dict memoizes the block determinant by the kept mask.
+    det(G minus S) = (-1)^k det(B[L', R'])^2.  ``signed_block_det`` gives
+    det(B[L', R']) up to sign in the order of a perfect matching of the
+    kept vertices; with none, det(B[L', R']) is 0.
     """
-    if removed.mask >> g.n != 0:
-        raise ValueError(f"removed set {removed.labels()} not within 1..{g.n}")
     kept = ((1 << g.n) - 1) & ~removed.mask
-    d = cache.get(kept) if cache is not None else None
-    if d is None:
-        d = signed_block_det(g, parts, kept, {})
-        if cache is not None:
-            cache[kept] = d
-    return -d * d if (kept & parts.left.mask).bit_count() & 1 else d * d
+    mate = kept_matching(g, left, kept)
+    if mate is None:
+        return 0
+    d = signed_block_det(g, left, kept, {}, mate)
+    return -d * d if (kept & left).bit_count() & 1 else d * d
 
 
 def test_biadjacency_det_matches_full_order_on_every_family_mask():
     masks_checked = 0
     for g in corpus.connected_bipartite_upto(8):
-        parts = bipartition(g)
+        left = bipartition(g).mask
         families = enumerate_disjoint_families(four_k_cycles(enumerate_cycles(g)))
         for mask in sorted({fam.covered.mask for fam in families}):
             removed = VertexSet(mask)
-            assert biadjacency_det_after_removal(g, parts, removed) == det_after_removal(
-                g, removed
-            ), (g.edges, mask)
-            masks_checked += 1
-    assert masks_checked > 1000
+            full = det_after_removal(g, removed)
+            assert biadjacency_det_after_removal(g, left, removed) == full, (g.edges, mask)
+            masks_checked += kept_matching(g, left, ((1 << g.n) - 1) & ~mask) is not None
+    assert masks_checked > 400
 
 
 def test_biadjacency_det_matches_full_order_on_random_masks():
@@ -145,15 +158,15 @@ def test_biadjacency_det_matches_full_order_on_random_masks():
     seen = {"disconnected": 0, "odd_n": 0, "unbalanced": 0, "odd_k_nonzero": 0}
     for _ in range(150):
         g = corpus.random_bipartite(rng.randint(2, 13), rng.choice((0.15, 0.35, 0.6)), rng)
-        parts = bipartition(g)
+        left = bipartition(g).mask
         seen["disconnected"] += not corpus.is_connected(g)
         seen["odd_n"] += g.n % 2
         for _ in range(16):
             removed = VertexSet(rng.getrandbits(g.n) & rng.getrandbits(g.n))
-            fast = biadjacency_det_after_removal(g, parts, removed)
+            fast = biadjacency_det_after_removal(g, left, removed)
             assert fast == det_after_removal(g, removed), (g.edges, removed.mask)
-            kept_left = (parts.left.mask & ~removed.mask).bit_count()
-            kept_right = (parts.right.mask & ~removed.mask).bit_count()
+            kept_left = (left & ~removed.mask).bit_count()
+            kept_right = g.n - removed.mask.bit_count() - kept_left
             seen["unbalanced"] += kept_left != kept_right
             seen["odd_k_nonzero"] += kept_left == kept_right and kept_left % 2 and fast != 0
     assert all(count >= 10 for count in seen.values()), seen
@@ -161,32 +174,31 @@ def test_biadjacency_det_matches_full_order_on_random_masks():
 
 def test_biadjacency_det_negative_sign_and_cache():
     g = corpus.cycle_graph(6)  # det(C6) = -4 = (-1)^3 * 2^2
-    parts = bipartition(g)
+    left = bipartition(g).mask
     cache = {}
-    assert biadjacency_det_after_removal(g, parts, VertexSet(0), cache) == -4
-    assert list(cache) == [(1 << 6) - 1]
-    assert biadjacency_det_after_removal(g, parts, VertexSet(0), cache) == -4
-    assert len(cache) == 1
-    # removing one vertex leaves 2 + 3 kept: zero without elimination
-    assert biadjacency_det_after_removal(g, parts, VertexSet(1)) == 0
+    assert biadjacency_det_after_removal(g, left, VertexSet(0)) == -4
+    assert det_after_removal(g, VertexSet(0), cache) == -4
+    assert cache == {0: -4}
+    # removing one vertex leaves 2 + 3 kept: no perfect matching, det 0
+    assert biadjacency_det_after_removal(g, left, VertexSet(1)) == 0
+    assert det_after_removal(g, VertexSet(1)) == 0
 
 
 def test_biadjacency_det_rejects_out_of_range_removal():
+    # The full-order reference names a removed set outside 1..n.
     g = corpus.cycle_graph(4)
-    with pytest.raises(ValueError):
-        biadjacency_det_after_removal(g, bipartition(g), VertexSet(1 << 4))
+    with pytest.raises(ValueError, match=r"removed set \(5,\) not within 1..4"):
+        det_after_removal(g, VertexSet(1 << 4))
 
 
 def test_block_det_in_matching_order_carries_the_matching_sign():
-    # Columns in the order of the rows' mates: det times the sign of the
-    # matching, counted here by inversions.
-    from permdet.matching import perfect_matching
-
+    # Columns in the order of the rows' mates: det of the signed block in
+    # vertex order times the sign of the matching, counted by inversions.
     rng = random.Random(77)
     flipped = 0
     for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus(60):
-        parts = bipartition(g)
-        mate = perfect_matching(g, parts)
+        left = bipartition(g)
+        mate = perfect_matching(g, left.mask)
         if mate is None:
             continue
         negative = {}
@@ -194,11 +206,14 @@ def test_block_det_in_matching_order_carries_the_matching_sign():
             if rng.random() < 0.5:
                 negative[u] = negative.get(u, 0) | 1 << v
                 negative[v] = negative.get(v, 0) | 1 << u
-        ws = [mate[u] for u in parts.left.indices()]
+        rows = left.indices()
+        cols = [v for v in range(g.n) if v not in left]
+        signed = [[(-1) ** (negative.get(u, 0) >> w & 1) * b for w, b in zip(cols, row)]
+                  for u, row in zip(rows, corpus.biadjacency_of(g, rows))]
+        ws = [mate[u] for u in rows]
         inversions = sum(a > b for i, a in enumerate(ws) for b in ws[i + 1:])
-        full = (1 << g.n) - 1
-        expected = (-1) ** inversions * signed_block_det(g, parts, full, negative)
-        assert signed_block_det(g, parts, full, negative, mate=mate) == expected, g.edges
+        expected = (-1) ** inversions * determinant(signed)
+        assert signed_block_det(g, left.mask, (1 << g.n) - 1, negative, mate) == expected, g.edges
         # only an odd matching tells the two column orders apart
         flipped += expected != 0 and inversions % 2
     assert flipped >= 10

@@ -23,7 +23,6 @@ from permdet import (
     per_ryser,
     permanent_auto,
     permanent_theorem1,
-    render_edge_list,
 )
 from permdet import engine
 from permdet.matching import elementary_pieces, perfect_matching
@@ -129,7 +128,9 @@ def test_half_size_expansion_on_chain_and_grid():
     chain = corpus.bridged_c8_chain(6)
     assert permanent_auto(chain).value == 4**6
     # no vertex limit: 160 vertices through the edge-list text
-    big = parse_edge_list(render_edge_list(corpus.bridged_c8_chain(20)))
+    g = corpus.bridged_c8_chain(20)
+    text = f"{g.n} {len(g.edges)}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in g.edges)
+    big = parse_edge_list(text)
     assert (big.n, permanent_auto(big).value) == (160, 4**20)
     grid = corpus.grid_graph(4, 4)
     report = permanent_auto(grid)
@@ -142,9 +143,9 @@ def test_auto_matches_ryser_on_corpora_and_decomposes():
     for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus():
         report = permanent_auto(g)
         assert report.value == per_ryser(g.adj), g.edges
-        parts = bipartition(g)
-        mate = perfect_matching(g, parts)
-        pieces = elementary_pieces(g, parts, mate) if mate else []
+        left = bipartition(g).mask
+        mate = perfect_matching(g, left)
+        pieces = elementary_pieces(g, left, mate) if mate else []
         if len(pieces) > 1:
             decomposed += 1
             # single-edge pieces are left out of the report
@@ -198,7 +199,7 @@ def test_label_comes_from_the_signings(graph, path, pieces):
     assert report.num_4k_cycles > 0
     if graph.n > 10:
         # Ryser on the half-order biadjacency block: per(G) = pm(G)^2
-        left = bipartition(graph).left.indices()
+        left = bipartition(graph).indices()
         assert report.value == per_ryser(corpus.biadjacency_of(graph, left)) ** 2
     else:
         assert report.value == per_ryser(graph.adj)
@@ -225,7 +226,7 @@ def test_engine_memoizes_nothing(monkeypatch):
 def test_count_perfect_matchings_lists_no_whole_graph_cycles(monkeypatch):
     graphs = corpus.connected_bipartite_upto(8) + corpus.random_corpus()
     graphs += corpus.four_k_free_corpus(200)
-    matrices = [corpus.biadjacency_of(g, bipartition(g).left.indices()) for g in graphs]
+    matrices = [corpus.biadjacency_of(g, bipartition(g).indices()) for g in graphs]
     matrices = [b for b in matrices if len(b) == len(b[0])]
     expected = [per_ryser(b) for b in matrices]
     assert len(matrices) >= 250 and sum(count > 1 for count in expected) >= 100
@@ -306,7 +307,8 @@ def test_engine_never_reads_the_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(Graph, "adj", property(forbidden))
     for g, value in zip(graphs, expected):
-        assert permanent_auto(parse_edge_list(render_edge_list(g))).value == value, g.edges
+        text = f"{g.n} {len(g.edges)}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in g.edges)
+        assert permanent_auto(parse_edge_list(text)).value == value, g.edges
     for b, count in zip(matrices, counts):
         text = f"{len(b)} {len(b)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in b)
         assert count_perfect_matchings(parse_biadjacency(text)) == count, b
@@ -350,7 +352,7 @@ def test_negative_matching_count_raises_invariant_error(monkeypatch):
 
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
-    triangle = Cycle.from_vertices((0, 1, 2))
+    triangle = Cycle((0, 1, 2), 0b111)
     monkeypatch.setattr(engine, "enumerate_cycles", lambda g: (triangle,))
     for run in (permanent_auto, classify_efficient):
         with pytest.raises(InternalInvariantError, match="odd cycle"):

@@ -67,5 +67,5 @@ def test_grid_permanent_is_tilings_squared(r, k):
 def test_grid_matching_count_is_tilings(r, k):
     # beyond the whole-graph cycle cap, which count_perfect_matchings never meets
     g = corpus.grid_graph(r, k)
-    b = corpus.biadjacency_of(g, bipartition(g).left.indices())
+    b = corpus.biadjacency_of(g, bipartition(g).indices())
     assert count_perfect_matchings(b) == tilings(r, k)

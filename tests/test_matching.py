@@ -1,3 +1,5 @@
+import random
+
 import corpus
 from permdet import (
     Graph,
@@ -10,14 +12,14 @@ from permdet.matching import elementary_pieces, perfect_matching
 
 
 def pieces(g):
-    parts = bipartition(g)
+    left = bipartition(g).mask
     return [tuple(i + 1 for i in range(g.n) if mask >> i & 1)
-            for mask in elementary_pieces(g, parts, perfect_matching(g, parts))]
+            for mask in elementary_pieces(g, left, perfect_matching(g, left))]
 
 
 def test_perfect_matching_pairs_every_vertex_along_an_edge():
     for g in corpus.connected_bipartite_upto(8):
-        mate = perfect_matching(g, bipartition(g))
+        mate = perfect_matching(g, bipartition(g).mask)
         if mate is None:
             continue
         assert all(mate[mate[v]] == v and mate[v] in g.neighbors[v] for v in range(g.n))
@@ -26,7 +28,7 @@ def test_perfect_matching_pairs_every_vertex_along_an_edge():
 def test_no_perfect_matching_means_no_pieces():
     for g in (corpus.complete_bipartite(2, 4), corpus.path_graph(5),
               Graph.from_edge_labels(4, [(1, 2), (1, 4)])):
-        assert perfect_matching(g, bipartition(g)) is None
+        assert perfect_matching(g, bipartition(g).mask) is None
         report = permanent_auto(g)
         assert (report.value, report.pieces) == (0, ())
 
@@ -77,6 +79,58 @@ def test_long_augmenting_path():
     edges = [(left[k], right[k]) for k in range(1, n + 1)]
     edges += [(left[k + 1], right[k]) for k in range(1, n)]
     g = Graph.from_edges(2 * n, edges)
-    mate = perfect_matching(g, bipartition(g))
+    mate = perfect_matching(g, bipartition(g).mask)
     assert mate is not None
     assert all(mate[left[k]] == right[k] for k in range(1, n + 1))
+
+
+
+def _recursive_kuhn(g, left):
+    """Reference: the same greedy pass, then Kuhn's augmenting-path search
+    from each vertex it left free, recursive, neighbours in list order.
+    Returns the mate list (or None) and the number of searches."""
+    rows = [u for u in range(g.n) if left >> u & 1]
+    mate = [-1] * g.n
+    for u in rows:
+        for w in g.neighbors[u]:
+            if mate[w] < 0:
+                mate[u], mate[w] = w, u
+                break
+
+    def augment(u, visited):
+        for w in g.neighbors[u]:
+            if not visited[w]:
+                visited[w] = 1
+                if mate[w] < 0 or augment(mate[w], visited):
+                    mate[u], mate[w] = w, u
+                    return True
+        return False
+
+    searches = 0
+    for u in rows:
+        if mate[u] < 0:
+            searches += 1
+            if not augment(u, bytearray(g.n)):
+                return None, searches
+    return mate, searches
+
+
+def test_augmenting_search_visits_in_recursive_order():
+    # The explicit stack must find the same matching as the recursion, or
+    # the signing, the bad cycles, m and families would all change.
+    rng = random.Random(8)
+    graphs = [g for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus()
+              if 2 * bipartition(g).mask.bit_count() == g.n]
+    for _ in range(60):
+        g = rng.choice((corpus.random_cubic_bipartite(rng.randint(4, 12), rng),
+                        corpus.grid_graph(4, 5), corpus.bridged_c8_chain(3)))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(corpus.relabel(g, perm))
+    augmented = 0
+    for g in graphs:
+        left = bipartition(g).mask
+        mate, searches = _recursive_kuhn(g, left)
+        assert perfect_matching(g, left) == mate, g.edges
+        augmented += mate is not None and searches > 0
+    assert augmented >= 40

@@ -146,10 +146,9 @@ def matched_bipartite(draw):
 def test_signed_expansion_does_not_depend_on_the_signing(case):
     # Every alternating cycle that is bad under the signing is expanded.
     g, mate, negative = case
-    parts = bipartition(g)
     bad = [c.vertex_set.mask for c in corpus.alternating_cycles(g, mate)
            if corpus.is_bad(c, negative)]
-    pm, _ = engine._signed_sum(g, parts, mate, (1 << g.n) - 1, negative, bad)
+    pm, _ = engine._signed_sum(g, bipartition(g).mask, mate, (1 << g.n) - 1, negative, bad)
     assert pm == per_ryser(corpus.biadjacency_of(g, range(g.n // 2)))
 
 
@@ -159,6 +158,6 @@ def test_expansion_does_not_depend_on_the_matching(case):
     # The matching comes from a shuffled edge order; the engine's own
     # signing and alternating-cycle search run on it.
     g, mate, _ = case
-    pm, report = engine._piece_report(g, bipartition(g), mate, (1 << g.n) - 1)
+    pm, report = engine._piece_report(g, bipartition(g).mask, mate, (1 << g.n) - 1)
     assert report.value == pm * pm == per_ryser(g.adj)
     assert report.value == permanent_auto(g).value

@@ -37,9 +37,8 @@ def _non_pfaffian_graphs():
 
 def test_non_pfaffian_graphs_match_ryser():
     for g in _non_pfaffian_graphs():
-        parts = bipartition(g)
         # per(G) = per(B)^2, and Ryser on B keeps 12 x 12 cheap
-        expected = per_ryser(corpus.biadjacency_of(g, parts.left.indices())) ** 2
+        expected = per_ryser(corpus.biadjacency_of(g, bipartition(g).indices())) ** 2
         report = permanent_auto(g)
         assert report.value == expected, g.edges
         # one elementary piece whose certificate was rejected
@@ -55,27 +54,26 @@ def test_cubic_graphs_match_ryser(k):
     expanded = 0
     for _ in range(3 if k < 13 else 1):
         g = corpus.random_cubic_bipartite(k, rng)
-        parts = bipartition(g)
         report = permanent_auto(g)
-        assert report.value == per_ryser(corpus.biadjacency_of(g, parts.left.indices())) ** 2
+        assert report.value == per_ryser(corpus.biadjacency_of(g, bipartition(g).indices())) ** 2
         expanded += report.path_taken == PATH_THEOREM1
     assert expanded, k
 
 
 def test_cubic20_fixture_matches_ryser():
     g = corpus.load_fixture("cubic20.edges")
-    parts = bipartition(g)
+    left = bipartition(g)
     report = permanent_auto(g)
-    assert per_ryser(corpus.biadjacency_of(g, parts.left.indices())) == 76
+    assert per_ryser(corpus.biadjacency_of(g, left.indices())) == 76
     assert (report.value, report.path_taken) == (76**2, PATH_THEOREM1)
-    assert len(elementary_pieces(g, parts, perfect_matching(g, parts))) == 1
+    assert len(elementary_pieces(g, left.mask, perfect_matching(g, left.mask))) == 1
 
 
 def test_expansion_runs_over_the_bad_alternating_cycles():
     for g in _non_pfaffian_graphs():
-        parts = bipartition(g)
-        mate = perfect_matching(g, parts)
-        negative, bad = pfaffian_signing(g, parts, mate, (1 << g.n) - 1)
+        left = bipartition(g).mask
+        mate = perfect_matching(g, left)
+        negative, bad = pfaffian_signing(g, left, mate, (1 << g.n) - 1)
         expected = [c for c in corpus.alternating_cycles(g, mate) if corpus.is_bad(c, negative)]
         assert sorted(bad) == sorted(c.vertex_set.mask for c in expected), g.edges
         # fewer than the cycles bad under the signing, alternating or not
@@ -85,14 +83,15 @@ def test_expansion_runs_over_the_bad_alternating_cycles():
         assert (report.families, report.m) == (len(fams), fams[-1].size), g.edges
 
 
-def _brute_force_pfaffian(g, parts, piece) -> bool:
-    """Whether some signing of G[piece] has |det B_s| = pm(G[piece]).
+def _brute_force_pfaffian(g, left, mate, piece) -> bool:
+    """Whether some signing of G[piece] has |det B_s| = pm(G[piece]);
+    ``mate`` is a perfect matching of the piece.
 
     Switching the signs at one vertex keeps |det|, so the edges of a
     spanning tree of the (connected) piece may be taken positive and only
     the others tried.
     """
-    edges = [(u, w) for u in parts.left.indices() if piece >> u & 1
+    edges = [(u, w) for u in range(g.n) if (piece & left) >> u & 1
              for w in g.neighbors[u] if piece >> w & 1]
     root = piece & -piece
     reached, tree = root, set()
@@ -102,7 +101,7 @@ def _brute_force_pfaffian(g, parts, piece) -> bool:
         for w in g.neighbors[v]:
             if piece >> w & 1 and not reached >> w & 1:
                 reached |= 1 << w
-                tree.add((v, w) if parts.left.mask >> v & 1 else (w, v))
+                tree.add((v, w) if left >> v & 1 else (w, v))
                 frontier.append(w)
     free = [e for e in edges if e not in tree]
     pm = per_ryser(induced_subgraph(g, VertexSet(piece)).adj)
@@ -112,7 +111,7 @@ def _brute_force_pfaffian(g, parts, piece) -> bool:
             if minus:
                 negative[u] = negative.get(u, 0) | 1 << w
                 negative[w] = negative.get(w, 0) | 1 << u
-        d = signed_block_det(g, parts, piece, negative)
+        d = signed_block_det(g, left, piece, negative, mate)
         if d * d == pm:
             return True
     return False
@@ -121,28 +120,28 @@ def _brute_force_pfaffian(g, parts, piece) -> bool:
 def test_certificate_matches_brute_force_over_signings():
     rejected = 0
     for g in corpus.connected_bipartite_upto(8):
-        parts = bipartition(g)
-        mate = perfect_matching(g, parts)
+        left = bipartition(g).mask
+        mate = perfect_matching(g, left)
         if mate is None:
             continue
-        for piece in elementary_pieces(g, parts, mate):
-            negative, bad = pfaffian_signing(g, parts, mate, piece)
+        for piece in elementary_pieces(g, left, mate):
+            negative, bad = pfaffian_signing(g, left, mate, piece)
             if not bad:
                 pm2 = per_ryser(induced_subgraph(g, VertexSet(piece)).adj)
-                assert signed_block_det(g, parts, piece, negative) ** 2 == pm2, g.edges
+                assert signed_block_det(g, left, piece, negative, mate) ** 2 == pm2, g.edges
             else:
                 # an inconsistent system means no signing is Pfaffian
-                assert not _brute_force_pfaffian(g, parts, piece), g.edges
+                assert not _brute_force_pfaffian(g, left, mate, piece), g.edges
                 rejected += 1
     assert rejected >= 5
 
 
 def test_matching_edges_stay_positive():
     for g in (corpus.grid_graph(4, 5), corpus.complete_bipartite(3, 3), corpus.example10()):
-        parts = bipartition(g)
-        mate = perfect_matching(g, parts)
-        for piece in elementary_pieces(g, parts, mate):
-            negative, _ = pfaffian_signing(g, parts, mate, piece)
+        left = bipartition(g).mask
+        mate = perfect_matching(g, left)
+        for piece in elementary_pieces(g, left, mate):
+            negative, _ = pfaffian_signing(g, left, mate, piece)
             assert all(not bits >> mate[u] & 1 for u, bits in negative.items())
             # only edges inside the piece are signed
             assert all(piece >> u & 1 and bits | piece == piece for u, bits in negative.items())

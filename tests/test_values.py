@@ -60,7 +60,7 @@ def test_graph_equality_and_hash_ignore_neighbors():
 def test_vertexset_keys_a_dict_and_has_no_order():
     assert VertexSet() == VertexSet(0)
     table = {VertexSet(5): "a"}
-    assert table[VertexSet.from_indices([0, 2])] == "a"
+    assert table[VertexSet(0b101)] == "a"
     assert VertexSet(5) != 5
     with pytest.raises(TypeError):
         VertexSet(1) < VertexSet(2)
@@ -68,21 +68,30 @@ def test_vertexset_keys_a_dict_and_has_no_order():
 
 
 def test_cycle_equality_ignores_vertex_set():
-    c = Cycle.from_vertices([0, 1, 2, 3])
-    same = Cycle._from_search(c.vertices, 0)
+    c = Cycle((0, 1, 2, 3), 0b1111)
+    assert c.vertex_set == VertexSet(0b1111)
+    same = Cycle(c.vertices, 0)
     assert same.vertex_set != c.vertex_set
     assert c == same and hash(c) == hash(same)
-    assert c == Cycle.from_vertices([1, 0, 3, 2])
-    assert c != Cycle.from_vertices([0, 1, 2, 3, 4, 5])
+    assert c != Cycle((0, 1, 2, 3, 4, 5), 0b111111)
+    assert c != Cycle((0, 1, 3, 2), 0b1111)
     assert repr(c) == "Cycle(vertices=(0, 1, 2, 3))"
+
+
+def test_cycle_keeps_its_mask_through_pickle_and_copy():
+    # The constructor takes two arguments, and the mask is not a field.
+    c = Cycle((0, 2, 5, 3), 0b101101)
+    for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert twin == c and hash(twin) == hash(c) and type(twin) is Cycle
+        assert twin.vertex_set == VertexSet(0b101101)
 
 
 @pytest.mark.parametrize(
     "value, field",
     [
         (VertexSet(3), "mask"),
-        (Cycle.from_vertices([0, 1, 2, 3]), "vertices"),
-        (Cycle.from_vertices([0, 1, 2, 3]), "vertex_set"),
+        (Cycle((0, 1, 2, 3), 0b1111), "vertices"),
+        (Cycle((0, 1, 2, 3), 0b1111), "vertex_set"),
         (PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing"), "value"),
         (Graph.from_edges(2, [(0, 1)]), "n"),
     ],
@@ -96,7 +105,7 @@ def test_fields_cannot_be_assigned(value, field):
 
 def test_slotted_values_have_no_instance_dict():
     g = corpus.cycle_graph(4)
-    c = Cycle.from_vertices([0, 1, 2, 3])
+    c = Cycle((0, 1, 2, 3), 0b1111)
     fam = DisjointFamily((0,), c.vertex_set)
     for value in (VertexSet(1), c, fam, bipartition(g), permanent_auto(g)):
         with pytest.raises(AttributeError):
