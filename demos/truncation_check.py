@@ -18,13 +18,10 @@ Run from the repository root:
 from pathlib import Path
 
 from permdet import (
-    det_after_removal,
-    enumerate_cycles,
-    enumerate_disjoint_families,
-    four_k_cycles,
     induced_subgraph,
     parse_edge_list,
     per_ryser,
+    permanent_theorem1,
     verify_theorem2,
 )
 
@@ -32,20 +29,15 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def truncated_sum(g, m: int) -> int:
-    """The signed family sum with families larger than m dropped."""
-    c4k = four_k_cycles(enumerate_cycles(g))
-    cache = {}
-    total = sum(
-        4**fam.size * det_after_removal(g, fam.covered, cache)
-        for fam in enumerate_disjoint_families(c4k)
-        if fam.size <= m
-    )
+    """The signed family sum with families larger than m dropped: the
+    terms of the paper's table with z <= m, as ``verify_theorem2`` sums
+    them."""
+    total = sum(t.contribution for t in permanent_theorem1(g).per_family_terms if t.z <= m)
     return -total if (g.n // 2) % 2 else total
 
 
 g = parse_edge_list((FIXTURES / "example10.edges").read_text())
-families = enumerate_disjoint_families(four_k_cycles(enumerate_cycles(g)))
-true_m = max(fam.size for fam in families)
+true_m = permanent_theorem1(g).m
 print(f"graph: {g.n} vertices, largest disjoint 4k-cycle family: {true_m}")
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ closed walk compare equal: the smallest vertex comes first and its
 smaller neighbor on the cycle comes second.  Enumeration output is
 deterministic, sorted by (length, vertices).
 
-Every cycle lies inside one biconnected block, so cycles are searched
-one block at a time: a Hopcroft-Tarjan pass, O(n + e), splits the graph
-into blocks, and the backtracking search then runs in each block with
-every vertex outside it marked as already on the path.  Bridges, trees
-and the paths between blocks are never walked, and since two blocks
-share no edge, no cycle is found twice.
+``simple_cycles`` is the package's one backtracking cycle search: it
+lists the whole graph's cycles here and a piece's alternating cycles in
+``matching.pfaffian_signing``.  Every cycle lies inside one biconnected
+block, so the whole graph's cycles are searched one block at a time: a
+Hopcroft-Tarjan pass, O(n + e), splits the graph into blocks, and the
+search then runs in each block with every vertex outside it blocked.
+Bridges, trees and the paths between blocks are never walked, and since
+two blocks share no edge, no cycle is found twice.
 
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
@@ -133,62 +135,79 @@ def biconnected_blocks(g: Graph) -> list:
     return blocks
 
 
+def simple_cycles(succ, roots, what: str, cap: int):
+    """Yield ``(path, mask)`` at each closed path of a backtracking
+    search, the package's one cycle search.
+
+    ``succ[v]`` lists the successors of v.  For each ``(s, blocked)`` in
+    ``roots``, paths grow from s through successors larger than s that
+    are neither on the path nor in the bitmask ``blocked``.  Each time a
+    successor of the last vertex is s, the live ``path`` list (s first;
+    copy it to keep it) and the bitmask of its vertices are yielded, so
+    a directed cycle comes out once, from its smallest vertex, and an
+    undirected one once per direction.  One successor iterator per path
+    vertex is stacked, so no path overflows the recursion limit.
+
+    Raises EnumerationCapExceeded(what, cap) past ``cap`` path
+    extensions over all roots: a graph with few cycles can have
+    exponentially many paths.
+    """
+    steps = cap
+    for s, blocked in roots:
+        path = [s]
+        onpath = blocked | 1 << s
+        iters = [iter(succ[s])]
+        while iters:
+            for w in iters[-1]:
+                if w == s:
+                    yield path, onpath ^ blocked
+                elif w > s and not onpath >> w & 1:
+                    break
+            else:
+                iters.pop()
+                onpath ^= 1 << path.pop()
+                continue
+            steps -= 1
+            if steps < 0:
+                raise EnumerationCapExceeded(what, cap)
+            path.append(w)
+            onpath |= 1 << w
+            iters.append(iter(succ[w]))
+
+
 def enumerate_cycles(g: Graph):
     """All elementary cycles of ``g``, canonical and sorted.
 
-    Every cycle lies inside one biconnected block, so the search runs one
-    block at a time (``biconnected_blocks``), on the graph's own neighbor
-    lists with every vertex outside the block marked as already on the
-    path; it never walks a bridge or crosses a cut vertex into a block
-    where the path cannot close.  Within a block it is a backtracking
-    search rooted at each vertex in turn: paths grow only through
-    strictly larger vertices, with vertices on the current path blocked,
-    so every cycle is discovered exactly once, already in canonical form,
-    together with its vertex bitmask.  Two blocks share no edge, so no
-    cycle is found twice.
+    Every cycle lies inside one biconnected block, so ``simple_cycles``
+    runs on the neighbour lists from each vertex of each block
+    (``biconnected_blocks``) with the vertices outside the block
+    blocked: it never walks a bridge or enters a block where the path
+    cannot close, and as two blocks share no edge, no cycle is found
+    twice.  Of a cycle's two directions, the one towards the root's
+    smaller neighbour is kept, so each comes out once, in canonical
+    form, with its vertex bitmask.
 
-    Raises EnumerationCapExceeded when more than ``DEFAULT_CYCLE_CAP``
-    cycles are found in all, or when the search extends a path more than
-    ``DEFAULT_PATH_CAP`` times in all: it walks every simple path through
-    larger vertices, and a graph with few cycles can have exponentially
-    many such paths.
+    Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
+    (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
     """
     cap = DEFAULT_CYCLE_CAP
-    steps = path_cap = DEFAULT_PATH_CAP
-    neighbors = g.neighbors
     everything = (1 << g.n) - 1
-    found = []
-    masks = {}
+    roots = []
     for block in biconnected_blocks(g):
         outside = everything
         for v in block:
             outside ^= 1 << v
         # A cycle rooted at s needs two more vertices above s in the block.
-        for s in block[:-2]:
-            path = [s]
-            onpath = outside | 1 << s
-            iters = [iter(neighbors[s])]
-            while iters:
-                for w in iters[-1]:
-                    if w == s:
-                        if len(path) >= 3 and path[1] < path[-1]:
-                            cycle = tuple(path)
-                            found.append(cycle)
-                            masks[cycle] = onpath ^ outside
-                            if len(found) > cap:
-                                raise EnumerationCapExceeded("cycle", cap)
-                    elif w > s and not onpath >> w & 1:
-                        break
-                else:
-                    iters.pop()
-                    onpath ^= 1 << path.pop()
-                    continue
-                steps -= 1
-                if steps < 0:
-                    raise EnumerationCapExceeded("cycle path", path_cap)
-                path.append(w)
-                onpath |= 1 << w
-                iters.append(iter(neighbors[w]))
+        roots.extend((s, outside) for s in block[:-2])
+    found = []
+    masks = {}
+    for path, mask in simple_cycles(g.neighbors, roots, "cycle path", DEFAULT_PATH_CAP):
+        if len(path) >= 3 and path[1] < path[-1]:
+            cycle = tuple(path)
+            found.append(cycle)
+            masks[cycle] = mask
+            if len(found) > cap:
+                raise EnumerationCapExceeded("cycle", cap)
     found.sort(key=lambda c: (len(c), c))
     # The Cycle objects are made after the search, not inside it: made
     # inside, they held about 0.6 MiB more peak RSS on 4x4-4x6 grids.

@@ -58,9 +58,11 @@ The order of work, each step on the graph the parser built:
    the graph at the edges that lie in no perfect matching, and pm is the
    product over the pieces.
 5. Per piece of more than two vertices: its signing and its bad
-   alternating cycles from one search (``matching.pfaffian_signing``),
-   the families of those cycles (``cycles.disjoint_families``, on vertex
-   masks), and one determinant per family (``signed_block_det``).
+   alternating cycles (``matching.pfaffian_signing``, whose cycles come
+   from ``cycles.simple_cycles``, the search that also lists the whole
+   graph's cycles in step 2), the families of those cycles
+   (``cycles.disjoint_families``, on vertex masks), and one determinant
+   per family (``signed_block_det``).
 
 On a piece with no 4k-cycle every alternating cycle has odd l, so every
 equation of the search asks for an even number of negative edges: the
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 import math
 
-from .cycles import disjoint_families, enumerate_cycles
+from .cycles import biconnected_blocks, disjoint_families, enumerate_cycles
 from .determinant import signed_block_det
 from .errors import InternalInvariantError
 from .graphs import Frozen, Graph, bipartition, graph_from_biadjacency
@@ -278,6 +280,16 @@ class EfficiencyReport(Frozen):
         _set(self, "condition_holds", condition_holds)
 
 
+def _is_cycle(g: Graph, block: tuple) -> bool:
+    """Whether a biconnected block of 3 or more vertices is one cycle:
+    as many edges as vertices.  Two cycles share two vertices exactly
+    when some block is not."""
+    inside = 0
+    for v in block:
+        inside |= 1 << v
+    return sum(inside >> w & 1 for v in block for w in g.neighbors[v]) == 2 * len(block)
+
+
 def classify_efficient(g: Graph) -> EfficiencyReport:
     """Classify a bipartite graph by the girth condition
     g0 * (c + 2) > n + c(c-1)/2 + c, compared in exact integers.
@@ -288,15 +300,7 @@ def classify_efficient(g: Graph) -> EfficiencyReport:
     _count_4k(cycles)
     if not cycles:
         return EfficiencyReport(True, None, g.n, 0, True)
-    masks = [cy.vertex_set.mask for cy in cycles]
-    is_cactus = True
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() > 1:
-                is_cactus = False
-                break
-        if not is_cactus:
-            break
+    is_cactus = all(_is_cycle(g, block) for block in biconnected_blocks(g))
     girth = cycles[0].length
     c = sum(1 for cy in cycles if cy.length == girth)
     holds = is_cactus and girth * (c + 2) > g.n + c * (c - 1) // 2 + c

@@ -39,10 +39,12 @@ class EnumerationCapExceeded(PermdetError):
     """An exponential enumeration passed its cap, a module constant.
 
     ``what`` names the enumeration: ``cycle`` (``cycles.DEFAULT_CYCLE_CAP``),
-    ``cycle path`` (``cycles.DEFAULT_PATH_CAP``), ``disjoint family``
-    (``cycles.DEFAULT_FAMILY_CAP``), ``alternating path``
-    (``matching.DEFAULT_SIGNING_CAP``) or ``Sachs subgraph``
-    (``oracles.DEFAULT_SACHS_CAP``).
+    ``disjoint family`` (``cycles.DEFAULT_FAMILY_CAP``) or ``Sachs
+    subgraph`` (``oracles.DEFAULT_SACHS_CAP``); or the paths extended by
+    the one cycle search, ``cycles.simple_cycles``: ``cycle path``
+    (``cycles.DEFAULT_PATH_CAP``) for the whole graph's cycles and
+    ``alternating path`` (``matching.DEFAULT_SIGNING_CAP``) for a
+    piece's alternating cycles.
     """
 
     def __init__(self, what, cap):

@@ -24,10 +24,11 @@ those cycles, so pm = sum over families T of disjoint bad M-alternating
 cycles of 2^|T| * sigma_T * det(B_s minus V(T)) (see ``engine``).  When
 no alternating cycle is bad, T is empty only and det(B_s)^2 = pm^2: s is
 a Pfaffian signing (Kasteleyn 1961; Lovasz-Plummer ch. 8).
-``pfaffian_signing`` lists the alternating cycles, solves for s over
-GF(2), one row per cycle, and returns the cycles left bad.  No
-matchability test is needed: removing an M-alternating cycle leaves M
-on the rest.
+``pfaffian_signing`` lists the alternating cycles with the search
+that ``cycles.enumerate_cycles`` runs on the whole graph
+(``cycles.simple_cycles``), collects one GF(2) row per cycle, solves
+for s, and returns the cycles left bad.  No matchability test is
+needed: removing an M-alternating cycle leaves M on the rest.
 
 Each function takes the left side as one bitmask, ``left``, the
 ``mask`` of what ``graphs.bipartition`` returns, and vertex sets as
@@ -36,7 +37,7 @@ bitmasks.
 
 from __future__ import annotations
 
-from .errors import EnumerationCapExceeded
+from .cycles import simple_cycles
 from .graphs import Graph, mask_indices
 
 # Path extensions the alternating-cycle search may make per piece before
@@ -202,72 +203,57 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
 
     ``negative`` maps a vertex to the bitmask of its neighbours across a
     negative edge, for both ends of the edge; every other edge, and every
-    edge of ``mate``, is positive.  Each directed cycle of the piece's
-    alternating digraph (an arc u -> mate(w) per non-matching edge uw
-    inside the piece) is found once, from its smallest left vertex, and
-    kept as the bitmask of its non-matching edges when it closes.  On a
-    cycle of length 2l, which has l of them, it gives the equation "the
-    number of negative edges is l + 1 mod 2", which makes the cycle good.
-    The equations are reduced as they come: a consistent one is kept and
-    an inconsistent one skipped, and the signing satisfies every kept
-    one.  ``bad`` holds the vertex masks of the cycles that are bad under
-    it (l + 1 plus their negative edges odd), in the order found.  It is
+    edge of ``mate``, is positive.  ``cycles.simple_cycles`` lists the
+    directed cycles of the piece's alternating digraph (an arc
+    u -> mate(w) per non-matching edge uw inside the piece), each once,
+    from its smallest left vertex, and each is collected as the bitmask
+    of its non-matching edges.  On a cycle of length 2l, which has l of
+    them, that row gives the equation "the number of negative edges is
+    l + 1 mod 2", which makes the cycle good.  Once the search is done
+    the rows are reduced in the order found: a consistent one is kept
+    and an inconsistent one skipped, and the signing satisfies every
+    kept one.  ``bad`` holds the vertex masks of the cycles that are bad
+    under it (l + 1 plus their negative edges odd), in the order found,
+    each the search's mask of its left vertices plus their mates.  It is
     empty exactly when every equation was consistent, which certifies
     the signing as Pfaffian; otherwise no signing is.
 
-    Raises EnumerationCapExceeded after ``DEFAULT_SIGNING_CAP`` path
-    extensions, since the expansion is exact only over the whole list.
+    Raises EnumerationCapExceeded (``alternating path``) after
+    ``DEFAULT_SIGNING_CAP`` path extensions, since the expansion is
+    exact only over the whole list.
     """
     piece_left = mask_indices(piece & left)
+    # arcs[u] maps each successor x = mate(w) of u to the bit of edge uw.
     arcs = {}
     edges = []
     for u in piece_left:
-        out = []
+        out = arcs[u] = {}
         for w in g.neighbors[u]:
             if w != mate[u] and piece >> w & 1:
-                out.append((mate[w], 1 << len(edges)))
+                out[mate[w]] = 1 << len(edges)
                 edges.append((u, w))
-        arcs[u] = out
-    basis = {}
     closed = []
+    roots = [(s, 0) for s in piece_left]
+    for path, mask in simple_cycles(arcs, roots, "alternating path", DEFAULT_SIGNING_CAP):
+        row = 0
+        u = path[-1]
+        for x in path:
+            row |= arcs[u][x]
+            u = x
+        closed.append((row, mask))
+    basis = {}
     consistent = True
-    steps = DEFAULT_SIGNING_CAP
-    for s in piece_left:
-        path = [s]
-        onpath = 1 << s
-        rows = [0]
-        iters = [iter(arcs[s])]
-        while iters:
-            for x, bit in iters[-1]:
-                if x == s:
-                    # len(path) arcs close the cycle, so l = len(path).
-                    row = rows[-1] | bit
-                    closed.append(row)
-                    if not _add_row(basis, row, len(path) + 1 & 1):
-                        consistent = False
-                elif x > s and not onpath >> x & 1:
-                    break
-            else:
-                iters.pop()
-                onpath ^= 1 << path.pop()
-                rows.pop()
-                continue
-            steps -= 1
-            if steps < 0:
-                raise EnumerationCapExceeded("alternating path", DEFAULT_SIGNING_CAP)
-            path.append(x)
-            onpath |= 1 << x
-            rows.append(rows[-1] | bit)
-            iters.append(iter(arcs[x]))
+    for row, _ in closed:
+        # A cycle of length 2l has l non-matching edges: l = row.bit_count().
+        if not _add_row(basis, row, row.bit_count() + 1 & 1):
+            consistent = False
     negative, chosen = _solve(basis, edges)
     bad = []
     if not consistent:
-        for row in closed:
+        for row, mask in closed:
             if (row.bit_count() + 1 + (row & chosen).bit_count()) & 1:
-                # The non-matching edges of a cycle meet all its vertices.
-                mask = 0
-                for i in mask_indices(row):
-                    u, w = edges[i]
-                    mask |= 1 << u | 1 << w
+                # The cycle's vertices: its left vertices and their mates.
+                for u in mask_indices(mask):
+                    mask |= 1 << mate[u]
                 bad.append(mask)
     return negative, bad

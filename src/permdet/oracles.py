@@ -32,7 +32,7 @@ from itertools import permutations
 
 from .cycles import enumerate_cycles, enumerate_disjoint_families, four_k_cycles
 from .determinant import det_after_removal
-from .errors import EnumerationCapExceeded, InternalInvariantError, SizeGuardExceeded
+from .errors import EnumerationCapExceeded, SizeGuardExceeded
 from .graphs import Frozen, Graph, VertexSet, bipartition, induced_subgraph
 
 _set = object.__setattr__
@@ -215,30 +215,11 @@ def det_via_sachs(g: Graph) -> int:
     return total
 
 
-def _grouped_sachs_sum(spanning) -> int:
-    """The Sachs permanent sum in its grouped form, sum of 2^(s+t)."""
-    return sum(1 << (u.s + u.t) for u in spanning)
-
-
 def per_via_sachs(g: Graph) -> int:
-    """Permanent as the unsigned Sachs sum over spanning subgraphs.
-
-    When the host has only even cycles the sum is recomputed in the
-    grouped 2^(s+t) form and cross-checked; the two must agree because
-    every cycle component is then a 4k- or (4k+2)-cycle.  A disagreement
-    raises InternalInvariantError.
-    """
+    """Permanent as the unsigned Sachs sum over spanning subgraphs."""
     if g.n > SACHS_GUARD:
         raise SizeGuardExceeded("per_via_sachs", g.n, SACHS_GUARD)
-    spanning = enumerate_sachs(g, g.n)
-    total = sum(1 << u.c for u in spanning)
-    if all(u.c == u.s + u.t for u in spanning):
-        grouped = _grouped_sachs_sum(spanning)
-        if grouped != total:
-            raise InternalInvariantError(
-                f"Sachs grouping mismatch: 2^c sum {total} != 2^(s+t) sum {grouped}"
-            )
-    return total
+    return sum(1 << u.c for u in enumerate_sachs(g, g.n))
 
 
 def check_parity_identity(g: Graph) -> bool:

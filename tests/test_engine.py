@@ -18,6 +18,7 @@ from permdet import (
     classify_efficient,
     count_perfect_matchings,
     determinant,
+    enumerate_cycles,
     parse_biadjacency,
     parse_edge_list,
     per_ryser,
@@ -441,6 +442,30 @@ def test_classify_cactus_failing_girth_condition():
     assert rec.is_cactus
     assert rec.girth == 4 and rec.c == 1
     assert not rec.condition_holds
+
+
+def _pairwise_cactus(g) -> bool:
+    """The definition: no two cycles share more than one vertex."""
+    masks = [cy.vertex_set.mask for cy in enumerate_cycles(g)]
+    return all((a & b).bit_count() <= 1 for i, a in enumerate(masks) for b in masks[i + 1:])
+
+
+def test_cactus_from_blocks_matches_pairwise_definition():
+    graphs = [
+        *corpus.connected_bipartite_upto(8),
+        *corpus.random_corpus(),
+        *(corpus.bridged_c8_chain(k) for k in range(1, 7)),
+        *(corpus.load_fixture(name) for name in (
+            "c4.edges", "c6.edges", "c8.edges", "cactus40.edges", "cubic20.edges",
+            "example10.edges", "p6.edges", "two_disjoint_c4.edges")),
+    ]
+    cacti = 0
+    for g in graphs:
+        want = _pairwise_cactus(g)
+        assert classify_efficient(g).is_cactus == want, g.edges
+        cacti += want
+    # both answers occur often enough to tell the two tests apart
+    assert 200 < cacti < len(graphs) - 200
 
 
 def test_classify_cactus40_fixture():

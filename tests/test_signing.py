@@ -22,6 +22,7 @@ from permdet import (
 from permdet import cli, matching
 from permdet.determinant import signed_block_det
 from permdet.errors import EnumerationCapExceeded
+from permdet.cycles import simple_cycles
 from permdet.matching import elementary_pieces, perfect_matching, pfaffian_signing
 
 
@@ -81,6 +82,60 @@ def test_expansion_runs_over_the_bad_alternating_cycles():
         fams = enumerate_disjoint_families(expected)
         report = permanent_auto(g)
         assert (report.families, report.m) == (len(fams), fams[-1].size), g.edges
+
+
+def _signing_search_graphs():
+    rng = random.Random(31)
+    cubic = [corpus.random_cubic_bipartite(k, rng) for k in range(4, 11) for _ in range(2)]
+    return [*corpus.connected_bipartite_upto(8), *corpus.random_corpus(), *cubic,
+            corpus.load_fixture("cubic20.edges")]
+
+
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def test_signing_search_yields_each_alternating_cycle_once(monkeypatch):
+    # The signing reads its cycles from the shared kernel; record what the
+    # kernel yields for each piece and compare the cycles, as edge sets,
+    # with the whole-graph cycles inside the piece that alternate with M.
+    yielded = []
+
+    def recording(succ, roots, what, cap):
+        for path, mask in simple_cycles(succ, roots, what, cap):
+            assert mask == sum(1 << v for v in path)
+            yielded.append(tuple(path))
+            yield path, mask
+
+    monkeypatch.setattr(matching, "simple_cycles", recording)
+    searched = expanded = 0
+    for g in _signing_search_graphs():
+        left = bipartition(g).mask
+        mate = perfect_matching(g, left)
+        if mate is None:
+            continue
+        reference = corpus.alternating_cycles(g, mate)
+        for piece in elementary_pieces(g, left, mate):
+            yielded.clear()
+            _, bad = pfaffian_signing(g, left, mate, piece)
+            got = []
+            for path in yielded:
+                # Each arc u -> x crosses the non-matching edge u-mate(x),
+                # then the matching edge mate(x)-x.
+                edges = []
+                for i, u in enumerate(path):
+                    x = path[(i + 1) % len(path)]
+                    edges += [_edge(u, mate[x]), _edge(mate[x], x)]
+                got.append(tuple(sorted(edges)))
+            want = [
+                tuple(sorted(_edge(v[i - 1], v[i]) for i in range(len(v))))
+                for v in (c.vertices for c in reference if c.vertex_set.mask | piece == piece)
+            ]
+            assert sorted(got) == sorted(want), g.edges
+            searched += bool(got)
+            expanded += bool(bad)
+    # pieces with an alternating cycle, and pieces with a bad one
+    assert searched >= 100 and expanded >= 20
 
 
 def _brute_force_pfaffian(g, left, mate, piece) -> bool:
