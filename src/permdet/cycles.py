@@ -38,8 +38,6 @@ from __future__ import annotations
 from .errors import EnumerationCapExceeded
 from .graphs import Frozen, Graph, VertexSet, mask_indices
 
-_set = object.__setattr__
-
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
 # Path extensions the cycle search may make per call.  An extension
@@ -53,21 +51,11 @@ DEFAULT_PATH_CAP = 10**7
 class Cycle(Frozen):
     """An elementary cycle in canonical traversal order (0-indexed), as
     ``enumerate_cycles`` finds it: smallest vertex first, then its smaller
-    neighbour on the cycle.  ``mask`` is the bitmask of ``vertices``;
-    neither is checked.
-
-    Equality and hashing are on ``vertices``; ``vertex_set`` is derived.
+    neighbour on the cycle.  ``mask`` is the bitmask of ``vertices``, the
+    cycle's vertex set; neither is checked.
     """
 
-    __slots__ = ("vertices", "vertex_set")
-    _fields = ("vertices",)
-
-    def __init__(self, vertices: tuple, mask: int):
-        _set(self, "vertices", vertices)
-        _set(self, "vertex_set", VertexSet(mask))
-
-    def __reduce__(self):
-        return self.__class__, (self.vertices, self.vertex_set.mask)
+    __slots__ = _fields = ("vertices", "mask")
 
     @property
     def length(self) -> int:
@@ -135,18 +123,22 @@ def biconnected_blocks(g: Graph) -> list:
     return blocks
 
 
-def simple_cycles(succ, roots, what: str, cap: int):
+def simple_cycles(succ, roots, shortest: int, what: str, cap: int):
     """Yield ``(path, mask)`` at each closed path of a backtracking
     search, the package's one cycle search.
 
     ``succ[v]`` lists the successors of v.  For each ``(s, blocked)`` in
     ``roots``, paths grow from s through successors larger than s that
     are neither on the path nor in the bitmask ``blocked``.  Each time a
-    successor of the last vertex is s, the live ``path`` list (s first;
-    copy it to keep it) and the bitmask of its vertices are yielded, so
-    a directed cycle comes out once, from its smallest vertex, and an
-    undirected one once per direction.  One successor iterator per path
-    vertex is stacked, so no path overflows the recursion limit.
+    successor of the last vertex is s and the path has at least
+    ``shortest`` vertices, the live ``path`` list (s first; copy it to
+    keep it) and the bitmask of its vertices are yielded, so a directed
+    cycle comes out once, from its smallest vertex, and an undirected
+    one once per direction.  Shorter closures are passed over without a
+    yield: with ``shortest`` 3 on an undirected graph, the step from a
+    neighbour w of s back to s, which closes no cycle.  One successor
+    iterator per path vertex is stacked, so no path overflows the
+    recursion limit.
 
     Raises EnumerationCapExceeded(what, cap) past ``cap`` path
     extensions over all roots: a graph with few cycles can have
@@ -160,7 +152,8 @@ def simple_cycles(succ, roots, what: str, cap: int):
         while iters:
             for w in iters[-1]:
                 if w == s:
-                    yield path, onpath ^ blocked
+                    if len(path) >= shortest:
+                        yield path, onpath ^ blocked
                 elif w > s and not onpath >> w & 1:
                     break
             else:
@@ -183,9 +176,10 @@ def enumerate_cycles(g: Graph):
     (``biconnected_blocks``) with the vertices outside the block
     blocked: it never walks a bridge or enters a block where the path
     cannot close, and as two blocks share no edge, no cycle is found
-    twice.  Of a cycle's two directions, the one towards the root's
-    smaller neighbour is kept, so each comes out once, in canonical
-    form, with its vertex bitmask.
+    twice.  The search yields each cycle of three or more vertices once
+    per direction, and the one towards the root's smaller neighbour is
+    kept, so each comes out once, in canonical form, with its vertex
+    bitmask as ``Cycle.mask``.
 
     Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
     (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
@@ -200,18 +194,15 @@ def enumerate_cycles(g: Graph):
         # A cycle rooted at s needs two more vertices above s in the block.
         roots.extend((s, outside) for s in block[:-2])
     found = []
-    masks = {}
-    for path, mask in simple_cycles(g.neighbors, roots, "cycle path", DEFAULT_PATH_CAP):
-        if len(path) >= 3 and path[1] < path[-1]:
-            cycle = tuple(path)
-            found.append(cycle)
-            masks[cycle] = mask
+    for path, mask in simple_cycles(g.neighbors, roots, 3, "cycle path", DEFAULT_PATH_CAP):
+        if path[1] < path[-1]:
+            found.append((tuple(path), mask))
             if len(found) > cap:
                 raise EnumerationCapExceeded("cycle", cap)
-    found.sort(key=lambda c: (len(c), c))
+    found.sort(key=lambda pair: (len(pair[0]), pair[0]))
     # The Cycle objects are made after the search, not inside it: made
     # inside, they held about 0.6 MiB more peak RSS on 4x4-4x6 grids.
-    return [Cycle(c, masks[c]) for c in found]
+    return [Cycle(c, mask) for c, mask in found]
 
 
 def four_k_cycles(cycles) -> list:
@@ -228,10 +219,6 @@ class DisjointFamily(Frozen):
     """
 
     __slots__ = _fields = ("cycle_indices", "covered")
-
-    def __init__(self, cycle_indices: tuple, covered: VertexSet):
-        _set(self, "cycle_indices", cycle_indices)
-        _set(self, "covered", covered)
 
     @property
     def size(self) -> int:
@@ -321,6 +308,6 @@ def enumerate_disjoint_families(c4k) -> list:
     # peak RSS on 4x4-4x6 grids, though their tracemalloc peak was lower.
     return [
         DisjointFamily(indices, VertexSet(covered))
-        for indices, covered in disjoint_families([c.vertex_set.mask for c in c4k])
+        for indices, covered in disjoint_families([c.mask for c in c4k])
     ]
 

@@ -81,8 +81,6 @@ from .errors import InternalInvariantError
 from .graphs import Frozen, Graph, bipartition, graph_from_biadjacency
 from .matching import elementary_pieces, perfect_matching, pfaffian_signing
 
-_set = object.__setattr__
-
 PATH_ODD = "odd_shortcut"
 PATH_COROLLARY = "corollary_fast_path"
 PATH_PFAFFIAN = "pfaffian_signing"
@@ -122,7 +120,7 @@ class PermanentReport(Frozen):
     ``pieces`` holds one report per piece, whose ``n`` is the piece's
     and whose ``num_4k_cycles`` is 0; the value is their product.  A
     piece that is a single edge has per 1 and is left out, and adds no
-    family.
+    family.  Otherwise, and in each piece's own report, ``pieces`` is ().
     """
 
     __slots__ = _fields = (
@@ -134,24 +132,6 @@ class PermanentReport(Frozen):
         "path_taken",
         "pieces",
     )
-
-    def __init__(
-        self,
-        value: int,
-        n: int,
-        m: int,
-        num_4k_cycles: int,
-        families: int,
-        path_taken: str,
-        pieces: tuple = (),
-    ):
-        _set(self, "value", value)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "num_4k_cycles", num_4k_cycles)
-        _set(self, "families", families)
-        _set(self, "path_taken", path_taken)
-        _set(self, "pieces", pieces)
 
 
 def _count_4k(cycles) -> int:
@@ -199,7 +179,7 @@ def _piece_report(g: Graph, left: int, mate: list, piece: int) -> tuple:
         )
     # The families are sorted by size, so the last one is the largest.
     return pm, PermanentReport(
-        pm * pm, piece.bit_count(), len(families[-1][0]), 0, len(families), path
+        pm * pm, piece.bit_count(), len(families[-1][0]), 0, len(families), path, ()
     )
 
 
@@ -231,13 +211,13 @@ def permanent_auto(g: Graph) -> PermanentReport:
     left = bipartition(g).mask
     if g.n % 2:
         # No perfect matching can exist, so nothing is enumerated.
-        return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD)
+        return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD, ())
     # The whole graph's cycles serve only the count reported.
     num_4k = _count_4k(enumerate_cycles(g))
     pm, reports, split = _matching_count(g, left)
     if not pm:
         # Every family leaves an unmatchable rest, the empty one too.
-        return PermanentReport(0, g.n, 0, num_4k, 1, PATH_COROLLARY)
+        return PermanentReport(0, g.n, 0, num_4k, 1, PATH_COROLLARY, ())
     path = max((r.path_taken for r in reports), key=_PATH_ORDER.index, default=PATH_COROLLARY)
     return PermanentReport(
         pm * pm, g.n, sum(r.m for r in reports), num_4k,
@@ -271,13 +251,6 @@ class EfficiencyReport(Frozen):
     """
 
     __slots__ = _fields = ("is_cactus", "girth", "n", "c", "condition_holds")
-
-    def __init__(self, is_cactus: bool, girth: int | None, n: int, c: int, condition_holds: bool):
-        _set(self, "is_cactus", is_cactus)
-        _set(self, "girth", girth)
-        _set(self, "n", n)
-        _set(self, "c", c)
-        _set(self, "condition_holds", condition_holds)
 
 
 def _is_cycle(g: Graph, block: tuple) -> bool:

@@ -9,10 +9,11 @@ Conventions used throughout the package:
   The dense 0/1 matrix ``Graph.adj`` is derived on first use only.
 * Vertex subsets are bitmasks (`VertexSet`) so they can key caches.
 * The value types (graphs, vertex sets, cycles, families and reports)
-  derive from `Frozen`, which gives them equality, hashing and a
-  ``repr`` over their fields and refuses assignment.  They are plain
-  classes: generating those methods with a class decorator cost more at
-  import than all of the package's own modules.
+  derive from `Frozen`, which builds them from their fields, gives them
+  equality, hashing and a ``repr`` over those fields and refuses
+  assignment.  They are plain classes: generating those methods with a
+  class decorator cost more at import than all of the package's own
+  modules.
 """
 
 from __future__ import annotations
@@ -27,16 +28,27 @@ _set = object.__setattr__
 class Frozen:
     """Base of the package's immutable value types.
 
-    ``_fields`` names the constructor's arguments in order.  Equality,
-    hashing, ``repr`` and pickling read those fields, and an instance
-    equals only an instance of its own class.  Attributes derived from
-    the fields are left out of ``_fields``.  Assigning or deleting an
-    attribute raises AttributeError, so ``__init__`` stores the fields
-    with ``object.__setattr__``.
+    ``_fields`` names the fields in order, and the one constructor takes
+    one positional value per field: no keyword and no default, so a
+    wrong count raises TypeError.  Equality, hashing, ``repr`` and
+    pickling read those fields, and an instance equals only an instance
+    of its own class.  Assigning or deleting an attribute raises
+    AttributeError.  ``Graph`` alone has a constructor of its own, to
+    derive an attribute that is left out of ``_fields``.
     """
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *values):
+        fields = self._fields
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes {len(fields)} arguments"
+                f" {fields}, got {len(values)}"
+            )
+        for name, value in zip(fields, values):
+            _set(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -67,9 +79,6 @@ class VertexSet(Frozen):
     """An immutable subset of {0..n-1} stored as a bitmask."""
 
     __slots__ = _fields = ("mask",)
-
-    def __init__(self, mask: int = 0):
-        _set(self, "mask", mask)
 
     def indices(self) -> tuple:
         return tuple(mask_indices(self.mask))

@@ -234,7 +234,8 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
                 edges.append((u, w))
     closed = []
     roots = [(s, 0) for s in piece_left]
-    for path, mask in simple_cycles(arcs, roots, "alternating path", DEFAULT_SIGNING_CAP):
+    # Two arcs are the shortest cycle: a 4-cycle of the piece.
+    for path, mask in simple_cycles(arcs, roots, 2, "alternating path", DEFAULT_SIGNING_CAP):
         row = 0
         u = path[-1]
         for x in path:

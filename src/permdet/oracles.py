@@ -35,8 +35,6 @@ from .determinant import det_after_removal
 from .errors import EnumerationCapExceeded, SizeGuardExceeded
 from .graphs import Frozen, Graph, VertexSet, bipartition, induced_subgraph
 
-_set = object.__setattr__
-
 RYSER_GUARD = 30
 NAIVE_GUARD = 10
 SACHS_GUARD = 14
@@ -120,24 +118,14 @@ def per_naive(matrix) -> int:
 class SachsSubgraph(Frozen):
     """A subgraph whose every component is a single edge or a cycle.
 
-    Components are pairwise vertex-disjoint.  Cycle components are
-    classified by length mod 4 (``s`` counts multiples of four, ``t``
-    the rest of the even lengths); in a bipartite host every cycle is
-    even, so c = s + t there.
+    Components are pairwise vertex-disjoint, and ``covered`` is the set
+    of their vertices, as the search that found them tracked it.  Cycle
+    components are classified by length mod 4 (``s`` counts multiples of
+    four, ``t`` the rest of the even lengths); in a bipartite host every
+    cycle is even, so c = s + t there.
     """
 
-    __slots__ = ("edge_components", "cycle_components", "covered")
-    _fields = ("edge_components", "cycle_components")
-
-    def __init__(self, edge_components: tuple, cycle_components: tuple):
-        _set(self, "edge_components", edge_components)
-        _set(self, "cycle_components", cycle_components)
-        mask = 0
-        for u, v in edge_components:
-            mask |= (1 << u) | (1 << v)
-        for cy in cycle_components:
-            mask |= cy.vertex_set.mask
-        _set(self, "covered", VertexSet(mask))
+    __slots__ = _fields = ("edge_components", "cycle_components", "covered")
 
     @property
     def r(self) -> int:
@@ -176,14 +164,14 @@ def enumerate_sachs(g: Graph, i: int, cycles=None) -> list:
     if cycles is None:
         cycles = enumerate_cycles(g)
     comps = [((1 << u) | (1 << v), 2, (u, v), None) for u, v in g.edges]
-    comps.extend((cy.vertex_set.mask, cy.length, None, cy) for cy in cycles)
+    comps.extend((cy.mask, cy.length, None, cy) for cy in cycles)
     out = []
     chosen_edges = []
     chosen_cycles = []
 
     def backtrack(start, remaining, covered):
         if remaining == 0:
-            out.append(SachsSubgraph(tuple(chosen_edges), tuple(chosen_cycles)))
+            out.append(SachsSubgraph(tuple(chosen_edges), tuple(chosen_cycles), VertexSet(covered)))
             if len(out) > cap:
                 raise EnumerationCapExceeded("Sachs subgraph", cap)
             return
@@ -250,7 +238,7 @@ def check_removal_identity(g: Graph) -> bool:
         raise SizeGuardExceeded("check_removal_identity", g.n, REMOVAL_GUARD)
     cycles = enumerate_cycles(g)
     c4k = four_k_cycles(cycles)
-    lhs = sum(det_after_removal(g, r.vertex_set) for r in c4k)
+    lhs = sum(det_after_removal(g, VertexSet(r.mask)) for r in c4k)
     spanning = enumerate_sachs(g, g.n, cycles=cycles)
     half = g.n // 2
     rhs = 0
@@ -267,12 +255,6 @@ class FamilyTerm(Frozen):
 
     __slots__ = _fields = ("z", "covered", "det", "coefficient")
 
-    def __init__(self, z: int, covered: VertexSet, det: int, coefficient: int):
-        _set(self, "z", z)
-        _set(self, "covered", covered)
-        _set(self, "det", det)
-        _set(self, "coefficient", coefficient)
-
     @property
     def contribution(self) -> int:
         return self.coefficient * self.det
@@ -283,13 +265,6 @@ class Theorem1Report(Frozen):
     (by size, then cycle indices), ``m`` the largest family's size."""
 
     __slots__ = _fields = ("value", "n", "m", "num_4k_cycles", "per_family_terms")
-
-    def __init__(self, value: int, n: int, m: int, num_4k_cycles: int, per_family_terms: tuple):
-        _set(self, "value", value)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "num_4k_cycles", num_4k_cycles)
-        _set(self, "per_family_terms", per_family_terms)
 
 
 def permanent_theorem1(g: Graph) -> Theorem1Report:
@@ -318,10 +293,6 @@ class Theorem2Report(Frozen):
     """Outcome of the truncated-expansion check over induced subgraphs."""
 
     __slots__ = _fields = ("holds_for_all", "violating_subset")
-
-    def __init__(self, holds_for_all: bool, violating_subset: VertexSet | None):
-        _set(self, "holds_for_all", holds_for_all)
-        _set(self, "violating_subset", violating_subset)
 
 
 def verify_theorem2(g: Graph, m: int) -> Theorem2Report:

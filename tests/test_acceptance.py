@@ -15,6 +15,7 @@ import corpus
 import pytest
 from permdet import (
     SizeGuardExceeded,
+    VertexSet,
     cli,
     check_parity_identity,
     check_removal_identity,
@@ -77,7 +78,7 @@ def test_criterion_1_example10_end_to_end(capsys):
         c4k = four_k_cycles(cycles)
         assert len(c4k) == 3
         assert [cy.length for cy in cycles if not cy.is_4k] == [6]
-        dets = [det_after_removal(g, cy.vertex_set) for cy in c4k]
+        dets = [det_after_removal(g, VertexSet(cy.mask)) for cy in c4k]
         assert dets == [0, 0, -1]  # C1, C2, C3 in canonical order
 
         # ordered-tuple sums recovered from the reported term table

@@ -14,7 +14,7 @@ from permdet import (
     enumerate_disjoint_families,
     four_k_cycles,
 )
-from permdet.cycles import DEFAULT_FAMILY_CAP, biconnected_blocks
+from permdet.cycles import DEFAULT_FAMILY_CAP, biconnected_blocks, simple_cycles
 
 
 def test_cycle_canonical_form_ignores_rotation_and_direction():
@@ -27,7 +27,7 @@ def test_cycle_canonical_form_ignores_rotation_and_direction():
         walk = cy.vertices
         assert walk[0] == 0 and walk[1] == min(g.neighbors[0]), perm
         assert all(walk[i] in g.neighbors[walk[i - 1]] for i in range(6)), perm
-        assert cy.vertex_set.mask == 0b111111
+        assert cy.mask == 0b111111
 
 
 def test_cycle_labels_and_length():
@@ -197,9 +197,8 @@ def test_cycles_match_all_paths_oracle(graphs):
     for g in graphs():
         got = enumerate_cycles(g)
         want = all_paths_cycles(g)
-        # Cycle equality compares vertices only; the mask is checked apart.
+        # Cycle equality compares the vertices and the mask.
         assert got == want
-        assert [c.vertex_set.mask for c in got] == [c.vertex_set.mask for c in want]
 
 
 def test_bowtie_has_two_blocks_through_the_cut_vertex():
@@ -268,6 +267,27 @@ def test_path_cap_counts_across_blocks(monkeypatch):
     assert len(enumerate_cycles(g)) == 6
 
 
+def test_cycle_search_yields_each_cycle_once_per_direction(monkeypatch):
+    # The kernel passes over the closures back to the root that close no
+    # cycle, so enumerate_cycles sees each cycle once per direction only.
+    from permdet import cycles
+
+    yields = 0
+
+    def counting(succ, roots, shortest, what, cap):
+        nonlocal yields
+        for path, mask in simple_cycles(succ, roots, shortest, what, cap):
+            yields += 1
+            yield path, mask
+
+    monkeypatch.setattr(cycles, "simple_cycles", counting)
+    graphs = [corpus.example10(), corpus.bridged_c8_chain(6), _k4(), *corpus.random_corpus()]
+    for g in graphs:
+        yields = 0
+        found = enumerate_cycles(g)
+        assert yields == 2 * len(found), g.edges
+
+
 def test_disjoint_families_example10():
     c4k = four_k_cycles(enumerate_cycles(corpus.example10()))
     fams = enumerate_disjoint_families(c4k)
@@ -276,8 +296,8 @@ def test_disjoint_families_example10():
     for fam in fams:
         covered = 0
         for idx in fam.cycle_indices:
-            assert covered & c4k[idx].vertex_set.mask == 0
-            covered |= c4k[idx].vertex_set.mask
+            assert covered & c4k[idx].mask == 0
+            covered |= c4k[idx].mask
         assert covered == fam.covered.mask
 
 
@@ -299,7 +319,7 @@ def rescanning_families(c4k) -> list:
     The package's first implementation, kept as the oracle for the
     bitset search; it costs O(families * cycles).
     """
-    masks = [c.vertex_set.mask for c in c4k]
+    masks = [c.mask for c in c4k]
     families = []
 
     def extend(start, chosen, covered):

@@ -446,7 +446,7 @@ def test_classify_cactus_failing_girth_condition():
 
 def _pairwise_cactus(g) -> bool:
     """The definition: no two cycles share more than one vertex."""
-    masks = [cy.vertex_set.mask for cy in enumerate_cycles(g)]
+    masks = [cy.mask for cy in enumerate_cycles(g)]
     return all((a & b).bit_count() <= 1 for i, a in enumerate(masks) for b in masks[i + 1:])
 
 

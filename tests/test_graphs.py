@@ -22,7 +22,7 @@ def test_vertexset_basics():
     assert s.labels() == (1, 3, 7)
     assert s.indices() == (0, 2, 6)
     assert 0 in s and 2 in s and 1 not in s and -1 not in s
-    assert VertexSet().indices() == ()
+    assert VertexSet(0).indices() == ()
 
 
 def test_from_edges_collapses_duplicates():

@@ -146,7 +146,7 @@ def matched_bipartite(draw):
 def test_signed_expansion_does_not_depend_on_the_signing(case):
     # Every alternating cycle that is bad under the signing is expanded.
     g, mate, negative = case
-    bad = [c.vertex_set.mask for c in corpus.alternating_cycles(g, mate)
+    bad = [c.mask for c in corpus.alternating_cycles(g, mate)
            if corpus.is_bad(c, negative)]
     pm, _ = engine._signed_sum(g, bipartition(g).mask, mate, (1 << g.n) - 1, negative, bad)
     assert pm == per_ryser(corpus.biadjacency_of(g, range(g.n // 2)))

@@ -76,7 +76,7 @@ def test_expansion_runs_over_the_bad_alternating_cycles():
         mate = perfect_matching(g, left)
         negative, bad = pfaffian_signing(g, left, mate, (1 << g.n) - 1)
         expected = [c for c in corpus.alternating_cycles(g, mate) if corpus.is_bad(c, negative)]
-        assert sorted(bad) == sorted(c.vertex_set.mask for c in expected), g.edges
+        assert sorted(bad) == sorted(c.mask for c in expected), g.edges
         # fewer than the cycles bad under the signing, alternating or not
         assert len(bad) < sum(corpus.is_bad(c, negative) for c in enumerate_cycles(g))
         fams = enumerate_disjoint_families(expected)
@@ -101,8 +101,8 @@ def test_signing_search_yields_each_alternating_cycle_once(monkeypatch):
     # with the whole-graph cycles inside the piece that alternate with M.
     yielded = []
 
-    def recording(succ, roots, what, cap):
-        for path, mask in simple_cycles(succ, roots, what, cap):
+    def recording(succ, roots, shortest, what, cap):
+        for path, mask in simple_cycles(succ, roots, shortest, what, cap):
             assert mask == sum(1 << v for v in path)
             yielded.append(tuple(path))
             yield path, mask
@@ -129,7 +129,7 @@ def test_signing_search_yields_each_alternating_cycle_once(monkeypatch):
                 got.append(tuple(sorted(edges)))
             want = [
                 tuple(sorted(_edge(v[i - 1], v[i]) for i in range(len(v))))
-                for v in (c.vertices for c in reference if c.vertex_set.mask | piece == piece)
+                for v in (c.vertices for c in reference if c.mask | piece == piece)
             ]
             assert sorted(got) == sorted(want), g.edges
             searched += bool(got)

@@ -18,12 +18,16 @@ from permdet import (
     PermanentReport,
     VertexSet,
     bipartition,
+    classify_efficient,
     enumerate_cycles,
     enumerate_disjoint_families,
+    enumerate_sachs,
     four_k_cycles,
     permanent_auto,
     permanent_theorem1,
+    verify_theorem2,
 )
+from permdet.graphs import Frozen
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,7 +62,6 @@ def test_graph_equality_and_hash_ignore_neighbors():
 
 
 def test_vertexset_keys_a_dict_and_has_no_order():
-    assert VertexSet() == VertexSet(0)
     table = {VertexSet(5): "a"}
     assert table[VertexSet(0b101)] == "a"
     assert VertexSet(5) != 5
@@ -67,23 +70,21 @@ def test_vertexset_keys_a_dict_and_has_no_order():
     assert repr(VertexSet(5)) == "VertexSet(mask=5)"
 
 
-def test_cycle_equality_ignores_vertex_set():
+def test_cycle_equality_reads_vertices_and_mask():
     c = Cycle((0, 1, 2, 3), 0b1111)
-    assert c.vertex_set == VertexSet(0b1111)
-    same = Cycle(c.vertices, 0)
-    assert same.vertex_set != c.vertex_set
+    same = Cycle((0, 1, 2, 3), 0b1111)
     assert c == same and hash(c) == hash(same)
+    assert c != Cycle(c.vertices, 0)
     assert c != Cycle((0, 1, 2, 3, 4, 5), 0b111111)
     assert c != Cycle((0, 1, 3, 2), 0b1111)
-    assert repr(c) == "Cycle(vertices=(0, 1, 2, 3))"
+    assert repr(c) == "Cycle(vertices=(0, 1, 2, 3), mask=15)"
 
 
 def test_cycle_keeps_its_mask_through_pickle_and_copy():
-    # The constructor takes two arguments, and the mask is not a field.
     c = Cycle((0, 2, 5, 3), 0b101101)
     for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
         assert twin == c and hash(twin) == hash(c) and type(twin) is Cycle
-        assert twin.vertex_set == VertexSet(0b101101)
+        assert twin.mask == 0b101101
 
 
 @pytest.mark.parametrize(
@@ -91,8 +92,8 @@ def test_cycle_keeps_its_mask_through_pickle_and_copy():
     [
         (VertexSet(3), "mask"),
         (Cycle((0, 1, 2, 3), 0b1111), "vertices"),
-        (Cycle((0, 1, 2, 3), 0b1111), "vertex_set"),
-        (PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing"), "value"),
+        (Cycle((0, 1, 2, 3), 0b1111), "mask"),
+        (PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", ()), "value"),
         (Graph.from_edges(2, [(0, 1)]), "n"),
     ],
 )
@@ -106,7 +107,7 @@ def test_fields_cannot_be_assigned(value, field):
 def test_slotted_values_have_no_instance_dict():
     g = corpus.cycle_graph(4)
     c = Cycle((0, 1, 2, 3), 0b1111)
-    fam = DisjointFamily((0,), c.vertex_set)
+    fam = DisjointFamily((0,), VertexSet(c.mask))
     for value in (VertexSet(1), c, fam, bipartition(g), permanent_auto(g)):
         with pytest.raises(AttributeError):
             value.extra = 1
@@ -114,29 +115,59 @@ def test_slotted_values_have_no_instance_dict():
 
 
 def test_permanent_report_repr_and_defaults():
-    report = PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing")
-    assert report.pieces == ()
+    report = PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", ())
     text = repr(report)
     assert text.startswith("PermanentReport(value=4, ")
-    assert "path_taken='pfaffian_signing'" in text
-    assert report == PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", pieces=())
-    assert report != PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", pieces=(report,))
+    assert "path_taken='pfaffian_signing', pieces=()" in text
+    assert report != PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", (report,))
+    # No field has a default, and none is passed by keyword.
+    with pytest.raises(TypeError):
+        PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing")
+    with pytest.raises(TypeError):
+        PermanentReport(4, 4, 0, 1, 1, "pfaffian_signing", pieces=())
+    with pytest.raises(TypeError):
+        VertexSet()
+
+
+def test_only_graph_has_a_constructor_of_its_own():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = {cls.__name__: cls for cls in subclasses(Frozen)}
+    assert {"VertexSet", "Cycle", "PermanentReport", "Theorem2Report"} <= found.keys()
+    assert [name for name, cls in found.items() if "__init__" in cls.__dict__] == ["Graph"]
 
 
 def test_values_survive_pickle_and_copy():
     g = corpus.example10()
     c4k = four_k_cycles(enumerate_cycles(g))
+    report = permanent_auto(g)
+    table = permanent_theorem1(g)
+    # One value of each type the library returns.
     values = [
         g,
         VertexSet(9),
         c4k[0],
         enumerate_disjoint_families(c4k)[-1],
         bipartition(g),
-        permanent_auto(g),
-        permanent_theorem1(g),
+        report,
+        report.pieces[0],
+        table,
+        table.per_family_terms[-1],
+        classify_efficient(g),
+        enumerate_sachs(g, g.n)[0],
+        verify_theorem2(corpus.cycle_graph(4), 0),
+        verify_theorem2(corpus.cycle_graph(4), 1),
     ]
     for value in values:
         for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert twin == value and type(twin) is type(value)
+        # Pickling rebuilds a value from its fields, one positional value
+        # each, and one too few is a TypeError.
+        fields = value._key()
+        assert type(value)(*fields) == value
+        with pytest.raises(TypeError):
+            type(value)(*fields[:-1])
     assert pickle.loads(pickle.dumps(g)).neighbors == g.neighbors
-    assert pickle.loads(pickle.dumps(c4k[0])).vertex_set == c4k[0].vertex_set
