@@ -78,17 +78,6 @@ _EXIT_CODES = (
 FORMATS = ("edge-list", "adjacency", "biadjacency")
 
 
-def _non_negative(text: str) -> int:
-    """The type of ``verify --m``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is below 0")
-    return value
-
-
 def _add_command(sub, name, summary, formats=FORMATS):
     sp = sub.add_parser(name, help=summary)
     sp.add_argument("path", nargs="?", default="-",
@@ -115,10 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "cycles", "cycle inventory and disjoint 4k families")
     _add_command(sub, "pm-count", "perfect matchings from a biadjacency matrix",
                  formats=("biadjacency",))
-    ver = _add_command(sub, "verify", "cross-check the engine against oracles")
-    ver.add_argument("--m", type=_non_negative, default=None,
-                     help="truncation size for the induced-subgraph check "
-                          "(default: the full expansion's m)")
+    _add_command(sub, "verify", "cross-check the engine against oracles")
     _add_command(sub, "classify", "girth/cactus efficiency condition")
     return parser
 
@@ -227,11 +213,10 @@ def _cmd_verify(args, text: str):
     check("sachs-det", sachs_det)
     check("parity-identity", lambda: (check_parity_identity(g), None))
     check("removal-identity", lambda: (check_removal_identity(g), None))
-    # The engine's m sums the pieces' largest families of bad alternating
-    # cycles and can fall below the whole graph's largest 4k-cycle family,
-    # which Theorem 2 is about.
-    m = args.m if args.m is not None else full.m
-    check(f"theorem2(m={m})", lambda: (verify_theorem2(g, m).holds_for_all, None))
+    # Theorem 2 is about the whole graph's largest 4k-cycle family, the
+    # reference table's m.  The engine's m sums the pieces' largest
+    # families of bad alternating cycles and can fall below it.
+    check(f"theorem2(m={full.m})", lambda: (verify_theorem2(g, full.m).holds_for_all, None))
 
     failed = [c["name"] for c in checks if c["status"] == "mismatch"]
     yield dict(record="verify-path", path=report.path_taken)

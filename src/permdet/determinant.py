@@ -4,9 +4,10 @@ All arithmetic is over Python's arbitrary-precision integers; there is
 no rounding anywhere.
 
 ``det_after_removal`` gives det(G \\ S), the principal submatrix of A(G)
-on the kept vertices, by Bareiss on the full kept submatrix, memoized in
-a caller's dict keyed by the removed vertex bitmask.  It is the
-reference: the oracles, the demos and the tests use it.
+on the kept vertices, by Bareiss on the full kept submatrix, with no
+memo: ``oracles.permanent_theorem1`` evaluates it once per distinct
+cover.  It is the reference: the oracles, the demos and the tests use
+it.
 
 The engine calls ``signed_block_det``, the block evaluator under an edge
 signing, with no memo.  With the vertices ordered left side first, a
@@ -74,17 +75,10 @@ def determinant(matrix) -> int:
     return _bareiss(a)
 
 
-def det_after_removal(g: Graph, removed: VertexSet, cache: dict | None = None) -> int:
-    """det of the principal submatrix of A(g) on the kept vertices.
-
-    A given ``cache`` dict memoizes it by the removed vertex bitmask.
-    """
-    if cache is None:
-        return determinant(adjacency_after_removal(g, removed))
-    key = removed.mask
-    if key not in cache:
-        cache[key] = determinant(adjacency_after_removal(g, removed))
-    return cache[key]
+def det_after_removal(g: Graph, removed: VertexSet) -> int:
+    """det of the principal submatrix of A(g) on the vertices not in
+    ``removed``, by one elimination of the full kept submatrix."""
+    return determinant(adjacency_after_removal(g, removed))
 
 
 def signed_block_det(g: Graph, left: int, kept: int, negative: dict, mate: list) -> int:

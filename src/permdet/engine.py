@@ -89,7 +89,10 @@ PATH_THEOREM1 = "theorem1_expansion"
 # A graph's label is the last of its pieces' labels in this order.
 _PATH_ORDER = (PATH_COROLLARY, PATH_PFAFFIAN, PATH_THEOREM1)
 
-# The only family when no alternating cycle is bad.
+# The only family when no alternating cycle is bad.  disjoint_families([])
+# gives the same list, but calling it once per piece made 120 chain_c8
+# solves 2-9% slower in-process (2-vCPU AMD EPYC, Python 3.11.7: best of
+# 10 rounds, 35.7-36.5 ms with this constant against 37.3-38.8 ms).
 _EMPTY_FAMILY_ONLY = (((), 0),)
 
 

@@ -93,7 +93,10 @@ class VertexSet(Frozen):
 
 def mask_indices(mask: int) -> list:
     """The set bits of ``mask`` in increasing order, found one lowest bit
-    at a time, so the cost follows the members, not the highest index."""
+    at a time, so the cost follows the members, not the highest index.
+    Raises ValueError on a negative mask, whose set bits never end."""
+    if mask < 0:
+        raise ValueError(f"negative vertex mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -195,22 +198,29 @@ def _parse_int(token: str, line_no: int) -> int:
         raise ParseError(f"non-integer token {token!r}", line_no) from None
 
 
+def _header(text: str, names: str) -> tuple:
+    """The two non-negative counts of the header line ``names`` (such as
+    ``"n m"``) that opens ``text``, as ``(line_no, a, b, body)``, the body
+    the ``(line_no, tokens)`` of the nonblank lines after it."""
+    lines = list(_tokenize(text))
+    if not lines:
+        raise ParseError(f"empty input, expected {names!r} header")
+    header_no, header = lines[0]
+    if len(header) != 2:
+        raise ParseError(f"malformed header {' '.join(header)!r}, expected {names!r}", header_no)
+    a = _parse_int(header[0], header_no)
+    b = _parse_int(header[1], header_no)
+    if a < 0 or b < 0:
+        raise ParseError("header counts must be nonnegative", header_no)
+    return header_no, a, b, lines[1:]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``"n m"`` header followed by m ``"u v"`` lines (1-indexed).
 
     Duplicate edges are collapsed; whitespace layout is free-form.
     """
-    lines = list(_tokenize(text))
-    if not lines:
-        raise ParseError("empty input, expected 'n m' header")
-    header_no, header = lines[0]
-    if len(header) != 2:
-        raise ParseError(f"malformed header {' '.join(header)!r}, expected 'n m'", header_no)
-    n = _parse_int(header[0], header_no)
-    m = _parse_int(header[1], header_no)
-    if n < 0 or m < 0:
-        raise ParseError("header counts must be nonnegative", header_no)
-    body = lines[1:]
+    header_no, n, m, body = _header(text, "n m")
     if len(body) != m:
         raise ParseError(f"header declares {m} edges but {len(body)} edge lines follow", header_no)
     # Each edge is checked once and stored as (smaller, larger), so the
@@ -260,22 +270,12 @@ def parse_biadjacency(text: str) -> tuple:
 
     p and q are both positive, or both 0 (the empty matrix).
     """
-    lines = list(_tokenize(text))
-    if not lines:
-        raise ParseError("empty input, expected 'p q' header")
-    header_no, header = lines[0]
-    if len(header) != 2:
-        raise ParseError(f"malformed header {' '.join(header)!r}, expected 'p q'", header_no)
-    p = _parse_int(header[0], header_no)
-    q = _parse_int(header[1], header_no)
-    if p < 0 or q < 0:
-        raise ParseError("header counts must be nonnegative", header_no)
+    header_no, p, q, body = _header(text, "p q")
     if (p == 0) != (q == 0):
         # Blank rows are skipped, and with p = 0 no row would keep q.
         raise ParseError(
             f"header declares a {p} x {q} matrix; a side may be 0 only when both are", header_no
         )
-    body = lines[1:]
     if len(body) != p:
         raise ParseError(f"header declares {p} rows but {len(body)} follow", header_no)
     rows = []

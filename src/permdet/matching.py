@@ -26,9 +26,10 @@ no alternating cycle is bad, T is empty only and det(B_s)^2 = pm^2: s is
 a Pfaffian signing (Kasteleyn 1961; Lovasz-Plummer ch. 8).
 ``pfaffian_signing`` lists the alternating cycles with the search
 that ``cycles.enumerate_cycles`` runs on the whole graph
-(``cycles.simple_cycles``), collects one GF(2) row per cycle, solves
-for s, and returns the cycles left bad.  No matchability test is
-needed: removing an M-alternating cycle leaves M on the rest.
+(``cycles.simple_cycles``), reduces one GF(2) row per cycle, and solves
+for s.  The bad cycles are the rows the reduction rejects, so they are
+collected in the same pass.  No matchability test is needed: removing
+an M-alternating cycle leaves M on the rest.
 
 Each function takes the left side as one bitmask, ``left``, the
 ``mask`` of what ``graphs.bipartition`` returns, and vertex sets as
@@ -176,9 +177,8 @@ def _add_row(basis: dict, row: int, rhs: int) -> bool:
     return not rhs
 
 
-def _solve(basis: dict, edges: list) -> tuple:
-    """One solution of the kept equations, free variables 0, as a signing
-    and as the bitmask of the negative edges' indices.
+def _solve(basis: dict, edges: list) -> dict:
+    """One solution of the kept equations, free variables 0, as a signing.
 
     Every bit of an equation below its leading bit is either free or
     the leading bit of an equation with a smaller one, so solving in
@@ -193,7 +193,7 @@ def _solve(basis: dict, edges: list) -> tuple:
             u, w = edges[top]
             negative[u] = negative.get(u, 0) | 1 << w
             negative[w] = negative.get(w, 0) | 1 << u
-    return negative, chosen
+    return negative
 
 
 def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
@@ -211,12 +211,15 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
     them, that row gives the equation "the number of negative edges is
     l + 1 mod 2", which makes the cycle good.  Once the search is done
     the rows are reduced in the order found: a consistent one is kept
-    and an inconsistent one skipped, and the signing satisfies every
-    kept one.  ``bad`` holds the vertex masks of the cycles that are bad
-    under it (l + 1 plus their negative edges odd), in the order found,
-    each the search's mask of its left vertices plus their mates.  It is
-    empty exactly when every equation was consistent, which certifies
-    the signing as Pfaffian; otherwise no signing is.
+    and an inconsistent one rejected, and the signing satisfies every
+    kept one.  So it satisfies every consistent row, a sum of kept ones,
+    and violates every rejected row, a sum of kept ones with the
+    right-hand side flipped: the bad cycles (l + 1 plus their negative
+    edges odd) are exactly the rejected rows.  ``bad`` holds their vertex
+    masks in the order found, each the search's mask of its left
+    vertices plus their mates.  It is empty exactly when every equation
+    was consistent, which certifies the signing as Pfaffian; otherwise
+    no signing is.
 
     Raises EnumerationCapExceeded (``alternating path``) after
     ``DEFAULT_SIGNING_CAP`` path extensions, since the expansion is
@@ -243,18 +246,12 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
             u = x
         closed.append((row, mask))
     basis = {}
-    consistent = True
-    for row, _ in closed:
+    bad = []
+    for row, mask in closed:
         # A cycle of length 2l has l non-matching edges: l = row.bit_count().
         if not _add_row(basis, row, row.bit_count() + 1 & 1):
-            consistent = False
-    negative, chosen = _solve(basis, edges)
-    bad = []
-    if not consistent:
-        for row, mask in closed:
-            if (row.bit_count() + 1 + (row & chosen).bit_count()) & 1:
-                # The cycle's vertices: its left vertices and their mates.
-                for u in mask_indices(mask):
-                    mask |= 1 << mate[u]
-                bad.append(mask)
-    return negative, bad
+            # The cycle's vertices: its left vertices and their mates.
+            for u in mask_indices(mask):
+                mask |= 1 << mate[u]
+            bad.append(mask)
+    return _solve(basis, edges), bad

@@ -148,23 +148,21 @@ class SachsSubgraph(Frozen):
         return sum(1 for cy in self.cycle_components if cy.length % 4 == 2)
 
 
-def enumerate_sachs(g: Graph, i: int, cycles=None) -> list:
+def enumerate_sachs(g: Graph, i: int) -> list:
     """All Sachs subgraphs of ``g`` covering exactly ``i`` vertices.
 
     Components (edges first, then the canonical cycle list) are chosen
     in strictly increasing position, so each subgraph appears exactly
     once and the output order is deterministic.  ``i = 0`` yields the
-    single empty subgraph.  Pass a pre-enumerated ``cycles`` list to
-    avoid re-running cycle search.  Raises EnumerationCapExceeded past
+    single empty subgraph.  The cycles are ``cycles.enumerate_cycles(g)``,
+    listed on each call.  Raises EnumerationCapExceeded past
     ``DEFAULT_SACHS_CAP`` subgraphs.
     """
     cap = DEFAULT_SACHS_CAP
     if not 0 <= i <= g.n:
         raise ValueError(f"i={i} outside 0..{g.n}")
-    if cycles is None:
-        cycles = enumerate_cycles(g)
     comps = [((1 << u) | (1 << v), 2, (u, v), None) for u, v in g.edges]
-    comps.extend((cy.mask, cy.length, None, cy) for cy in cycles)
+    comps.extend((cy.mask, cy.length, None, cy) for cy in enumerate_cycles(g))
     out = []
     chosen_edges = []
     chosen_cycles = []
@@ -236,10 +234,10 @@ def check_removal_identity(g: Graph) -> bool:
     """
     if g.n > REMOVAL_GUARD:
         raise SizeGuardExceeded("check_removal_identity", g.n, REMOVAL_GUARD)
-    cycles = enumerate_cycles(g)
-    c4k = four_k_cycles(cycles)
+    c4k = four_k_cycles(enumerate_cycles(g))
     lhs = sum(det_after_removal(g, VertexSet(r.mask)) for r in c4k)
-    spanning = enumerate_sachs(g, g.n, cycles=cycles)
+    # Cycles compare by value, so those of a second enumeration match.
+    spanning = enumerate_sachs(g, g.n)
     half = g.n // 2
     rhs = 0
     for r in c4k:
@@ -272,17 +270,21 @@ def permanent_theorem1(g: Graph) -> Theorem1Report:
     4^|F| * det(G minus V(F)), signed by (-1)^(n/2), with no shortcut.
 
     Each ``det`` is the full-order determinant of the graph minus the
-    family.  Odd n gives 0 and no terms.  Raises NotBipartiteError for
-    non-bipartite input and propagates the enumeration caps.
+    family, evaluated once per distinct set of covered vertices.  Odd n
+    gives 0 and no terms.  Raises NotBipartiteError for non-bipartite
+    input and propagates the enumeration caps.
     """
     bipartition(g)
     if g.n % 2:
         return Theorem1Report(0, g.n, 0, 0, ())
     c4k = four_k_cycles(enumerate_cycles(g))
-    cache = {}
+    families = enumerate_disjoint_families(c4k)
+    # Families that cover the same vertices share one determinant.
+    covers = {fam.covered.mask: fam.covered for fam in families}
+    dets = {mask: det_after_removal(g, covered) for mask, covered in covers.items()}
     terms = tuple(
-        FamilyTerm(fam.size, fam.covered, det_after_removal(g, fam.covered, cache), 4**fam.size)
-        for fam in enumerate_disjoint_families(c4k)
+        FamilyTerm(fam.size, fam.covered, dets[fam.covered.mask], 4**fam.size)
+        for fam in families
     )
     total = sum(term.contribution for term in terms)
     value = -total if (g.n // 2) & 1 else total

@@ -409,7 +409,7 @@ def test_cycles_records_index(capsys):
     "argv",
     [("per", "--bogus", "c4.edges"), ("det", "c4.edges", "--cycle-cap", "3"),
      ("pm-count", "k33.biadj", "--cycle-cap", "3"), ("per", "c4.edges", "--cycle-cap", "-5"),
-     ("verify", "c4.edges", "--m", "-1"), ("verify", "c4.edges", "--guard-subsets", "-1"),
+     ("verify", "c4.edges", "--m", "2"), ("verify", "c4.edges", "--guard-subsets", "-1"),
      ("bench", "c4.edges", "--guard-ryser", "-1"), (),
      # caps and guards are module constants, not flags, and bench is gone
      ("bench", "c8.edges"), ("per", "c4.edges", "--cycle-cap", "3"),
@@ -419,7 +419,7 @@ def test_cycles_records_index(capsys):
      ("verify", "c4.edges", "--guard-removal", "12"),
      ("verify", "c4.edges", "--guard-subsets", "14")],
     ids=["unknown flag", "removed flag", "removed pm-count flag", "negative cycle cap",
-         "negative m", "negative verify guard", "negative bench guard", "no command",
+         "removed m", "negative verify guard", "negative bench guard", "no command",
          "removed bench", "removed per cycle cap", "removed cycles cycle cap",
          "removed classify cycle cap", "removed verify cycle cap", "removed guard-ryser",
          "removed guard-naive", "removed guard-sachs", "removed guard-removal",

@@ -1,4 +1,3 @@
-import importlib
 import random
 
 import corpus
@@ -15,8 +14,6 @@ from permdet import (
 )
 from permdet.determinant import signed_block_det
 from permdet.matching import perfect_matching
-
-determinant_module = importlib.import_module("permdet.determinant")
 
 
 def laplace_det(m):
@@ -80,20 +77,6 @@ def test_determinant_large_values_stay_exact():
 def test_determinant_rejects_nonsquare():
     with pytest.raises(ValueError):
         determinant(((1, 2),))
-
-
-def test_det_cache_skips_a_second_elimination(monkeypatch):
-    g = corpus.example10()
-    cache = {}
-    removed = VertexSet(0b1111000000)
-    assert det_after_removal(g, removed, cache) == -1
-    assert cache == {removed.mask: -1}
-
-    def forbidden(matrix):
-        raise AssertionError("a cached determinant was eliminated again")
-
-    monkeypatch.setattr(determinant_module, "determinant", forbidden)
-    assert det_after_removal(g, removed, cache) == -1
 
 
 def test_det_after_removal_full_graph_gives_one():
@@ -172,13 +155,11 @@ def test_biadjacency_det_matches_full_order_on_random_masks():
     assert all(count >= 10 for count in seen.values()), seen
 
 
-def test_biadjacency_det_negative_sign_and_cache():
+def test_biadjacency_det_negative_sign():
     g = corpus.cycle_graph(6)  # det(C6) = -4 = (-1)^3 * 2^2
     left = bipartition(g).mask
-    cache = {}
     assert biadjacency_det_after_removal(g, left, VertexSet(0)) == -4
-    assert det_after_removal(g, VertexSet(0), cache) == -4
-    assert cache == {0: -4}
+    assert det_after_removal(g, VertexSet(0)) == -4
     # removing one vertex leaves 2 + 3 kept: no perfect matching, det 0
     assert biadjacency_det_after_removal(g, left, VertexSet(1)) == 0
     assert det_after_removal(g, VertexSet(1)) == 0

@@ -216,8 +216,9 @@ def test_engine_memoizes_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the engine reached the determinant memo")
 
-    # The memo is det_after_removal's; it builds its matrix through the
-    # module's adjacency_after_removal however a caller imported it.
+    # The reference determinant is det_after_removal, which the term
+    # table memoizes; it builds its matrix through the module's
+    # adjacency_after_removal however a caller imported it.
     monkeypatch.setattr(determinant_module, "det_after_removal", forbidden)
     monkeypatch.setattr(determinant_module, "adjacency_after_removal", forbidden)
     for g, value in zip(graphs, expected):

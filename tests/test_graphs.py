@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import corpus
 import pytest
@@ -16,6 +20,8 @@ from permdet import (
     parse_edge_list,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def test_vertexset_basics():
     s = VertexSet(0b1000101)
@@ -23,6 +29,28 @@ def test_vertexset_basics():
     assert s.indices() == (0, 2, 6)
     assert 0 in s and 2 in s and 1 not in s and -1 not in s
     assert VertexSet(0).indices() == ()
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["VertexSet(-2).labels()", "adjacency_after_removal(Graph.from_edges(3, []), VertexSet(-1))"],
+    ids=["labels", "adjacency_after_removal"],
+)
+def test_negative_mask_raises_instead_of_hanging(call):
+    # A negative mask has no highest set bit, so a walk over its bits
+    # never ends; a subprocess with a timeout turns a hang into a failure.
+    code = (
+        "from permdet import Graph, VertexSet, adjacency_after_removal\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20, check=True
+    )
+    assert done.stdout.startswith("negative vertex mask -"), done.stdout
 
 
 def test_from_edges_collapses_duplicates():
@@ -177,6 +205,46 @@ def test_parse_biadjacency():
         parse_biadjacency("2 3\n1 0 1\n")
     with pytest.raises(ParseError):
         parse_biadjacency("1 2\n1 2\n")
+
+
+@pytest.mark.parametrize(
+    "parse,text,kind,message,line_no",
+    [
+        (parse_biadjacency, "", ParseError, "empty input, expected 'p q' header", None),
+        (parse_biadjacency, "\n2 3 4\n", ParseError,
+         "line 2: malformed header '2 3 4', expected 'p q'", 2),
+        (parse_biadjacency, "2 x\n", ParseError, "line 1: non-integer token 'x'", 1),
+        (parse_biadjacency, "-1 2\n", ParseError,
+         "line 1: header counts must be nonnegative", 1),
+        (parse_biadjacency, "2 -2\n", ParseError,
+         "line 1: header counts must be nonnegative", 1),
+        (parse_biadjacency, "2 3\n1 0 1\n\n0 1\n", ParseError,
+         "line 4: row has 2 entries, expected 3", 4),
+        (parse_edge_list, "-1 0\n", ParseError, "line 1: header counts must be nonnegative", 1),
+        (parse_edge_list, "\n3 -1\n", ParseError,
+         "line 2: header counts must be nonnegative", 2),
+        (parse_adjacency_matrix, "  \n\n", ParseError,
+         "empty input, expected adjacency rows", None),
+        (parse_adjacency_matrix, "0 1\n0 0\n", ParseError,
+         "matrix is asymmetric at (2, 1)", None),
+        (parse_adjacency_matrix, "0 2\n2 0\n", ParseError,
+         "entry (1, 2) is 2, expected 0 or 1", None),
+        (parse_adjacency_matrix, "0 1\n1 1\n", ParseError, "nonzero diagonal at vertex 2", None),
+        (lambda text: Graph.from_edges(-1, []), "", ValueError,
+         "vertex count must be nonnegative", None),
+    ],
+    ids=["biadj empty", "biadj malformed header", "biadj non-integer header",
+         "biadj negative p", "biadj negative q", "biadj short row", "edge-list negative n",
+         "edge-list negative m", "adjacency empty", "adjacency asymmetric",
+         "adjacency entry", "adjacency diagonal", "from_edges negative n"],
+)
+def test_input_checks_raise_with_message_and_line(parse, text, kind, message, line_no):
+    with pytest.raises(kind) as exc:
+        parse(text)
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+    if kind is ParseError:
+        assert exc.value.line_no == line_no
 
 
 @pytest.mark.parametrize("header", ["0 5", "3 0", "0 1"])

@@ -131,6 +131,18 @@ def test_theorem1_reference_is_independent_of_the_engine(monkeypatch):
         assert permanent_theorem1(g).value == value, g.edges
 
 
+def test_theorem1_table_evaluates_one_determinant_per_cover(monkeypatch):
+    # The 4x4 grid's 170 families cover 123 distinct vertex sets.
+    determinant_module = importlib.import_module("permdet.determinant")
+    calls = []
+    full = determinant_module.determinant
+    monkeypatch.setattr(determinant_module, "determinant", lambda a: calls.append(1) or full(a))
+    report = permanent_theorem1(corpus.grid_graph(4, 4))
+    assert report.value == 36**2
+    covers = {term.covered.mask for term in report.per_family_terms}
+    assert len(calls) == len(covers) < len(report.per_family_terms)
+
+
 def test_sachs_size_monotone_on_bipartite():
     # If some Sachs subgraph covers i >= 2 vertices, one covers i - 2:
     # drop an edge component, or swap a cycle for all but one edge of its
