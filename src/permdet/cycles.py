@@ -6,13 +6,16 @@ smaller neighbor on the cycle comes second.  Enumeration output is
 deterministic, sorted by (length, vertices).
 
 ``simple_cycles`` is the package's one backtracking cycle search: it
-lists the whole graph's cycles here and a piece's alternating cycles in
+finds the whole graph's cycles here and a piece's alternating cycles in
 ``matching.pfaffian_signing``.  Every cycle lies inside one biconnected
 block, so the whole graph's cycles are searched one block at a time: a
 Hopcroft-Tarjan pass, O(n + e), splits the graph into blocks, and the
 search then runs in each block with every vertex outside it blocked.
 Bridges, trees and the paths between blocks are never walked, and since
-two blocks share no edge, no cycle is found twice.
+two blocks share no edge, no cycle is found twice.  That search is one
+stream, ``whole_graph_cycles``, with three readers: ``enumerate_cycles``
+sorts it into the one list of cycles, and the engine's ``permanent_auto``
+and ``classify_efficient`` count its cycles by length as they are found.
 
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
@@ -168,18 +171,11 @@ def simple_cycles(succ, roots, shortest: int, what: str, cap: int):
             iters.append(iter(succ[w]))
 
 
-def enumerate_cycles(g: Graph):
-    """All elementary cycles of ``g``, canonical and sorted.
-
-    Every cycle lies inside one biconnected block, so ``simple_cycles``
-    runs on the neighbour lists from each vertex of each block
-    (``biconnected_blocks``) with the vertices outside the block
-    blocked: it never walks a bridge or enters a block where the path
-    cannot close, and as two blocks share no edge, no cycle is found
-    twice.  The search yields each cycle of three or more vertices once
-    per direction, and the one towards the root's smaller neighbour is
-    kept, so each comes out once, in canonical form, with its vertex
-    bitmask as ``Cycle.mask``.
+def whole_graph_cycles(g: Graph):
+    """Yield ``(path, mask)`` once per elementary cycle of ``g``, as the
+    search finds it: the live path in canonical order (copy it to keep
+    it) and its vertex bitmask.  Of the two directions ``simple_cycles``
+    yields, the one towards the root's smaller neighbour is kept.
 
     Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
     (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
@@ -193,12 +189,19 @@ def enumerate_cycles(g: Graph):
             outside ^= 1 << v
         # A cycle rooted at s needs two more vertices above s in the block.
         roots.extend((s, outside) for s in block[:-2])
-    found = []
+    count = 0
     for path, mask in simple_cycles(g.neighbors, roots, 3, "cycle path", DEFAULT_PATH_CAP):
         if path[1] < path[-1]:
-            found.append((tuple(path), mask))
-            if len(found) > cap:
+            count += 1
+            if count > cap:
                 raise EnumerationCapExceeded("cycle", cap)
+            yield path, mask
+
+
+def enumerate_cycles(g: Graph):
+    """All elementary cycles of ``g`` as ``Cycle`` values, canonical and
+    sorted: the list reader of ``whole_graph_cycles``, with its caps."""
+    found = [(tuple(path), mask) for path, mask in whole_graph_cycles(g)]
     found.sort(key=lambda pair: (len(pair[0]), pair[0]))
     # The Cycle objects are made after the search, not inside it: made
     # inside, they held about 0.6 MiB more peak RSS on 4x4-4x6 grids.

@@ -48,10 +48,10 @@ The order of work, each step on the graph the parser built:
 
 1. ``bipartition``, whose left side every later step reads as one
    bitmask, ``left``; an odd n stops here with per 0.
-2. In ``permanent_auto`` only: the cycles of the whole graph
-   (``cycles.enumerate_cycles``) and one pass over them that checks
-   each is even and counts the 4k-cycles, the count reported.  Nothing
-   else reads them.
+2. In ``permanent_auto`` only: the whole graph's cycle search
+   (``cycles.whole_graph_cycles``).  Each cycle is checked to be even
+   and counted by length as it is found, and no list is kept; the
+   4k-cycle count is reported, and nothing else reads them.
 3. One perfect matching M (``matching.perfect_matching``); with none,
    pm = 0 with no elimination.
 4. The elementary pieces of M (``matching.elementary_pieces``): M splits
@@ -59,7 +59,7 @@ The order of work, each step on the graph the parser built:
    product over the pieces.
 5. Per piece of more than two vertices: its signing and its bad
    alternating cycles (``matching.pfaffian_signing``, whose cycles come
-   from ``cycles.simple_cycles``, the search that also lists the whole
+   from ``cycles.simple_cycles``, the search that also finds the whole
    graph's cycles in step 2), the families of those cycles
    (``cycles.disjoint_families``, on vertex masks), and one determinant
    per family (``signed_block_det``).
@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import math
 
-from .cycles import biconnected_blocks, disjoint_families, enumerate_cycles
+from .cycles import biconnected_blocks, disjoint_families, whole_graph_cycles
 from .determinant import signed_block_det
 from .errors import InternalInvariantError
 from .graphs import Frozen, Graph, bipartition, graph_from_biadjacency
@@ -137,19 +137,17 @@ class PermanentReport(Frozen):
     )
 
 
-def _count_4k(cycles) -> int:
-    """The number of 4k-cycles in ``cycles``, checked to be all even in
-    the same pass."""
-    count = 0
-    for cyc in cycles:
-        length = len(cyc.vertices)
+def _length_counts(g: Graph) -> dict:
+    """How many cycles of the whole graph have each length, counted as the
+    search (``whole_graph_cycles``) finds them, each checked to be even."""
+    counts = {}
+    for path, _ in whole_graph_cycles(g):
+        length = len(path)
         if length & 1:
-            # The host was already bipartition-checked, so an odd cycle
-            # here can only mean a bug in the enumerator.
-            raise InternalInvariantError(f"odd cycle {cyc.labels()} in bipartite host")
-        if not length & 3:
-            count += 1
-    return count
+            # The host was bipartition-checked: an odd cycle is a bug.
+            raise InternalInvariantError(f"odd cycle {tuple(v + 1 for v in path)} in bipartite host")
+        counts[length] = counts.get(length, 0) + 1
+    return counts
 
 
 def _signed_sum(g: Graph, left: int, mate: list, piece: int, negative: dict, bad: list) -> tuple:
@@ -216,7 +214,7 @@ def permanent_auto(g: Graph) -> PermanentReport:
         # No perfect matching can exist, so nothing is enumerated.
         return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD, ())
     # The whole graph's cycles serve only the count reported.
-    num_4k = _count_4k(enumerate_cycles(g))
+    num_4k = sum(k for length, k in _length_counts(g).items() if not length & 3)
     pm, reports, split = _matching_count(g, left)
     if not pm:
         # Every family leaves an unmatchable rest, the empty one too.
@@ -269,15 +267,13 @@ def _is_cycle(g: Graph, block: tuple) -> bool:
 def classify_efficient(g: Graph) -> EfficiencyReport:
     """Classify a bipartite graph by the girth condition
     g0 * (c + 2) > n + c(c-1)/2 + c, compared in exact integers.
-    Acyclic graphs pass trivially.
+    Acyclic graphs pass trivially.  The girth g0 and the number c of
+    girth cycles come from one count of the cycles as they are found.
     """
     bipartition(g)
-    cycles = enumerate_cycles(g)
-    _count_4k(cycles)
-    if not cycles:
-        return EfficiencyReport(True, None, g.n, 0, True)
+    counts = _length_counts(g)
+    girth = min(counts, default=None)
+    c = counts.get(girth, 0)
     is_cactus = all(_is_cycle(g, block) for block in biconnected_blocks(g))
-    girth = cycles[0].length
-    c = sum(1 for cy in cycles if cy.length == girth)
-    holds = is_cactus and girth * (c + 2) > g.n + c * (c - 1) // 2 + c
+    holds = girth is None or is_cactus and girth * (c + 2) > g.n + c * (c - 1) // 2 + c
     return EfficiencyReport(is_cactus, girth, g.n, c, holds)

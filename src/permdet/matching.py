@@ -25,7 +25,7 @@ cycles of 2^|T| * sigma_T * det(B_s minus V(T)) (see ``engine``).  When
 no alternating cycle is bad, T is empty only and det(B_s)^2 = pm^2: s is
 a Pfaffian signing (Kasteleyn 1961; Lovasz-Plummer ch. 8).
 ``pfaffian_signing`` lists the alternating cycles with the search
-that ``cycles.enumerate_cycles`` runs on the whole graph
+that ``cycles.whole_graph_cycles`` runs on the whole graph
 (``cycles.simple_cycles``), reduces one GF(2) row per cycle, and solves
 for s.  The bad cycles are the rows the reduction rejects, so they are
 collected in the same pass.  No matchability test is needed: removing

@@ -2,11 +2,13 @@ import gc
 import importlib
 import math
 import random
+import tracemalloc
 
 import corpus
 import pytest
 from permdet import (
-    Cycle,
+    EfficiencyReport,
+    EnumerationCapExceeded,
     Graph,
     InternalInvariantError,
     NotBipartiteError,
@@ -19,12 +21,14 @@ from permdet import (
     count_perfect_matchings,
     determinant,
     enumerate_cycles,
+    four_k_cycles,
     parse_biadjacency,
     parse_edge_list,
     per_ryser,
     permanent_auto,
     permanent_theorem1,
 )
+from permdet import cycles as cycles_module
 from permdet import engine
 from permdet.matching import elementary_pieces, perfect_matching
 
@@ -236,7 +240,7 @@ def test_count_perfect_matchings_lists_no_whole_graph_cycles(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("count_perfect_matchings listed the whole graph's cycles")
 
-    monkeypatch.setattr(engine, "enumerate_cycles", forbidden)
+    monkeypatch.setattr(engine, "whole_graph_cycles", forbidden)
     for b, count in zip(matrices, expected):
         assert count_perfect_matchings(b) == count, b
 
@@ -354,8 +358,8 @@ def test_negative_matching_count_raises_invariant_error(monkeypatch):
 
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
-    triangle = Cycle((0, 1, 2), 0b111)
-    monkeypatch.setattr(engine, "enumerate_cycles", lambda g: (triangle,))
+    # Both readers count the whole graph's cycles from the one stream.
+    monkeypatch.setattr(engine, "whole_graph_cycles", lambda g: iter([([0, 1, 2], 0b111)]))
     for run in (permanent_auto, classify_efficient):
         with pytest.raises(InternalInvariantError, match="odd cycle"):
             run(corpus.cycle_graph(4))
@@ -445,24 +449,29 @@ def test_classify_cactus_failing_girth_condition():
     assert not rec.condition_holds
 
 
-def _pairwise_cactus(g) -> bool:
+def _pairwise_cactus(cycles) -> bool:
     """The definition: no two cycles share more than one vertex."""
-    masks = [cy.mask for cy in enumerate_cycles(g)]
+    masks = [cy.mask for cy in cycles]
     return all((a & b).bit_count() <= 1 for i, a in enumerate(masks) for b in masks[i + 1:])
 
 
-def test_cactus_from_blocks_matches_pairwise_definition():
-    graphs = [
+def _classify_corpus() -> list:
+    return [
         *corpus.connected_bipartite_upto(8),
         *corpus.random_corpus(),
+        *(corpus.grid_graph(r, c) for r in range(2, 5) for c in range(r, 7)),
         *(corpus.bridged_c8_chain(k) for k in range(1, 7)),
         *(corpus.load_fixture(name) for name in (
             "c4.edges", "c6.edges", "c8.edges", "cactus40.edges", "cubic20.edges",
             "example10.edges", "p6.edges", "two_disjoint_c4.edges")),
     ]
+
+
+def test_cactus_from_blocks_matches_pairwise_definition():
+    graphs = _classify_corpus()
     cacti = 0
     for g in graphs:
-        want = _pairwise_cactus(g)
+        want = _pairwise_cactus(enumerate_cycles(g))
         assert classify_efficient(g).is_cactus == want, g.edges
         cacti += want
     # both answers occur often enough to tell the two tests apart
@@ -473,3 +482,55 @@ def test_classify_cactus40_fixture():
     rec = classify_efficient(corpus.load_fixture("cactus40.edges"))
     assert rec.is_cactus and rec.girth == 8 and rec.c == 5
     assert rec.condition_holds
+
+
+def test_counts_as_found_match_the_sorted_cycle_list():
+    # The engine and classify read the cycle stream without a list; the
+    # reference reads enumerate_cycles' sorted list of the same cycles.
+    # An odd n reports 0 without a search.
+    for g in _classify_corpus():
+        cycles = enumerate_cycles(g)
+        want_4k = 0 if g.n % 2 else len(four_k_cycles(cycles))
+        assert permanent_auto(g).num_4k_cycles == want_4k, g.edges
+        if cycles:
+            girth = cycles[0].length
+            c = sum(cy.length == girth for cy in cycles)
+            cactus = _pairwise_cactus(cycles)
+            holds = cactus and girth * (c + 2) > g.n + c * (c - 1) // 2 + c
+            want = EfficiencyReport(cactus, girth, g.n, c, holds)
+        else:
+            want = EfficiencyReport(True, None, g.n, 0, True)
+        assert classify_efficient(g) == want, g.edges
+
+
+def _caps_out(run, g) -> bool:
+    try:
+        run(g)
+    except EnumerationCapExceeded:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("graph", [corpus.example10(), corpus.grid_graph(4, 4)])
+def test_cycle_cap_applies_alike_to_the_list_and_the_counts(monkeypatch, graph):
+    total = len(enumerate_cycles(graph))
+    for cap in range(total + 1):
+        monkeypatch.setattr(cycles_module, "DEFAULT_CYCLE_CAP", cap)
+        want = _caps_out(enumerate_cycles, graph)
+        assert want == (cap < total)
+        assert _caps_out(permanent_auto, graph) == want, cap
+        assert _caps_out(classify_efficient, graph) == want, cap
+
+
+def test_grid_solve_keeps_no_cycle_list():
+    # The listed cycles of the 4 x 6 grid held about 1 MiB at the peak.
+    g = corpus.grid_graph(4, 6)
+    permanent_auto(g)
+    tracemalloc.start()
+    try:
+        report = permanent_auto(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.num_4k_cycles == 2530
+    assert peak < 64 * 1024
