@@ -7,15 +7,19 @@ deterministic, sorted by (length, vertices).
 
 ``simple_cycles`` is the package's one backtracking cycle search: it
 finds the whole graph's cycles here and a piece's alternating cycles in
-``matching.pfaffian_signing``.  Every cycle lies inside one biconnected
+``matching.pfaffian_signing``.  It runs on successor bitmasks in its
+caller's own numbering, so each search step takes its candidates with
+one AND, lowest bit first.  Every cycle lies inside one biconnected
 block, so the whole graph's cycles are searched one block at a time: a
-Hopcroft-Tarjan pass, O(n + e), splits the graph into blocks, and the
-search then runs in each block with every vertex outside it blocked.
-Bridges, trees and the paths between blocks are never walked, and since
-two blocks share no edge, no cycle is found twice.  That search is one
-stream, ``whole_graph_cycles``, with three readers: ``enumerate_cycles``
-sorts it into the one list of cycles, and the engine's ``permanent_auto``
-and ``classify_efficient`` count its cycles by length as they are found.
+Hopcroft-Tarjan pass, O(n + e), splits the graph into blocks, and each
+block is searched in its own numbering, vertex block[j] as j.  Bridges,
+trees and the paths between blocks are never walked, and since two
+blocks share no edge, no cycle is found twice.  A block of 30 or fewer
+vertices keeps every mask of its search in one digit of a CPython int.
+That search is one stream, ``whole_graph_cycles``, with three readers:
+``enumerate_cycles`` maps it back to the graph's vertices and sorts it
+into the one list of cycles, and the engine's ``permanent_auto`` and
+``classify_efficient`` count its cycles by length as they are found.
 
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
@@ -44,10 +48,13 @@ from .graphs import Frozen, Graph, VertexSet, mask_indices
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
 # Path extensions the cycle search may make per call.  An extension
-# costs 0.25-0.3 us (AMD EPYC, Python 3.11.7), so the cap stops a search
-# within about 3 s: the 2 x 22 ladder and the 6 x 6 grid stop at it.
-# The tests, demos and benchmark need at most 2,000,998 (the
-# 2,000-vertex cycle; grid_4xk 172,920, mixed_batch 23,628).
+# costs 0.16-0.2 us (2-vCPU AMD EPYC, Python 3.11.7: 177,462 on the
+# 4 x 6 grid in 32 ms), so the cap stops a search within 2-3 s: the
+# 2 x 22 ladder in 2.2 s, the 2 x 30 ladder in 2.3 s and the 6 x 6 grid,
+# which yields more cycles on the way, in 2.8 s.  The count depends on
+# the vertex order: the 4 x 6 grid numbered row by row needs 177,462,
+# and ten random labellings of it 75,576-132,646.  The tests, demos and
+# benchmark need at most 2,000,998 (the 2,000-vertex cycle).
 DEFAULT_PATH_CAP = 10**7
 
 
@@ -126,86 +133,114 @@ def biconnected_blocks(g: Graph) -> list:
     return blocks
 
 
-def simple_cycles(succ, roots, shortest: int, what: str, cap: int):
-    """Yield ``(path, mask)`` at each closed path of a backtracking
+def simple_cycles(searches, shortest: int, what: str, cap: int):
+    """Yield ``(i, path, mask)`` at each closed path of a backtracking
     search, the package's one cycle search.
 
-    ``succ[v]`` lists the successors of v.  For each ``(s, blocked)`` in
-    ``roots``, paths grow from s through successors larger than s that
-    are neither on the path nor in the bitmask ``blocked``.  Each time a
-    successor of the last vertex is s and the path has at least
-    ``shortest`` vertices, the live ``path`` list (s first; copy it to
-    keep it) and the bitmask of its vertices are yielded, so a directed
-    cycle comes out once, from its smallest vertex, and an undirected
-    one once per direction.  Shorter closures are passed over without a
-    yield: with ``shortest`` 3 on an undirected graph, the step from a
-    neighbour w of s back to s, which closes no cycle.  One successor
-    iterator per path vertex is stacked, so no path overflows the
-    recursion limit.
+    ``searches`` holds pairs ``(succ, roots)``, the i-th in its own
+    numbering of its vertices from 0: ``succ[v]`` is the bitmask of v's
+    successors.  For each ``(s, free)`` in ``roots``, paths grow from s
+    through the vertices of the bitmask ``free`` that are not on the
+    path.  A step from the last vertex v takes the next of those
+    successors, lowest bit first, from one AND of ``succ[v]`` with
+    ``avail``, the free vertices off the path plus s; s takes its place
+    in that order.  Each time it comes up and the path has at least
+    ``shortest`` vertices, i, the live ``path`` list (s first; copy it to
+    keep it) and the bitmask of its vertices are yielded.  From a root
+    whose ``free`` holds only vertices above it, a directed cycle so
+    comes out once, from its smallest vertex, and an undirected one once
+    per direction.  Shorter closures are passed over without a yield:
+    with ``shortest`` 3 on an undirected graph, the step from a neighbour
+    w of s back to s, which closes no cycle.  One candidate mask per path
+    vertex is stacked, so no path overflows the recursion limit.
 
     Raises EnumerationCapExceeded(what, cap) past ``cap`` path
-    extensions over all roots: a graph with few cycles can have
+    extensions over all searches: a graph with few cycles can have
     exponentially many paths.
     """
     steps = cap
-    for s, blocked in roots:
-        path = [s]
-        onpath = blocked | 1 << s
-        iters = [iter(succ[s])]
-        while iters:
-            for w in iters[-1]:
-                if w == s:
+    for i, (succ, roots) in enumerate(searches):
+        for s, free in roots:
+            root = 1 << s
+            start = avail = free | root
+            path = [s]
+            stack = [succ[s] & avail]
+            while stack:
+                cands = stack[-1]
+                if not cands:
+                    stack.pop()
+                    avail |= 1 << path.pop()
+                    continue
+                low = cands & -cands
+                stack[-1] = cands ^ low
+                if low == root:
                     if len(path) >= shortest:
-                        yield path, onpath ^ blocked
-                elif w > s and not onpath >> w & 1:
-                    break
-            else:
-                iters.pop()
-                onpath ^= 1 << path.pop()
-                continue
-            steps -= 1
-            if steps < 0:
-                raise EnumerationCapExceeded(what, cap)
-            path.append(w)
-            onpath |= 1 << w
-            iters.append(iter(succ[w]))
+                        yield i, path, start ^ avail | root
+                    continue
+                steps -= 1
+                if steps < 0:
+                    raise EnumerationCapExceeded(what, cap)
+                w = low.bit_length() - 1
+                path.append(w)
+                avail ^= low
+                stack.append(succ[w] & avail)
+
+
+def _block_search(g: Graph, block: tuple) -> tuple:
+    """``(succ, roots)`` for ``simple_cycles`` on one biconnected block,
+    its vertices numbered by position in ``block``.  The numbering keeps
+    the vertex order, so each root s may step only to the numbers above
+    its own, and the canonical direction of a cycle is read off the
+    numbers as off the vertices."""
+    bit = {v: 1 << j for j, v in enumerate(block)}
+    succ = []
+    for v in block:
+        out = 0
+        for w in g.neighbors[v]:
+            out |= bit.get(w, 0)
+        succ.append(out)
+    top = 1 << len(block)
+    # A cycle rooted at s needs two more vertices above s in the block.
+    return succ, [(j, top - (2 << j)) for j in range(len(block) - 2)]
 
 
 def whole_graph_cycles(g: Graph):
-    """Yield ``(path, mask)`` once per elementary cycle of ``g``, as the
-    search finds it: the live path in canonical order (copy it to keep
-    it) and its vertex bitmask.  Of the two directions ``simple_cycles``
-    yields, the one towards the root's smaller neighbour is kept.
+    """Yield ``(block, path, mask)`` once per elementary cycle of ``g``,
+    as the search finds it: the cycle's biconnected block (a sorted
+    vertex tuple), then the live path in canonical order (copy it to keep
+    it) and its vertex bitmask, both in the block's numbering, where
+    block[j] is vertex j.  Of the two directions ``simple_cycles``
+    yields, the one towards the root's smaller neighbour is kept.  The
+    path cap counts across the blocks.
 
     Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
     (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
     """
     cap = DEFAULT_CYCLE_CAP
-    everything = (1 << g.n) - 1
-    roots = []
-    for block in biconnected_blocks(g):
-        outside = everything
-        for v in block:
-            outside ^= 1 << v
-        # A cycle rooted at s needs two more vertices above s in the block.
-        roots.extend((s, outside) for s in block[:-2])
+    blocks = biconnected_blocks(g)
+    searches = (_block_search(g, block) for block in blocks)
     count = 0
-    for path, mask in simple_cycles(g.neighbors, roots, 3, "cycle path", DEFAULT_PATH_CAP):
+    for i, path, mask in simple_cycles(searches, 3, "cycle path", DEFAULT_PATH_CAP):
         if path[1] < path[-1]:
             count += 1
             if count > cap:
                 raise EnumerationCapExceeded("cycle", cap)
-            yield path, mask
+            yield blocks[i], path, mask
+
+
+def block_vertices(block: tuple, path) -> tuple:
+    """The vertices of ``path``, numbered by position in ``block``."""
+    return tuple([block[j] for j in path])
 
 
 def enumerate_cycles(g: Graph):
     """All elementary cycles of ``g`` as ``Cycle`` values, canonical and
     sorted: the list reader of ``whole_graph_cycles``, with its caps."""
-    found = [(tuple(path), mask) for path, mask in whole_graph_cycles(g)]
-    found.sort(key=lambda pair: (len(pair[0]), pair[0]))
+    found = [block_vertices(block, path) for block, path, _ in whole_graph_cycles(g)]
+    found.sort(key=lambda c: (len(c), c))
     # The Cycle objects are made after the search, not inside it: made
     # inside, they held about 0.6 MiB more peak RSS on 4x4-4x6 grids.
-    return [Cycle(c, mask) for c, mask in found]
+    return [Cycle(c, sum(1 << v for v in c)) for c in found]
 
 
 def four_k_cycles(cycles) -> list:

@@ -48,6 +48,7 @@ The order of work, each step on the graph the parser built:
 
 1. ``bipartition``, whose left side every later step reads as one
    bitmask, ``left``; an odd n stops here with per 0.
+   ``count_perfect_matchings`` skips it: its rows are one side.
 2. In ``permanent_auto`` only: the whole graph's cycle search
    (``cycles.whole_graph_cycles``).  Each cycle is checked to be even
    and counted by length as it is found, and no list is kept; the
@@ -75,7 +76,7 @@ from __future__ import annotations
 
 import math
 
-from .cycles import biconnected_blocks, disjoint_families, whole_graph_cycles
+from .cycles import biconnected_blocks, block_vertices, disjoint_families, whole_graph_cycles
 from .determinant import signed_block_det
 from .errors import InternalInvariantError
 from .graphs import Frozen, Graph, bipartition, graph_from_biadjacency
@@ -115,7 +116,9 @@ class PermanentReport(Frozen):
     A piece with no bad cycle expands the empty family alone (m 0,
     families 1), and a graph with no perfect matching reports that
     family unevaluated.  ``num_4k_cycles`` counts the 4k-cycles of the
-    whole graph, whatever the signing.  The terms themselves are not
+    whole graph, whatever the signing, on every route but ``PATH_ODD``:
+    odd n reports 0 without a search, so a 4-cycle plus an isolated
+    vertex reports 0 4k-cycles.  The terms themselves are not
     kept; ``oracles.permanent_theorem1`` lists the paper's all-plus
     terms.
 
@@ -141,11 +144,12 @@ def _length_counts(g: Graph) -> dict:
     """How many cycles of the whole graph have each length, counted as the
     search (``whole_graph_cycles``) finds them, each checked to be even."""
     counts = {}
-    for path, _ in whole_graph_cycles(g):
+    for block, path, _ in whole_graph_cycles(g):
         length = len(path)
         if length & 1:
             # The host was bipartition-checked: an odd cycle is a bug.
-            raise InternalInvariantError(f"odd cycle {tuple(v + 1 for v in path)} in bipartite host")
+            labels = tuple(v + 1 for v in block_vertices(block, path))
+            raise InternalInvariantError(f"odd cycle {labels} in bipartite host")
         counts[length] = counts.get(length, 0) + 1
     return counts
 
@@ -232,17 +236,19 @@ def count_perfect_matchings(b) -> int:
 
     A non-square b has no perfect matching, so 0.  Otherwise it is the
     engine's pm of the graph on p + q vertices with adjacency
-    [[0, b], [b^T, 0]], with no cycle enumeration of the whole graph.
+    [[0, b], [b^T, 0]], with no cycle enumeration of the whole graph and
+    no 2-colouring search: the rows, vertices 0..p-1, are the left side.
     Raises ValueError when b is ragged or has an entry other than 0 and 1,
     and propagates EnumerationCapExceeded from the signing and family
     searches.
     """
     rows = tuple(b)
     g = graph_from_biadjacency(rows)
+    p = len(rows)
     # g has p + q vertices, so this is p != q.
-    if 2 * len(rows) != g.n:
+    if 2 * p != g.n:
         return 0
-    return _matching_count(g, bipartition(g).mask)[0]
+    return _matching_count(g, (1 << p) - 1)[0]
 
 
 class EfficiencyReport(Frozen):

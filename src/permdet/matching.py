@@ -25,10 +25,11 @@ cycles of 2^|T| * sigma_T * det(B_s minus V(T)) (see ``engine``).  When
 no alternating cycle is bad, T is empty only and det(B_s)^2 = pm^2: s is
 a Pfaffian signing (Kasteleyn 1961; Lovasz-Plummer ch. 8).
 ``pfaffian_signing`` lists the alternating cycles with the search
-that ``cycles.whole_graph_cycles`` runs on the whole graph
-(``cycles.simple_cycles``), reduces one GF(2) row per cycle, and solves
-for s.  The bad cycles are the rows the reduction rejects, so they are
-collected in the same pass.  No matchability test is needed: removing
+that ``cycles.whole_graph_cycles`` runs on each block of the whole graph
+(``cycles.simple_cycles``, on successor bitmasks in the piece's own
+numbering of its left vertices), reduces one GF(2) row per cycle, and
+solves for s.  The bad cycles are the rows the reduction rejects, so
+they are collected in the same pass.  No matchability test is needed: removing
 an M-alternating cycle leaves M on the rest.
 
 Each function takes the left side as one bitmask, ``left``, the
@@ -42,10 +43,12 @@ from .cycles import simple_cycles
 from .graphs import Graph, mask_indices
 
 # Path extensions the alternating-cycle search may make per piece before
-# it raises EnumerationCapExceeded.  An extension costs 0.5-1.8 us
-# (2-vCPU Xeon, Python 3.11.7: 125,664 on K_{9,9} in 0.23 s), so the cap
-# stops a search within about 2 s.  The tests, demos and benchmark need
-# at most 923 per piece.
+# it raises EnumerationCapExceeded.  An extension costs 0.25-1.2 us,
+# more where each one closes more cycles (2-vCPU AMD EPYC, Python
+# 3.11.7: 9,797 on the 6 x 8 grid in 2.5 ms, 2,365 on K_{7,7} in
+# 2.8 ms), so the cap stops a search within about 1 s: K_{10,10} and
+# K_{11,11} stop at it in 0.8 s, where K_{9,9} needs 125,664.  The
+# tests, demos and benchmark need at most 923 per piece.
 DEFAULT_SIGNING_CAP = 10**6
 
 
@@ -216,29 +219,51 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
     and violates every rejected row, a sum of kept ones with the
     right-hand side flipped: the bad cycles (l + 1 plus their negative
     edges odd) are exactly the rejected rows.  ``bad`` holds their vertex
-    masks in the order found, each the search's mask of its left
-    vertices plus their mates.  It is empty exactly when every equation
-    was consistent, which certifies the signing as Pfaffian; otherwise
-    no signing is.
+    masks in the order found: the left vertices of the search's mask,
+    mapped back from the piece's numbering, plus their mates.  It is
+    empty exactly when every equation was consistent, which certifies
+    the signing as Pfaffian; otherwise no signing is.
 
     Raises EnumerationCapExceeded (``alternating path``) after
     ``DEFAULT_SIGNING_CAP`` path extensions, since the expansion is
     exact only over the whole list.
     """
     piece_left = mask_indices(piece & left)
-    # arcs[u] maps each successor x = mate(w) of u to the bit of edge uw.
-    arcs = {}
+    # The search numbers the piece's left vertices by their mates: u is
+    # rank[mate(u)], the place of mate(u) among the piece's right
+    # vertices.  The successor of u across a non-matching edge uw is
+    # mate(w), numbered rank[w], so lowest bit first takes u's arcs in the
+    # order of u's neighbours, as a scan of its neighbour tuple would.
+    # That order decides which rows the reduction rejects, so it is kept.
+    right = mask_indices(piece & ~left)
+    rank = {w: j for j, w in enumerate(right)}
+    # arcs[x] maps each successor of x to the bit of its edge, succ[x] is
+    # the bitmask of those successors, and a root may step only to the
+    # left vertices after it in vertex order, ``after``.
+    k = len(right)
+    arcs = [None] * k
+    succ = [0] * k
+    roots = []
     edges = []
+    after = (1 << k) - 1
     for u in piece_left:
-        out = arcs[u] = {}
+        out = {}
+        bits = 0
         for w in g.neighbors[u]:
             if w != mate[u] and piece >> w & 1:
-                out[mate[w]] = 1 << len(edges)
+                y = rank[w]
+                out[y] = 1 << len(edges)
+                bits |= 1 << y
                 edges.append((u, w))
+        x = rank[mate[u]]
+        arcs[x] = out
+        succ[x] = bits
+        after ^= 1 << x
+        roots.append((x, after))
     closed = []
-    roots = [(s, 0) for s in piece_left]
     # Two arcs are the shortest cycle: a 4-cycle of the piece.
-    for path, mask in simple_cycles(arcs, roots, 2, "alternating path", DEFAULT_SIGNING_CAP):
+    search = simple_cycles([(succ, roots)], 2, "alternating path", DEFAULT_SIGNING_CAP)
+    for _, path, mask in search:
         row = 0
         u = path[-1]
         for x in path:
@@ -251,7 +276,9 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
         # A cycle of length 2l has l non-matching edges: l = row.bit_count().
         if not _add_row(basis, row, row.bit_count() + 1 & 1):
             # The cycle's vertices: its left vertices and their mates.
-            for u in mask_indices(mask):
-                mask |= 1 << mate[u]
-            bad.append(mask)
+            vertices = 0
+            for j in mask_indices(mask):
+                w = right[j]
+                vertices |= 1 << w | 1 << mate[w]
+            bad.append(vertices)
     return _solve(basis, edges), bad

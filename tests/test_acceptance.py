@@ -179,6 +179,9 @@ def test_criterion_6_matching_count_identity():
         for p, q in ((1, 3), (4, 2), (2, 5)):
             b = tuple(tuple(1 for _ in range(q)) for _ in range(p))
             assert count_perfect_matchings(b) == 0
+        # an all-zero column: an isolated vertex on the columns' side
+        b = ((1, 0, 1), (1, 0, 0), (0, 0, 1))
+        assert count_perfect_matchings(b) == per_ryser(b) == 0
 
 
 def test_criterion_7_parity_and_removal_identities():

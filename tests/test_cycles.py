@@ -14,7 +14,16 @@ from permdet import (
     enumerate_disjoint_families,
     four_k_cycles,
 )
-from permdet.cycles import DEFAULT_FAMILY_CAP, biconnected_blocks, simple_cycles
+from permdet import matching
+from permdet.cycles import (
+    DEFAULT_FAMILY_CAP,
+    biconnected_blocks,
+    block_vertices,
+    simple_cycles,
+    whole_graph_cycles,
+)
+from permdet.graphs import mask_indices
+from permdet.matching import elementary_pieces, perfect_matching, pfaffian_signing
 
 
 def test_cycle_canonical_form_ignores_rotation_and_direction():
@@ -267,6 +276,27 @@ def test_path_cap_counts_across_blocks(monkeypatch):
     assert len(enumerate_cycles(g)) == 6
 
 
+@pytest.mark.parametrize(
+    "name, graph, steps",
+    [
+        ("grid_4x6", lambda: corpus.grid_graph(4, 6), 177_462),
+        ("cubic20", lambda: corpus.load_fixture("cubic20.edges"), 14_025),
+    ],
+)
+def test_path_cap_boundary_on_cycle_rich_graphs(monkeypatch, name, graph, steps):
+    # The search's work on graphs with thousands of cycles: exactly
+    # ``steps`` path extensions, whatever the kernel's step looks like.
+    from permdet import cycles
+
+    g = graph()
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", steps)
+    found = enumerate_cycles(g)
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", steps - 1)
+    with pytest.raises(EnumerationCapExceeded, match=f"^cycle path .* cap of {steps - 1}$"):
+        enumerate_cycles(g)
+    assert len(found) == {"grid_4x6": 5034, "cubic20": 1108}[name]
+
+
 def test_cycle_search_yields_each_cycle_once_per_direction(monkeypatch):
     # The kernel passes over the closures back to the root that close no
     # cycle, so enumerate_cycles sees each cycle once per direction only.
@@ -274,11 +304,11 @@ def test_cycle_search_yields_each_cycle_once_per_direction(monkeypatch):
 
     yields = 0
 
-    def counting(succ, roots, shortest, what, cap):
+    def counting(searches, shortest, what, cap):
         nonlocal yields
-        for path, mask in simple_cycles(succ, roots, shortest, what, cap):
+        for i, path, mask in simple_cycles(searches, shortest, what, cap):
             yields += 1
-            yield path, mask
+            yield i, path, mask
 
     monkeypatch.setattr(cycles, "simple_cycles", counting)
     graphs = [corpus.example10(), corpus.bridged_c8_chain(6), _k4(), *corpus.random_corpus()]
@@ -286,6 +316,114 @@ def test_cycle_search_yields_each_cycle_once_per_direction(monkeypatch):
         yields = 0
         found = enumerate_cycles(g)
         assert yields == 2 * len(found), g.edges
+
+
+def tuple_cycles(succ, roots, shortest):
+    """Reference cycle search: the package's first kernel, uncapped.
+
+    ``succ[v]`` is a tuple of v's successors in global numbering, and
+    each step rescans it, testing ``w > s`` and the path mask for every
+    successor.  For each ``(s, blocked)`` in ``roots`` it yields
+    ``(path, mask)`` at each closure back to s with at least
+    ``shortest`` vertices, in its successors' order.
+    """
+    for s, blocked in roots:
+        path = [s]
+        onpath = blocked | 1 << s
+        iters = [iter(succ[s])]
+        while iters:
+            for w in iters[-1]:
+                if w == s:
+                    if len(path) >= shortest:
+                        yield path, onpath ^ blocked
+                elif w > s and not onpath >> w & 1:
+                    break
+            else:
+                iters.pop()
+                onpath ^= 1 << path.pop()
+                continue
+            path.append(w)
+            onpath |= 1 << w
+            iters.append(iter(succ[w]))
+
+
+def _reference_whole_graph_cycles(g) -> list:
+    """The whole graph's cycle stream from ``tuple_cycles``, in global
+    numbering: every block's roots, each blocking the rest of the graph."""
+    everything = (1 << g.n) - 1
+    roots = []
+    for block in biconnected_blocks(g):
+        outside = everything
+        for v in block:
+            outside ^= 1 << v
+        roots.extend((s, outside) for s in block[:-2])
+    return [
+        (tuple(path), mask)
+        for path, mask in tuple_cycles(g.neighbors, roots, 3)
+        if path[1] < path[-1]
+    ]
+
+
+def _kernel_reference_graphs():
+    rng = random.Random(1723)
+    cubic = [corpus.random_cubic_bipartite(k, rng) for k in range(6, 13) for _ in range(3)]
+    grids = [corpus.grid_graph(r, c) for r in range(2, 5) for c in range(r, 7)]
+    return [*corpus.connected_bipartite_upto(8), *corpus.random_corpus(), *grids, *cubic]
+
+
+def test_bitmask_kernel_matches_tuple_kernel_on_the_whole_graph():
+    # The same ordered stream, once each block's bits are mapped back to
+    # the graph's vertices, so every reader sees what it saw before.
+    for g in _kernel_reference_graphs():
+        got = []
+        for block, path, mask in whole_graph_cycles(g):
+            assert mask == sum(1 << j for j in path), g.edges
+            vertices = block_vertices(block, path)
+            got.append((vertices, sum(1 << block[j] for j in mask_indices(mask))))
+        assert got == _reference_whole_graph_cycles(g), g.edges
+
+
+def test_bitmask_kernel_matches_tuple_kernel_on_each_piece(monkeypatch):
+    # The signing reduces its rows in the order the search finds them, and
+    # that order decides which cycles are bad, so the stream must match
+    # in order, not only as a set.
+    yielded = []
+
+    def recording(searches, shortest, what, cap):
+        for i, path, mask in simple_cycles(searches, shortest, what, cap):
+            yielded.append((list(path), mask))
+            yield i, path, mask
+
+    monkeypatch.setattr(matching, "simple_cycles", recording)
+    searched = 0
+    for g in _kernel_reference_graphs():
+        left = permdet.bipartition(g).mask
+        mate = perfect_matching(g, left)
+        if mate is None:
+            continue
+        for piece in elementary_pieces(g, left, mate):
+            if piece.bit_count() <= 2:
+                continue
+            yielded.clear()
+            pfaffian_signing(g, left, mate, piece)
+            # Vertex j of the search is the left vertex matched to the
+            # piece's j-th right vertex.
+            name = [mate[w] for w in mask_indices(piece & ~left)]
+            got = []
+            for path, mask in yielded:
+                assert mask == sum(1 << j for j in path), g.edges
+                left_vertices = [name[j] for j in path]
+                got.append((tuple(left_vertices), sum(1 << u for u in left_vertices)))
+            piece_left = mask_indices(piece & left)
+            succ = {
+                u: tuple(mate[w] for w in g.neighbors[u] if w != mate[u] and piece >> w & 1)
+                for u in piece_left
+            }
+            roots = [(s, 0) for s in piece_left]
+            want = [(tuple(path), mask) for path, mask in tuple_cycles(succ, roots, 2)]
+            assert got == want, g.edges
+            searched += bool(got)
+    assert searched >= 100
 
 
 def test_disjoint_families_example10():

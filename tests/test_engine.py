@@ -359,9 +359,10 @@ def test_negative_matching_count_raises_invariant_error(monkeypatch):
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
     # Both readers count the whole graph's cycles from the one stream.
-    monkeypatch.setattr(engine, "whole_graph_cycles", lambda g: iter([([0, 1, 2], 0b111)]))
+    triangle = ((0, 1, 2), [0, 1, 2], 0b111)
+    monkeypatch.setattr(engine, "whole_graph_cycles", lambda g: iter([triangle]))
     for run in (permanent_auto, classify_efficient):
-        with pytest.raises(InternalInvariantError, match="odd cycle"):
+        with pytest.raises(InternalInvariantError, match=r"odd cycle \(1, 2, 3\)"):
             run(corpus.cycle_graph(4))
 
 

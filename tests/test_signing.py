@@ -22,6 +22,7 @@ from permdet import (
 from permdet import cli, matching
 from permdet.determinant import signed_block_det
 from permdet.errors import EnumerationCapExceeded
+from permdet.graphs import mask_indices
 from permdet.cycles import simple_cycles
 from permdet.matching import elementary_pieces, perfect_matching, pfaffian_signing
 
@@ -101,11 +102,11 @@ def test_signing_search_yields_each_alternating_cycle_once(monkeypatch):
     # with the whole-graph cycles inside the piece that alternate with M.
     yielded = []
 
-    def recording(succ, roots, shortest, what, cap):
-        for path, mask in simple_cycles(succ, roots, shortest, what, cap):
-            assert mask == sum(1 << v for v in path)
+    def recording(searches, shortest, what, cap):
+        for i, path, mask in simple_cycles(searches, shortest, what, cap):
+            assert mask == sum(1 << j for j in path)
             yielded.append(tuple(path))
-            yield path, mask
+            yield i, path, mask
 
     monkeypatch.setattr(matching, "simple_cycles", recording)
     searched = expanded = 0
@@ -118,8 +119,11 @@ def test_signing_search_yields_each_alternating_cycle_once(monkeypatch):
         for piece in elementary_pieces(g, left, mate):
             yielded.clear()
             _, bad = pfaffian_signing(g, left, mate, piece)
+            # Vertex j of the search is the left vertex matched to the
+            # piece's j-th right vertex.
+            name = [mate[w] for w in mask_indices(piece & ~left)]
             got = []
-            for path in yielded:
+            for path in ([name[j] for j in local] for local in yielded):
                 # Each arc u -> x crosses the non-matching edge u-mate(x),
                 # then the matching edge mate(x)-x.
                 edges = []
@@ -212,3 +216,14 @@ def test_signing_cap_raises(capsys, monkeypatch, cap):
     assert f"cap of {cap}" in capsys.readouterr().err
     monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 10**5)
     assert permanent_auto(corpus.grid_graph(4, 5)).path_taken == PATH_PFAFFIAN
+
+
+def test_signing_cap_boundary_on_cubic20(monkeypatch):
+    # The alternating-cycle search's work on a non-Pfaffian piece: exactly
+    # 142 path extensions, whatever the kernel's step looks like.
+    g = corpus.load_fixture("cubic20.edges")
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 142)
+    assert permanent_auto(g).value == 5776
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 141)
+    with pytest.raises(EnumerationCapExceeded, match="^alternating path .* cap of 141$"):
+        permanent_auto(g)
