@@ -8,18 +8,21 @@ deterministic, sorted by (length, vertices).
 ``simple_cycles`` is the package's one backtracking cycle search: it
 finds the whole graph's cycles here and a piece's alternating cycles in
 ``matching.pfaffian_signing``.  It runs on successor bitmasks in its
-caller's own numbering, so each search step takes its candidates with
-one AND, lowest bit first.  Every cycle lies inside one biconnected
-block, so the whole graph's cycles are searched one block at a time: a
-Hopcroft-Tarjan pass, O(n + e), splits the graph into blocks, and each
-block is searched in its own numbering, vertex block[j] as j.  Bridges,
-trees and the paths between blocks are never walked, and since two
-blocks share no edge, no cycle is found twice.  A block of 30 or fewer
-vertices keeps every mask of its search in one digit of a CPython int.
-That search is one stream, ``whole_graph_cycles``, with three readers:
-``enumerate_cycles`` maps it back to the graph's vertices and sorts it
-into the one list of cycles, and the engine's ``permanent_auto`` and
-``classify_efficient`` count its cycles by length as they are found.
+caller's own numbering, with each vertex named by its bit, so a search
+step takes the lowest candidate bit as the next vertex and its
+candidates with one AND: no bit is turned back into an index.  Every
+cycle lies inside one biconnected block, so the whole graph's cycles
+are searched one block at a time: a Hopcroft-Tarjan pass, O(n + e),
+splits the graph into blocks, and each block is searched in its own
+numbering, vertex block[j] as bit j.  Bridges, trees and the paths
+between blocks are never walked, and since two blocks share no edge, no
+cycle is found twice.  A block of 30 or fewer vertices keeps every mask
+and vertex name of its search in one digit of a CPython int.  That
+search is one stream, ``whole_graph_cycles``, with three readers:
+``enumerate_cycles`` maps its bits back to the graph's vertices and
+sorts it into the one list of cycles, and the engine's
+``permanent_auto`` and ``classify_efficient`` count its cycles by length
+as they are found.
 
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
@@ -48,10 +51,10 @@ from .graphs import Frozen, Graph, VertexSet, mask_indices
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
 # Path extensions the cycle search may make per call.  An extension
-# costs 0.16-0.2 us (2-vCPU AMD EPYC, Python 3.11.7: 177,462 on the
-# 4 x 6 grid in 32 ms), so the cap stops a search within 2-3 s: the
-# 2 x 22 ladder in 2.2 s, the 2 x 30 ladder in 2.3 s and the 6 x 6 grid,
-# which yields more cycles on the way, in 2.8 s.  The count depends on
+# costs 0.14-0.15 us (2-vCPU AMD EPYC, Python 3.11.7: 177,462 on the
+# 4 x 6 grid in 26 ms), so the cap stops a search within about 2 s: the
+# 2 x 22 ladder in 1.6 s, the 2 x 30 ladder in 1.7 s and the 6 x 6 grid,
+# which yields more cycles on the way, in 1.7 s.  The count depends on
 # the vertex order: the 4 x 6 grid numbered row by row needs 177,462,
 # and ten random labellings of it 75,576-132,646.  The tests, demos and
 # benchmark need at most 2,000,998 (the 2,000-vertex cycle).
@@ -138,21 +141,24 @@ def simple_cycles(searches, shortest: int, what: str, cap: int):
     search, the package's one cycle search.
 
     ``searches`` holds pairs ``(succ, roots)``, the i-th in its own
-    numbering of its vertices from 0: ``succ[v]`` is the bitmask of v's
-    successors.  For each ``(s, free)`` in ``roots``, paths grow from s
-    through the vertices of the bitmask ``free`` that are not on the
-    path.  A step from the last vertex v takes the next of those
-    successors, lowest bit first, from one AND of ``succ[v]`` with
-    ``avail``, the free vertices off the path plus s; s takes its place
-    in that order.  Each time it comes up and the path has at least
-    ``shortest`` vertices, i, the live ``path`` list (s first; copy it to
-    keep it) and the bitmask of its vertices are yielded.  From a root
-    whose ``free`` holds only vertices above it, a directed cycle so
-    comes out once, from its smallest vertex, and an undirected one once
-    per direction.  Shorter closures are passed over without a yield:
-    with ``shortest`` 3 on an undirected graph, the step from a neighbour
-    w of s back to s, which closes no cycle.  One candidate mask per path
-    vertex is stacked, so no path overflows the recursion limit.
+    numbering of its vertices from 0, each vertex named by its bit (vertex
+    j is ``1 << j``): ``succ[b]`` is the bitmask of b's successors.  For
+    each ``(root, free)`` in ``roots``, paths grow from ``root`` through
+    the vertices of the bitmask ``free`` that are not on the path.  A step
+    from the last vertex b takes the next of its candidates, lowest bit
+    first, from one AND of ``succ[b]`` with ``avail``, the free vertices
+    off the path plus the root; the root takes its place in that order.
+    Each time it comes up and the path has at least ``shortest``
+    vertices, i, the live ``path`` list of bits (the root first; copy it
+    to keep it) and the bitmask of its vertices are yielded.  From a root
+    whose ``free`` holds only vertices above it, a directed cycle so comes
+    out once, from its smallest vertex, and an undirected one once per
+    direction.  Shorter closures are passed over without a yield: with
+    ``shortest`` 3 on an undirected graph, the step from a neighbour w of
+    the root back to it, which closes no cycle.  The last vertex's
+    candidates are kept in a local and those of the vertices before it on
+    a stack, so a step turns no bit into an index, and no path overflows
+    the recursion limit.
 
     Raises EnumerationCapExceeded(what, cap) past ``cap`` path
     extensions over all searches: a graph with few cycles can have
@@ -160,19 +166,20 @@ def simple_cycles(searches, shortest: int, what: str, cap: int):
     """
     steps = cap
     for i, (succ, roots) in enumerate(searches):
-        for s, free in roots:
-            root = 1 << s
+        for root, free in roots:
             start = avail = free | root
-            path = [s]
-            stack = [succ[s] & avail]
-            while stack:
-                cands = stack[-1]
+            path = [root]
+            stack = []
+            cands = succ[root] & avail
+            while True:
                 if not cands:
-                    stack.pop()
-                    avail |= 1 << path.pop()
+                    if not stack:
+                        break
+                    cands = stack.pop()
+                    avail |= path.pop()
                     continue
                 low = cands & -cands
-                stack[-1] = cands ^ low
+                cands ^= low
                 if low == root:
                     if len(path) >= shortest:
                         yield i, path, start ^ avail | root
@@ -180,38 +187,38 @@ def simple_cycles(searches, shortest: int, what: str, cap: int):
                 steps -= 1
                 if steps < 0:
                     raise EnumerationCapExceeded(what, cap)
-                w = low.bit_length() - 1
-                path.append(w)
+                path.append(low)
                 avail ^= low
-                stack.append(succ[w] & avail)
+                stack.append(cands)
+                cands = succ[low] & avail
 
 
 def _block_search(g: Graph, block: tuple) -> tuple:
     """``(succ, roots)`` for ``simple_cycles`` on one biconnected block,
-    its vertices numbered by position in ``block``.  The numbering keeps
-    the vertex order, so each root s may step only to the numbers above
-    its own, and the canonical direction of a cycle is read off the
-    numbers as off the vertices."""
+    its vertices numbered by position in ``block`` and named by their
+    bits.  The numbering keeps the vertex order, so each root may step
+    only to the bits above its own, and the canonical direction of a
+    cycle is read off the bits as off the vertices."""
     bit = {v: 1 << j for j, v in enumerate(block)}
-    succ = []
+    succ = {}
     for v in block:
         out = 0
         for w in g.neighbors[v]:
             out |= bit.get(w, 0)
-        succ.append(out)
+        succ[bit[v]] = out
     top = 1 << len(block)
-    # A cycle rooted at s needs two more vertices above s in the block.
-    return succ, [(j, top - (2 << j)) for j in range(len(block) - 2)]
+    # A cycle rooted at j needs two more vertices above j in the block.
+    return succ, [(1 << j, top - (2 << j)) for j in range(len(block) - 2)]
 
 
 def whole_graph_cycles(g: Graph):
     """Yield ``(block, path, mask)`` once per elementary cycle of ``g``,
     as the search finds it: the cycle's biconnected block (a sorted
-    vertex tuple), then the live path in canonical order (copy it to keep
-    it) and its vertex bitmask, both in the block's numbering, where
-    block[j] is vertex j.  Of the two directions ``simple_cycles``
-    yields, the one towards the root's smaller neighbour is kept.  The
-    path cap counts across the blocks.
+    vertex tuple), then the live path of bits in canonical order (copy it
+    to keep it) and its vertex bitmask, both in the block's numbering,
+    where bit j names vertex block[j].  Of the two directions
+    ``simple_cycles`` yields, the one towards the root's smaller
+    neighbour is kept.  The path cap counts across the blocks.
 
     Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
     (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
@@ -229,8 +236,9 @@ def whole_graph_cycles(g: Graph):
 
 
 def block_vertices(block: tuple, path) -> tuple:
-    """The vertices of ``path``, numbered by position in ``block``."""
-    return tuple([block[j] for j in path])
+    """The vertices of ``path``, a list of bits in which bit j names
+    block[j]."""
+    return tuple([block[b.bit_length() - 1] for b in path])
 
 
 def enumerate_cycles(g: Graph):

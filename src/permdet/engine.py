@@ -200,7 +200,9 @@ def _matching_count(g: Graph, left: int) -> tuple:
     pieces = elementary_pieces(g, left, mate)
     # A piece of two vertices is a single matched edge: pm 1.
     solved = [_piece_report(g, left, mate, piece) for piece in pieces if piece.bit_count() > 2]
-    return math.prod(pm for pm, _ in solved), tuple(r for _, r in solved), len(pieces) > 1
+    # The reports' tuple is built from a list so that it can reuse a freed
+    # tuple (see graphs.Graph).
+    return math.prod(pm for pm, _ in solved), tuple([r for _, r in solved]), len(pieces) > 1
 
 
 def permanent_auto(g: Graph) -> PermanentReport:

@@ -258,7 +258,7 @@ def parse_adjacency_matrix(text: str) -> Graph:
     for line_no, tokens in lines:
         if len(tokens) != n:
             raise ParseError(f"row has {len(tokens)} entries, expected {n} (matrix must be square)", line_no)
-        rows.append(tuple(_parse_int(t, line_no) for t in tokens))
+        rows.append(tuple([_parse_int(t, line_no) for t in tokens]))
     try:
         return Graph.from_adjacency(rows)
     except ValueError as exc:
@@ -282,7 +282,8 @@ def parse_biadjacency(text: str) -> tuple:
     for line_no, tokens in body:
         if len(tokens) != q:
             raise ParseError(f"row has {len(tokens)} entries, expected {q}", line_no)
-        row = tuple(_parse_int(t, line_no) for t in tokens)
+        # From a list, so the row can reuse a freed tuple (see Graph).
+        row = tuple([_parse_int(t, line_no) for t in tokens])
         for a in row:
             if a not in (0, 1):
                 raise ParseError(f"entry {a} outside {{0, 1}}", line_no)

@@ -24,13 +24,14 @@ those cycles, so pm = sum over families T of disjoint bad M-alternating
 cycles of 2^|T| * sigma_T * det(B_s minus V(T)) (see ``engine``).  When
 no alternating cycle is bad, T is empty only and det(B_s)^2 = pm^2: s is
 a Pfaffian signing (Kasteleyn 1961; Lovasz-Plummer ch. 8).
-``pfaffian_signing`` lists the alternating cycles with the search
-that ``cycles.whole_graph_cycles`` runs on each block of the whole graph
+``pfaffian_signing`` lists the alternating cycles with the search that
+``cycles.whole_graph_cycles`` runs on each block of the whole graph
 (``cycles.simple_cycles``, on successor bitmasks in the piece's own
-numbering of its left vertices), reduces one GF(2) row per cycle, and
-solves for s.  The bad cycles are the rows the reduction rejects, so
-they are collected in the same pass.  No matchability test is needed: removing
-an M-alternating cycle leaves M on the rest.
+numbering of its left vertices, each named by its bit), reduces one
+GF(2) row per cycle, and solves for s.  The bad cycles are the rows the
+reduction rejects, so they are collected in the same pass.  No
+matchability test is needed: removing an M-alternating cycle leaves M
+on the rest.
 
 Each function takes the left side as one bitmask, ``left``, the
 ``mask`` of what ``graphs.bipartition`` returns, and vertex sets as
@@ -43,12 +44,13 @@ from .cycles import simple_cycles
 from .graphs import Graph, mask_indices
 
 # Path extensions the alternating-cycle search may make per piece before
-# it raises EnumerationCapExceeded.  An extension costs 0.25-1.2 us,
+# it raises EnumerationCapExceeded.  An extension costs 0.24-1.4 us,
 # more where each one closes more cycles (2-vCPU AMD EPYC, Python
-# 3.11.7: 9,797 on the 6 x 8 grid in 2.5 ms, 2,365 on K_{7,7} in
-# 2.8 ms), so the cap stops a search within about 1 s: K_{10,10} and
-# K_{11,11} stop at it in 0.8 s, where K_{9,9} needs 125,664.  The
-# tests, demos and benchmark need at most 923 per piece.
+# 3.11.7: 9,797 on the 6 x 8 grid in 2.4 ms, 2,365 on K_{7,7} in
+# 2.7 ms, 16,064 on K_{8,8} in 22 ms), so the cap stops a search within
+# about 1 s: K_{10,10} and K_{11,11} stop at it in 0.8 s, where K_{9,9}
+# needs 125,664.  The tests, demos and benchmark need at most 923 per
+# piece, apart from the test that pins K_{8,8}'s count.
 DEFAULT_SIGNING_CAP = 10**6
 
 
@@ -209,8 +211,9 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
     edge of ``mate``, is positive.  ``cycles.simple_cycles`` lists the
     directed cycles of the piece's alternating digraph (an arc
     u -> mate(w) per non-matching edge uw inside the piece), each once,
-    from its smallest left vertex, and each is collected as the bitmask
-    of its non-matching edges.  On a cycle of length 2l, which has l of
+    from its smallest left vertex, as a path of the vertices' bits, and
+    each is collected as the bitmask of its non-matching edges, read
+    from the arcs keyed by those bits.  On a cycle of length 2l, which has l of
     them, that row gives the equation "the number of negative edges is
     l + 1 mod 2", which makes the cycle good.  Once the search is done
     the rows are reduced in the order found: a consistent one is kept
@@ -229,36 +232,35 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
     exact only over the whole list.
     """
     piece_left = mask_indices(piece & left)
-    # The search numbers the piece's left vertices by their mates: u is
-    # rank[mate(u)], the place of mate(u) among the piece's right
+    # The search names the piece's left vertices by their mates' bits: u
+    # is bit[mate(u)], 1 << j for mate(u) the j-th of the piece's right
     # vertices.  The successor of u across a non-matching edge uw is
-    # mate(w), numbered rank[w], so lowest bit first takes u's arcs in the
+    # mate(w), named bit[w], so lowest bit first takes u's arcs in the
     # order of u's neighbours, as a scan of its neighbour tuple would.
     # That order decides which rows the reduction rejects, so it is kept.
     right = mask_indices(piece & ~left)
-    rank = {w: j for j, w in enumerate(right)}
+    bit = {w: 1 << j for j, w in enumerate(right)}
     # arcs[x] maps each successor of x to the bit of its edge, succ[x] is
     # the bitmask of those successors, and a root may step only to the
     # left vertices after it in vertex order, ``after``.
-    k = len(right)
-    arcs = [None] * k
-    succ = [0] * k
+    arcs = {}
+    succ = {}
     roots = []
     edges = []
-    after = (1 << k) - 1
+    after = (1 << len(right)) - 1
     for u in piece_left:
         out = {}
         bits = 0
         for w in g.neighbors[u]:
             if w != mate[u] and piece >> w & 1:
-                y = rank[w]
+                y = bit[w]
                 out[y] = 1 << len(edges)
-                bits |= 1 << y
+                bits |= y
                 edges.append((u, w))
-        x = rank[mate[u]]
+        x = bit[mate[u]]
         arcs[x] = out
         succ[x] = bits
-        after ^= 1 << x
+        after ^= x
         roots.append((x, after))
     closed = []
     # Two arcs are the shortest cycle: a 4-cycle of the piece.

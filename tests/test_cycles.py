@@ -377,7 +377,9 @@ def test_bitmask_kernel_matches_tuple_kernel_on_the_whole_graph():
     for g in _kernel_reference_graphs():
         got = []
         for block, path, mask in whole_graph_cycles(g):
-            assert mask == sum(1 << j for j in path), g.edges
+            # The path names each vertex by its bit, bit j for block[j].
+            assert all(b.bit_count() == 1 for b in path), g.edges
+            assert mask == sum(path), g.edges
             vertices = block_vertices(block, path)
             got.append((vertices, sum(1 << block[j] for j in mask_indices(mask))))
         assert got == _reference_whole_graph_cycles(g), g.edges
@@ -406,13 +408,14 @@ def test_bitmask_kernel_matches_tuple_kernel_on_each_piece(monkeypatch):
                 continue
             yielded.clear()
             pfaffian_signing(g, left, mate, piece)
-            # Vertex j of the search is the left vertex matched to the
+            # Bit j of the search names the left vertex matched to the
             # piece's j-th right vertex.
             name = [mate[w] for w in mask_indices(piece & ~left)]
             got = []
             for path, mask in yielded:
-                assert mask == sum(1 << j for j in path), g.edges
-                left_vertices = [name[j] for j in path]
+                assert all(b.bit_count() == 1 for b in path), g.edges
+                assert mask == sum(path), g.edges
+                left_vertices = [name[b.bit_length() - 1] for b in path]
                 got.append((tuple(left_vertices), sum(1 << u for u in left_vertices)))
             piece_left = mask_indices(piece & left)
             succ = {

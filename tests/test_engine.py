@@ -359,7 +359,8 @@ def test_negative_matching_count_raises_invariant_error(monkeypatch):
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
     # Both readers count the whole graph's cycles from the one stream.
-    triangle = ((0, 1, 2), [0, 1, 2], 0b111)
+    # A block and a path of bits in its numbering, bit j for block[j].
+    triangle = ((0, 1, 2), [0b001, 0b010, 0b100], 0b111)
     monkeypatch.setattr(engine, "whole_graph_cycles", lambda g: iter([triangle]))
     for run in (permanent_auto, classify_efficient):
         with pytest.raises(InternalInvariantError, match=r"odd cycle \(1, 2, 3\)"):

@@ -11,6 +11,7 @@ from permdet import (
     PATH_THEOREM1,
     VertexSet,
     bipartition,
+    count_perfect_matchings,
     enumerate_cycles,
     enumerate_disjoint_families,
     graph_from_biadjacency,
@@ -104,7 +105,8 @@ def test_signing_search_yields_each_alternating_cycle_once(monkeypatch):
 
     def recording(searches, shortest, what, cap):
         for i, path, mask in simple_cycles(searches, shortest, what, cap):
-            assert mask == sum(1 << j for j in path)
+            assert all(b.bit_count() == 1 for b in path)
+            assert mask == sum(path)
             yielded.append(tuple(path))
             yield i, path, mask
 
@@ -119,11 +121,11 @@ def test_signing_search_yields_each_alternating_cycle_once(monkeypatch):
         for piece in elementary_pieces(g, left, mate):
             yielded.clear()
             _, bad = pfaffian_signing(g, left, mate, piece)
-            # Vertex j of the search is the left vertex matched to the
+            # Bit j of the search names the left vertex matched to the
             # piece's j-th right vertex.
             name = [mate[w] for w in mask_indices(piece & ~left)]
             got = []
-            for path in ([name[j] for j in local] for local in yielded):
+            for path in ([name[b.bit_length() - 1] for b in bits] for bits in yielded):
                 # Each arc u -> x crosses the non-matching edge u-mate(x),
                 # then the matching edge mate(x)-x.
                 edges = []
@@ -227,3 +229,14 @@ def test_signing_cap_boundary_on_cubic20(monkeypatch):
     monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 141)
     with pytest.raises(EnumerationCapExceeded, match="^alternating path .* cap of 141$"):
         permanent_auto(g)
+
+
+def test_signing_cap_boundary_on_a_dense_piece(monkeypatch):
+    # On the all-ones 8 x 8 matrix each extension closes many cycles:
+    # exactly 16,064 path extensions, whatever the kernel's step looks like.
+    ones = ((1,) * 8,) * 8
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 16_064)
+    assert count_perfect_matchings(ones) == 40_320
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 16_063)
+    with pytest.raises(EnumerationCapExceeded, match="^alternating path .* cap of 16063$"):
+        count_perfect_matchings(ones)
