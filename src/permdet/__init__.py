@@ -16,19 +16,19 @@ Quick start::
 from .cycles import (
     Cycle,
     DisjointFamily,
+    EfficiencyReport,
+    classify_efficient,
     enumerate_cycles,
     enumerate_disjoint_families,
     four_k_cycles,
 )
 from .determinant import det_after_removal, determinant
 from .engine import (
-    EfficiencyReport,
     PATH_COROLLARY,
     PATH_ODD,
     PATH_PFAFFIAN,
     PATH_THEOREM1,
     PermanentReport,
-    classify_efficient,
     count_perfect_matchings,
     permanent_auto,
 )

@@ -28,9 +28,9 @@ import math
 import os
 import sys
 
-from .cycles import enumerate_cycles, enumerate_disjoint_families, four_k_cycles
+from .cycles import classify_efficient, enumerate_cycles, enumerate_disjoint_families, four_k_cycles
 from .determinant import determinant
-from .engine import classify_efficient, count_perfect_matchings, permanent_auto
+from .engine import count_perfect_matchings, permanent_auto
 from .errors import (
     EnumerationCapExceeded,
     InternalInvariantError,

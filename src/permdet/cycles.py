@@ -18,11 +18,12 @@ numbering, vertex block[j] as bit j.  Bridges, trees and the paths
 between blocks are never walked, and since two blocks share no edge, no
 cycle is found twice.  A block of 30 or fewer vertices keeps every mask
 and vertex name of its search in one digit of a CPython int.  That
-search is one stream, ``whole_graph_cycles``, with three readers:
-``enumerate_cycles`` maps its bits back to the graph's vertices and
-sorts it into the one list of cycles, and the engine's
-``permanent_auto`` and ``classify_efficient`` count its cycles by length
-as they are found.
+search is one stream, ``whole_graph_cycles``, of ``(block, path)``
+pairs, with two readers: ``enumerate_cycles`` maps its bits back to the
+graph's vertices and sorts it into the one list of cycles, and
+``cycle_length_counts`` counts its cycles by length as they are found,
+for the engine's 4k-cycle count and for ``classify_efficient``.  The
+search's vertex masks serve ``matching.pfaffian_signing`` alone.
 
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
@@ -45,8 +46,8 @@ rather than exhausting memory or running for minutes.
 
 from __future__ import annotations
 
-from .errors import EnumerationCapExceeded
-from .graphs import Frozen, Graph, VertexSet, mask_indices
+from .errors import EnumerationCapExceeded, InternalInvariantError
+from .graphs import Frozen, Graph, VertexSet, bipartition, mask_indices
 
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
@@ -136,6 +137,31 @@ def biconnected_blocks(g: Graph) -> list:
     return blocks
 
 
+class EfficiencyReport(Frozen):
+    """Cycle-structure test for when the expansion beats brute force:
+    cactus layout (any two cycles share at most one vertex) plus a girth
+    large relative to n and the count of girth cycles.
+    """
+
+    __slots__ = _fields = ("is_cactus", "girth", "n", "c", "condition_holds")
+
+
+def classify_efficient(g: Graph) -> EfficiencyReport:
+    """Classify a bipartite graph by the girth condition
+    g0 * (c + 2) > n + c(c-1)/2 + c, compared in exact integers.
+    Acyclic graphs pass trivially.  The girth g0 and the number c of
+    girth cycles come from one count of the cycles as they are found.
+    """
+    bipartition(g)
+    counts = cycle_length_counts(g)
+    girth = min(counts, default=None)
+    c = counts.get(girth, 0)
+    # A block holds one cycle, or at least three when it is not a cycle.
+    is_cactus = sum(counts.values()) == len(biconnected_blocks(g))
+    holds = girth is None or is_cactus and girth * (c + 2) > g.n + c * (c - 1) // 2 + c
+    return EfficiencyReport(is_cactus, girth, g.n, c, holds)
+
+
 def simple_cycles(searches, shortest: int, what: str, cap: int):
     """Yield ``(i, path, mask)`` at each closed path of a backtracking
     search, the package's one cycle search.
@@ -212,13 +238,13 @@ def _block_search(g: Graph, block: tuple) -> tuple:
 
 
 def whole_graph_cycles(g: Graph):
-    """Yield ``(block, path, mask)`` once per elementary cycle of ``g``,
-    as the search finds it: the cycle's biconnected block (a sorted
-    vertex tuple), then the live path of bits in canonical order (copy it
-    to keep it) and its vertex bitmask, both in the block's numbering,
-    where bit j names vertex block[j].  Of the two directions
-    ``simple_cycles`` yields, the one towards the root's smaller
-    neighbour is kept.  The path cap counts across the blocks.
+    """Yield ``(block, path)`` once per elementary cycle of ``g``, as the
+    search finds it: the cycle's biconnected block (a sorted vertex
+    tuple), then the live path of bits in canonical order (copy it to
+    keep it), in the block's numbering, where bit j names vertex
+    block[j].  Of the two directions ``simple_cycles`` yields, the one
+    towards the root's smaller neighbour is kept.  The path cap counts
+    across the blocks.
 
     Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
     (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
@@ -227,12 +253,12 @@ def whole_graph_cycles(g: Graph):
     blocks = biconnected_blocks(g)
     searches = (_block_search(g, block) for block in blocks)
     count = 0
-    for i, path, mask in simple_cycles(searches, 3, "cycle path", DEFAULT_PATH_CAP):
+    for i, path, _ in simple_cycles(searches, 3, "cycle path", DEFAULT_PATH_CAP):
         if path[1] < path[-1]:
             count += 1
             if count > cap:
                 raise EnumerationCapExceeded("cycle", cap)
-            yield blocks[i], path, mask
+            yield blocks[i], path
 
 
 def block_vertices(block: tuple, path) -> tuple:
@@ -244,11 +270,25 @@ def block_vertices(block: tuple, path) -> tuple:
 def enumerate_cycles(g: Graph):
     """All elementary cycles of ``g`` as ``Cycle`` values, canonical and
     sorted: the list reader of ``whole_graph_cycles``, with its caps."""
-    found = [block_vertices(block, path) for block, path, _ in whole_graph_cycles(g)]
+    found = [block_vertices(block, path) for block, path in whole_graph_cycles(g)]
     found.sort(key=lambda c: (len(c), c))
     # The Cycle objects are made after the search, not inside it: made
     # inside, they held about 0.6 MiB more peak RSS on 4x4-4x6 grids.
     return [Cycle(c, sum(1 << v for v in c)) for c in found]
+
+
+def cycle_length_counts(g: Graph) -> dict:
+    """How many cycles of the whole graph have each length, counted as the
+    search (``whole_graph_cycles``) finds them, each checked to be even."""
+    counts = {}
+    for block, path in whole_graph_cycles(g):
+        length = len(path)
+        if length & 1:
+            # The host was bipartition-checked: an odd cycle is a bug.
+            labels = tuple(v + 1 for v in block_vertices(block, path))
+            raise InternalInvariantError(f"odd cycle {labels} in bipartite host")
+        counts[length] = counts.get(length, 0) + 1
+    return counts
 
 
 def four_k_cycles(cycles) -> list:

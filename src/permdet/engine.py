@@ -36,23 +36,20 @@ every rest, so no family is pruned, and a sum below 1 with M in hand is
 a bug.  When no alternating cycle is bad the signing is Pfaffian and
 pm = sigma_M * det(B_s), one determinant.
 
-``permanent_auto`` and ``count_perfect_matchings`` are the engine's
-entry points, and both get pm from ``_matching_count``; ``_signed_sum``
-is the only place the engine evaluates determinants, all of half the
-order on the kept biadjacency block (``signed_block_det``), none
-memoized.  The paper's whole-graph term table is a reference kept apart
-from the engine: ``oracles.permanent_theorem1``, on full-order
-determinants.
+``permanent_auto`` and ``count_perfect_matchings`` are the module's
+only entry points (``classify_efficient`` is in ``cycles``), and both
+get pm from ``_matching_count``; ``_signed_sum`` is the only place the
+engine evaluates determinants, all of half the order on the kept
+biadjacency block (``signed_block_det``), none memoized.  The paper's
+whole-graph term table is a reference kept apart from the engine:
+``oracles.permanent_theorem1``, on full-order determinants.
 
 The order of work, each step on the graph the parser built:
 
 1. ``bipartition``, whose left side every later step reads as one
    bitmask, ``left``; an odd n stops here with per 0.
    ``count_perfect_matchings`` skips it: its rows are one side.
-2. In ``permanent_auto`` only: the whole graph's cycle search
-   (``cycles.whole_graph_cycles``).  Each cycle is checked to be even
-   and counted by length as it is found, and no list is kept; the
-   4k-cycle count is reported, and nothing else reads them.
+2. ``cycles.cycle_length_counts``, for ``permanent_auto``'s 4k count alone.
 3. One perfect matching M (``matching.perfect_matching``); with none,
    pm = 0 with no elimination.
 4. The elementary pieces of M (``matching.elementary_pieces``): M splits
@@ -76,7 +73,7 @@ from __future__ import annotations
 
 import math
 
-from .cycles import biconnected_blocks, block_vertices, disjoint_families, whole_graph_cycles
+from .cycles import cycle_length_counts, disjoint_families
 from .determinant import signed_block_det
 from .errors import InternalInvariantError
 from .graphs import Frozen, Graph, bipartition, graph_from_biadjacency
@@ -138,20 +135,6 @@ class PermanentReport(Frozen):
         "path_taken",
         "pieces",
     )
-
-
-def _length_counts(g: Graph) -> dict:
-    """How many cycles of the whole graph have each length, counted as the
-    search (``whole_graph_cycles``) finds them, each checked to be even."""
-    counts = {}
-    for block, path, _ in whole_graph_cycles(g):
-        length = len(path)
-        if length & 1:
-            # The host was bipartition-checked: an odd cycle is a bug.
-            labels = tuple(v + 1 for v in block_vertices(block, path))
-            raise InternalInvariantError(f"odd cycle {labels} in bipartite host")
-        counts[length] = counts.get(length, 0) + 1
-    return counts
 
 
 def _signed_sum(g: Graph, left: int, mate: list, piece: int, negative: dict, bad: list) -> tuple:
@@ -220,7 +203,7 @@ def permanent_auto(g: Graph) -> PermanentReport:
         # No perfect matching can exist, so nothing is enumerated.
         return PermanentReport(0, g.n, 0, 0, 0, PATH_ODD, ())
     # The whole graph's cycles serve only the count reported.
-    num_4k = sum(k for length, k in _length_counts(g).items() if not length & 3)
+    num_4k = sum(k for length, k in cycle_length_counts(g).items() if not length & 3)
     pm, reports, split = _matching_count(g, left)
     if not pm:
         # Every family leaves an unmatchable rest, the empty one too.
@@ -251,37 +234,3 @@ def count_perfect_matchings(b) -> int:
     if 2 * p != g.n:
         return 0
     return _matching_count(g, (1 << p) - 1)[0]
-
-
-class EfficiencyReport(Frozen):
-    """Cycle-structure test for when the expansion beats brute force:
-    cactus layout (any two cycles share at most one vertex) plus a girth
-    large relative to n and the count of girth cycles.
-    """
-
-    __slots__ = _fields = ("is_cactus", "girth", "n", "c", "condition_holds")
-
-
-def _is_cycle(g: Graph, block: tuple) -> bool:
-    """Whether a biconnected block of 3 or more vertices is one cycle:
-    as many edges as vertices.  Two cycles share two vertices exactly
-    when some block is not."""
-    inside = 0
-    for v in block:
-        inside |= 1 << v
-    return sum(inside >> w & 1 for v in block for w in g.neighbors[v]) == 2 * len(block)
-
-
-def classify_efficient(g: Graph) -> EfficiencyReport:
-    """Classify a bipartite graph by the girth condition
-    g0 * (c + 2) > n + c(c-1)/2 + c, compared in exact integers.
-    Acyclic graphs pass trivially.  The girth g0 and the number c of
-    girth cycles come from one count of the cycles as they are found.
-    """
-    bipartition(g)
-    counts = _length_counts(g)
-    girth = min(counts, default=None)
-    c = counts.get(girth, 0)
-    is_cactus = all(_is_cycle(g, block) for block in biconnected_blocks(g))
-    holds = girth is None or is_cactus and girth * (c + 2) > g.n + c * (c - 1) // 2 + c
-    return EfficiencyReport(is_cactus, girth, g.n, c, holds)

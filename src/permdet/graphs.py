@@ -184,9 +184,16 @@ class Graph(Frozen):
 
 
 def _tokenize(text: str):
-    """Yield (line_no, tokens) for each nonblank line."""
+    """Yield (line_no, tokens) for each nonblank line.  ``int`` reads
+    ``1_0`` and non-ASCII digits, so such a token is refused; one scan
+    clears most texts, and only a text that fails it has its tokens read."""
+    plain = text.isascii() and "_" not in text
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
+        if not plain:
+            for token in tokens:
+                if not token.isascii() or "_" in token:
+                    raise ParseError(f"non-integer token {token!r}", line_no)
         if tokens:
             yield line_no, tokens
 

@@ -228,6 +228,23 @@ def test_exit_code_parse_error(capsys, monkeypatch):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv,text,token,line_no",
+    [
+        (("per", "-"), "1_0 0\n", "1_0", 1),
+        (("pm-count", "-"), "1 1\n\u0661\n", "\u0661", 2),
+        (("per", "--format", "adjacency", "-"), "0 \u0661\n\u0661 0\n", "\u0661", 1),
+    ],
+    ids=["edge-list underscore", "biadjacency arabic-indic one", "adjacency arabic-indic one"],
+)
+def test_integers_are_ascii_decimals(capsys, monkeypatch, argv, text, token, line_no):
+    # int() alone reads "1_0" as 10 and an Arabic-Indic one as 1.
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: line {line_no}: non-integer token {token!r}\n"
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "per", "/nonexistent/input.edges")
     assert code == 1

@@ -240,7 +240,7 @@ def test_count_perfect_matchings_lists_no_whole_graph_cycles(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("count_perfect_matchings listed the whole graph's cycles")
 
-    monkeypatch.setattr(engine, "whole_graph_cycles", forbidden)
+    monkeypatch.setattr(cycles_module, "whole_graph_cycles", forbidden)
     for b, count in zip(matrices, expected):
         assert count_perfect_matchings(b) == count, b
 
@@ -360,8 +360,8 @@ def test_negative_matching_count_raises_invariant_error(monkeypatch):
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
     # Both readers count the whole graph's cycles from the one stream.
     # A block and a path of bits in its numbering, bit j for block[j].
-    triangle = ((0, 1, 2), [0b001, 0b010, 0b100], 0b111)
-    monkeypatch.setattr(engine, "whole_graph_cycles", lambda g: iter([triangle]))
+    triangle = ((0, 1, 2), [0b001, 0b010, 0b100])
+    monkeypatch.setattr(cycles_module, "whole_graph_cycles", lambda g: iter([triangle]))
     for run in (permanent_auto, classify_efficient):
         with pytest.raises(InternalInvariantError, match=r"odd cycle \(1, 2, 3\)"):
             run(corpus.cycle_graph(4))

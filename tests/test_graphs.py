@@ -116,6 +116,11 @@ def test_parse_error_reports_line_number():
     assert str(exc.value).startswith("line 3:")
 
 
+def test_non_ascii_whitespace_still_separates_tokens():
+    # Only the tokens must be ASCII: a no-break space splits them as before.
+    assert parse_edge_list("2\u00a01\n1 2\n").edges == ((0, 1),)
+
+
 @pytest.mark.parametrize(
     "body,message",
     [
