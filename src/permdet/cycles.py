@@ -23,7 +23,9 @@ pairs, with two readers: ``enumerate_cycles`` maps its bits back to the
 graph's vertices and sorts it into the one list of cycles, and
 ``cycle_length_counts`` counts its cycles by length as they are found,
 for the engine's 4k-cycle count and for ``classify_efficient``.  The
-search's vertex masks serve ``matching.pfaffian_signing`` alone.
+search yields each closed path and nothing else: its readers need a
+cycle's length, its vertices or its edges, and each reads them off the
+path.
 
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
@@ -162,9 +164,9 @@ def classify_efficient(g: Graph) -> EfficiencyReport:
     return EfficiencyReport(is_cactus, girth, g.n, c, holds)
 
 
-def simple_cycles(searches, shortest: int, what: str, cap: int):
-    """Yield ``(i, path, mask)`` at each closed path of a backtracking
-    search, the package's one cycle search.
+def simple_cycles(searches, what: str, cap: int):
+    """Yield ``(i, path)`` at each closed path of a backtracking search,
+    the package's one cycle search.
 
     ``searches`` holds pairs ``(succ, roots)``, the i-th in its own
     numbering of its vertices from 0, each vertex named by its bit (vertex
@@ -174,14 +176,12 @@ def simple_cycles(searches, shortest: int, what: str, cap: int):
     from the last vertex b takes the next of its candidates, lowest bit
     first, from one AND of ``succ[b]`` with ``avail``, the free vertices
     off the path plus the root; the root takes its place in that order.
-    Each time it comes up and the path has at least ``shortest``
-    vertices, i, the live ``path`` list of bits (the root first; copy it
-    to keep it) and the bitmask of its vertices are yielded.  From a root
-    whose ``free`` holds only vertices above it, a directed cycle so comes
-    out once, from its smallest vertex, and an undirected one once per
-    direction.  Shorter closures are passed over without a yield: with
-    ``shortest`` 3 on an undirected graph, the step from a neighbour w of
-    the root back to it, which closes no cycle.  The last vertex's
+    Each time it comes up, i and the live ``path`` list of bits (the root
+    first; copy it to keep it) are yielded.  From a root whose ``free``
+    holds only vertices above it, a directed cycle so comes out once, from
+    its smallest vertex.  On an undirected graph a cycle comes out once
+    per direction, and so does each step from the root to a neighbour and
+    back, a two-vertex path that closes no cycle.  The last vertex's
     candidates are kept in a local and those of the vertices before it on
     a stack, so a step turns no bit into an index, and no path overflows
     the recursion limit.
@@ -193,7 +193,7 @@ def simple_cycles(searches, shortest: int, what: str, cap: int):
     steps = cap
     for i, (succ, roots) in enumerate(searches):
         for root, free in roots:
-            start = avail = free | root
+            avail = free | root
             path = [root]
             stack = []
             cands = succ[root] & avail
@@ -207,8 +207,7 @@ def simple_cycles(searches, shortest: int, what: str, cap: int):
                 low = cands & -cands
                 cands ^= low
                 if low == root:
-                    if len(path) >= shortest:
-                        yield i, path, start ^ avail | root
+                    yield i, path
                     continue
                 steps -= 1
                 if steps < 0:
@@ -243,8 +242,9 @@ def whole_graph_cycles(g: Graph):
     tuple), then the live path of bits in canonical order (copy it to
     keep it), in the block's numbering, where bit j names vertex
     block[j].  Of the two directions ``simple_cycles`` yields, the one
-    towards the root's smaller neighbour is kept.  The path cap counts
-    across the blocks.
+    towards the root's smaller neighbour is kept; a two-vertex path back
+    to the root, whose second vertex is also its last, fails the same
+    test.  The path cap counts across the blocks.
 
     Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
     (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
@@ -253,7 +253,7 @@ def whole_graph_cycles(g: Graph):
     blocks = biconnected_blocks(g)
     searches = (_block_search(g, block) for block in blocks)
     count = 0
-    for i, path, _ in simple_cycles(searches, 3, "cycle path", DEFAULT_PATH_CAP):
+    for i, path in simple_cycles(searches, "cycle path", DEFAULT_PATH_CAP):
         if path[1] < path[-1]:
             count += 1
             if count > cap:

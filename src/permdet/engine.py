@@ -219,18 +219,13 @@ def count_perfect_matchings(b) -> int:
     """Number of perfect matchings of the bipartite graph with biadjacency
     b, which is per(b).
 
-    A non-square b has no perfect matching, so 0.  Otherwise it is the
-    engine's pm of the graph on p + q vertices with adjacency
+    It is the engine's pm of the graph on p + q vertices with adjacency
     [[0, b], [b^T, 0]], with no cycle enumeration of the whole graph and
     no 2-colouring search: the rows, vertices 0..p-1, are the left side.
-    Raises ValueError when b is ragged or has an entry other than 0 and 1,
-    and propagates EnumerationCapExceeded from the signing and family
-    searches.
+    A non-square b gives 0, since ``perfect_matching`` finds no perfect
+    matching between sides of unequal size.  Raises ValueError when b is
+    ragged or has an entry other than 0 and 1, and propagates
+    EnumerationCapExceeded from the signing and family searches.
     """
     rows = tuple(b)
-    g = graph_from_biadjacency(rows)
-    p = len(rows)
-    # g has p + q vertices, so this is p != q.
-    if 2 * p != g.n:
-        return 0
-    return _matching_count(g, (1 << p) - 1)[0]
+    return _matching_count(graph_from_biadjacency(rows), (1 << len(rows)) - 1)[0]

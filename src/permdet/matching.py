@@ -212,43 +212,42 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
     directed cycles of the piece's alternating digraph (an arc
     u -> mate(w) per non-matching edge uw inside the piece), each once,
     from its smallest left vertex, as a path of the vertices' bits, and
-    each is collected as the bitmask of its non-matching edges, read
-    from the arcs keyed by those bits.  On a cycle of length 2l, which has l of
-    them, that row gives the equation "the number of negative edges is
-    l + 1 mod 2", which makes the cycle good.  Once the search is done
-    the rows are reduced in the order found: a consistent one is kept
-    and an inconsistent one rejected, and the signing satisfies every
-    kept one.  So it satisfies every consistent row, a sum of kept ones,
-    and violates every rejected row, a sum of kept ones with the
-    right-hand side flipped: the bad cycles (l + 1 plus their negative
-    edges odd) are exactly the rejected rows.  ``bad`` holds their vertex
-    masks in the order found: the left vertices of the search's mask,
-    mapped back from the piece's numbering, plus their mates.  It is
-    empty exactly when every equation was consistent, which certifies
-    the signing as Pfaffian; otherwise no signing is.
+    each is kept as one int, its row: the bitmask of its non-matching
+    edges, read from the arcs keyed by those bits.  On a cycle of length
+    2l, which has l of them, that row gives the equation "the number of
+    negative edges is l + 1 mod 2", which makes the cycle good.  Once the
+    search is done the rows are reduced in the order found: a consistent
+    one is kept and an inconsistent one rejected, and the signing
+    satisfies every kept one.  So it satisfies every consistent row, a
+    sum of kept ones, and violates every rejected row, a sum of kept ones
+    with the right-hand side flipped: the bad cycles (l + 1 plus their
+    negative edges odd) are exactly the rejected rows.  ``bad`` holds
+    their vertex masks in the order found, the ends of their rows' edges:
+    each vertex of an alternating cycle lies on one of its non-matching
+    edges.  It is empty exactly when every equation was consistent, which
+    certifies the signing as Pfaffian; otherwise no signing is.
 
     Raises EnumerationCapExceeded (``alternating path``) after
     ``DEFAULT_SIGNING_CAP`` path extensions, since the expansion is
     exact only over the whole list.
     """
-    piece_left = mask_indices(piece & left)
     # The search names the piece's left vertices by their mates' bits: u
     # is bit[mate(u)], 1 << j for mate(u) the j-th of the piece's right
     # vertices.  The successor of u across a non-matching edge uw is
     # mate(w), named bit[w], so lowest bit first takes u's arcs in the
     # order of u's neighbours, as a scan of its neighbour tuple would.
     # That order decides which rows the reduction rejects, so it is kept.
-    right = mask_indices(piece & ~left)
-    bit = {w: 1 << j for j, w in enumerate(right)}
+    bit = {w: 1 << j for j, w in enumerate(mask_indices(piece & ~left))}
     # arcs[x] maps each successor of x to the bit of its edge, succ[x] is
     # the bitmask of those successors, and a root may step only to the
-    # left vertices after it in vertex order, ``after``.
+    # left vertices after it in vertex order, ``after``.  ``edges`` maps
+    # an edge's bit back to its ends.
     arcs = {}
     succ = {}
     roots = []
     edges = []
-    after = (1 << len(right)) - 1
-    for u in piece_left:
+    after = (1 << len(bit)) - 1
+    for u in mask_indices(piece & left):
         out = {}
         bits = 0
         for w in g.neighbors[u]:
@@ -263,24 +262,21 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
         after ^= x
         roots.append((x, after))
     closed = []
-    # Two arcs are the shortest cycle: a 4-cycle of the piece.
-    search = simple_cycles([(succ, roots)], 2, "alternating path", DEFAULT_SIGNING_CAP)
-    for _, path, mask in search:
+    for _, path in simple_cycles([(succ, roots)], "alternating path", DEFAULT_SIGNING_CAP):
         row = 0
         u = path[-1]
         for x in path:
             row |= arcs[u][x]
             u = x
-        closed.append((row, mask))
+        closed.append(row)
     basis = {}
     bad = []
-    for row, mask in closed:
+    for row in closed:
         # A cycle of length 2l has l non-matching edges: l = row.bit_count().
         if not _add_row(basis, row, row.bit_count() + 1 & 1):
-            # The cycle's vertices: its left vertices and their mates.
             vertices = 0
-            for j in mask_indices(mask):
-                w = right[j]
-                vertices |= 1 << w | 1 << mate[w]
+            for e in mask_indices(row):
+                u, w = edges[e]
+                vertices |= 1 << u | 1 << w
             bad.append(vertices)
     return _solve(basis, edges), bad
