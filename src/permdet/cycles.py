@@ -54,13 +54,16 @@ from .graphs import Frozen, Graph, VertexSet, bipartition, mask_indices
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
 # Path extensions the cycle search may make per call.  An extension
-# costs 0.14-0.15 us (2-vCPU AMD EPYC, Python 3.11.7: 177,462 on the
-# 4 x 6 grid in 26 ms), so the cap stops a search within about 2 s: the
-# 2 x 22 ladder in 1.6 s, the 2 x 30 ladder in 1.7 s and the 6 x 6 grid,
-# which yields more cycles on the way, in 1.7 s.  The count depends on
-# the vertex order: the 4 x 6 grid numbered row by row needs 177,462,
-# and ten random labellings of it 75,576-132,646.  The tests, demos and
-# benchmark need at most 2,000,998 (the 2,000-vertex cycle).
+# costs about 0.35 us (2-vCPU Intel Xeon, Python 3.11.7: 89,081 on the
+# 4 x 6 grid in 32 ms, 10**7 on the 2 x 22 ladder in 3.4 s), so the cap
+# stops a search within about 3.5 s: the 2 x 22 ladder in 3.4 s, the
+# 2 x 30 ladder in 3.5 s and the 6 x 6 grid, which yields 363,621 cycles
+# on the way, in 3.3 s (5-8.5 s when that machine runs slow); each
+# reaches the cap before its first root's skipped first step.  The count
+# depends on the vertex order: the 4 x 6 grid numbered row by row needs
+# 89,081, and ten random labellings of it 53,827-72,584.  The tests,
+# demos and benchmark need at most 223,619 (a 24-vertex random cubic
+# graph in the signing tests).
 DEFAULT_PATH_CAP = 10**7
 
 
@@ -171,8 +174,10 @@ def simple_cycles(searches, what: str, cap: int):
     ``searches`` holds pairs ``(succ, roots)``, the i-th in its own
     numbering of its vertices from 0, each vertex named by its bit (vertex
     j is ``1 << j``): ``succ[b]`` is the bitmask of b's successors.  For
-    each ``(root, free)`` in ``roots``, paths grow from ``root`` through
-    the vertices of the bitmask ``free`` that are not on the path.  A step
+    each ``(root, first, free)`` in ``roots``, paths grow from ``root``
+    through the vertices of the bitmask ``free`` that are not on the
+    path, and the first step goes to a vertex of the bitmask ``first``,
+    which the caller chooses from ``succ[root] & free``.  Every later step
     from the last vertex b takes the next of its candidates, lowest bit
     first, from one AND of ``succ[b]`` with ``avail``, the free vertices
     off the path plus the root; the root takes its place in that order.
@@ -180,11 +185,11 @@ def simple_cycles(searches, what: str, cap: int):
     first; copy it to keep it) are yielded.  From a root whose ``free``
     holds only vertices above it, a directed cycle so comes out once, from
     its smallest vertex.  On an undirected graph a cycle comes out once
-    per direction, and so does each step from the root to a neighbour and
-    back, a two-vertex path that closes no cycle.  The last vertex's
-    candidates are kept in a local and those of the vertices before it on
-    a stack, so a step turns no bit into an index, and no path overflows
-    the recursion limit.
+    for each of its two first steps that ``first`` holds, and each first
+    step also closes a two-vertex path straight back to the root, which is
+    no cycle.  The last vertex's candidates are kept in a local and those
+    of the vertices before it on a stack, so a step turns no bit into an
+    index, and no path overflows the recursion limit.
 
     Raises EnumerationCapExceeded(what, cap) past ``cap`` path
     extensions over all searches: a graph with few cycles can have
@@ -192,11 +197,11 @@ def simple_cycles(searches, what: str, cap: int):
     """
     steps = cap
     for i, (succ, roots) in enumerate(searches):
-        for root, free in roots:
+        for root, first, free in roots:
             avail = free | root
             path = [root]
             stack = []
-            cands = succ[root] & avail
+            cands = first
             while True:
                 if not cands:
                     if not stack:
@@ -232,8 +237,16 @@ def _block_search(g: Graph, block: tuple) -> tuple:
             out |= bit.get(w, 0)
         succ[bit[v]] = out
     top = 1 << len(block)
-    # A cycle rooted at j needs two more vertices above j in the block.
-    return succ, [(1 << j, top - (2 << j)) for j in range(len(block) - 2)]
+    roots = []
+    # A cycle rooted at j needs two more vertices above j in the block.  A
+    # walk whose first step is the root's highest neighbour above it comes
+    # back through a lower one, the reverse of a walk from that one, so the
+    # first steps leave out that highest bit (0 when up is 0).
+    for j in range(len(block) - 2):
+        free = top - (2 << j)
+        up = succ[1 << j] & free
+        roots.append((1 << j, up ^ (1 << up.bit_length() >> 1), free))
+    return succ, roots
 
 
 def whole_graph_cycles(g: Graph):
@@ -241,8 +254,10 @@ def whole_graph_cycles(g: Graph):
     search finds it: the cycle's biconnected block (a sorted vertex
     tuple), then the live path of bits in canonical order (copy it to
     keep it), in the block's numbering, where bit j names vertex
-    block[j].  Of the two directions ``simple_cycles`` yields, the one
-    towards the root's smaller neighbour is kept; a two-vertex path back
+    block[j].  No root searches its highest first step, through which
+    every cycle comes out reversed; of the walks left, the one towards
+    the root's smaller neighbour is kept.  That drops a cycle's reverse
+    walk when it starts at a lower first step, and a two-vertex path back
     to the root, whose second vertex is also its last, fails the same
     test.  The path cap counts across the blocks.
 

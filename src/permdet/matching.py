@@ -260,7 +260,7 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
         arcs[x] = out
         succ[x] = bits
         after ^= x
-        roots.append((x, after))
+        roots.append((x, bits & after, after))
     closed = []
     for _, path in simple_cycles([(succ, roots)], "alternating path", DEFAULT_SIGNING_CAP):
         row = 0

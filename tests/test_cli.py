@@ -245,6 +245,14 @@ def test_integers_are_ascii_decimals(capsys, monkeypatch, argv, text, token, lin
     assert err == f"error: line {line_no}: non-integer token {token!r}\n"
 
 
+@pytest.mark.parametrize("line", ["1", "1 2 3"])
+def test_edge_line_needs_exactly_two_tokens(capsys, monkeypatch, line):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"3 1\n{line}\n"))
+    code, out, err = run(capsys, "per", "-")
+    assert (code, out) == (1, "")
+    assert err == f"error: line 2: expected 'u v', got {line!r}\n"
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "per", "/nonexistent/input.edges")
     assert code == 1
@@ -254,6 +262,16 @@ def test_exit_code_missing_file(capsys):
 def test_exit_code_not_bipartite(capsys):
     code, _, err = run(capsys, "per", fixture("triangle.edges"))
     assert code == 2
+    assert "odd cycle witness" in err
+
+
+def test_exit_code_not_bipartite_on_a_five_cycle(capsys, monkeypatch):
+    # Colouring the triangle from vertex 1 meets the odd cycle at an edge
+    # between two vertices of the other colour; the 5-cycle meets it at
+    # the edge 3-4, both of vertex 1's colour.
+    monkeypatch.setattr("sys.stdin", io.StringIO("5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n"))
+    code, out, err = run(capsys, "per", "-")
+    assert (code, out) == (2, "")
     assert "odd cycle witness" in err
 
 
@@ -476,8 +494,8 @@ def test_biadjacency_with_one_empty_side_exits_1(capsys, monkeypatch):
 # exits 3 (a cap) or reports the oracle as skipped (a size guard).
 BOUNDS = [
     (cycles, "DEFAULT_CYCLE_CAP", 3, permanent_auto, EnumerationCapExceeded, "per", None),
-    # example10's whole-graph cycle search makes 40 path extensions.
-    (cycles, "DEFAULT_PATH_CAP", 39, permanent_auto, EnumerationCapExceeded, "per", None),
+    # example10's whole-graph cycle search makes 14 path extensions.
+    (cycles, "DEFAULT_PATH_CAP", 13, permanent_auto, EnumerationCapExceeded, "per", None),
     # example10's two pieces need 3 path extensions in all.
     (matching, "DEFAULT_SIGNING_CAP", 2, permanent_auto, EnumerationCapExceeded, "per", None),
     # Theorem 2's check is bounded by SUBSET_GUARD alone, not by Ryser's.

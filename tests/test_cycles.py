@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import corpus
@@ -19,6 +20,7 @@ from permdet.cycles import (
     DEFAULT_FAMILY_CAP,
     biconnected_blocks,
     block_vertices,
+    cycle_length_counts,
     simple_cycles,
     whole_graph_cycles,
 )
@@ -265,23 +267,28 @@ def test_path_cap_raises(monkeypatch):
 def test_path_cap_counts_across_blocks(monkeypatch):
     from permdet import cycles
 
-    # One 8-cycle block takes 34 path extensions, and six take 6 * 34.
-    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 34)
+    # One 8-cycle block takes 7 path extensions, and six take 6 * 7: each
+    # block's lowest vertex alone has two first steps, and searches one.
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 7)
     assert len(enumerate_cycles(corpus.bridged_c8_chain(1))) == 1
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 6)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_cycles(corpus.bridged_c8_chain(1))
     g = corpus.bridged_c8_chain(6)
-    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 203)
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 41)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_cycles(g)
-    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 204)
+    monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 42)
     assert len(enumerate_cycles(g)) == 6
 
 
 @pytest.mark.parametrize(
     "name, graph, steps",
     [
-        ("grid_4x6", lambda: corpus.grid_graph(4, 6), 177_462),
-        ("cubic20", lambda: corpus.load_fixture("cubic20.edges"), 14_025),
+        ("grid_4x6", lambda: corpus.grid_graph(4, 6), 89_081),
+        ("cubic20", lambda: corpus.load_fixture("cubic20.edges"), 9_427),
     ],
+    ids=["grid_4x6", "cubic20"],
 )
 def test_path_cap_boundary_on_cycle_rich_graphs(monkeypatch, name, graph, steps):
     # The search's work on graphs with thousands of cycles: exactly
@@ -297,10 +304,12 @@ def test_path_cap_boundary_on_cycle_rich_graphs(monkeypatch, name, graph, steps)
     assert len(found) == {"grid_4x6": 5034, "cubic20": 1108}[name]
 
 
-def test_cycle_search_yields_each_cycle_once_per_direction(monkeypatch):
-    # The kernel yields each cycle once per direction, and besides those
-    # only the two-vertex closures: each first step from a root to a
-    # neighbour above it in its block comes straight back to the root.
+def test_cycle_search_yield_count_is_exact(monkeypatch):
+    # A cycle through its smallest vertex r, whose neighbours on it are
+    # a < c, is kept as the walk r -> a ... c -> r.  No root searches its
+    # highest first step, so besides the kept walks the kernel yields only
+    # the reverse walk r -> c ... a -> r when c is not r's highest
+    # neighbour above it, and a two-vertex closure per searched first step.
     from permdet import cycles
 
     yields = 0
@@ -313,15 +322,60 @@ def test_cycle_search_yields_each_cycle_once_per_direction(monkeypatch):
 
     monkeypatch.setattr(cycles, "simple_cycles", counting)
     graphs = [corpus.example10(), corpus.bridged_c8_chain(6), _k4(), *corpus.random_corpus()]
+    graphs += [corpus.complete_bipartite(n, n) for n in (3, 4)]
     for g in graphs:
         yields = 0
-        found = enumerate_cycles(g)
-        first_steps = 0
+        expected = 0
+        for block, path in whole_graph_cycles(g):
+            root, _, c = block_vertices(block, [path[0], path[1], path[-1]])
+            highest = max(w for w in g.neighbors[root] if w > root and w in block)
+            expected += 1 + (c != highest)
         for block in biconnected_blocks(g):
             # Blocks are sorted, and the last two vertices are no roots.
             for j, v in enumerate(block[:-2]):
-                first_steps += sum(w in block[j + 1 :] for w in g.neighbors[v])
-        assert yields == 2 * len(found) + first_steps, g.edges
+                above = sum(w in block[j + 1 :] for w in g.neighbors[v])
+                expected += max(above - 1, 0)
+        assert yields == expected, g.edges
+
+
+def _complete_bipartite_counts(p: int, q: int) -> dict:
+    # A 2k-cycle of K_{p,q} picks k vertices on each side, and k vertices
+    # per side close k! * (k - 1)! / 2 cycles.
+    return {
+        2 * k: math.comb(p, k) * math.comb(q, k) * math.factorial(k) * math.factorial(k - 1) // 2
+        for k in range(2, min(p, q) + 1)
+    }
+
+
+@pytest.mark.parametrize("n, total", [(2, 1), (3, 15), (4, 204), (5, 3940)])
+def test_complete_bipartite_cycle_counts_match_closed_form(n, total):
+    # A left root of K_{n,n} has n neighbours above it, so the search
+    # skips one first step of up to five, which no grid root has.
+    counts = cycle_length_counts(corpus.complete_bipartite(n, n))
+    assert counts == _complete_bipartite_counts(n, n)
+    assert sum(counts.values()) == total
+
+
+@pytest.mark.parametrize(
+    "graph, total",
+    [
+        (lambda: corpus.grid_graph(4, 5), 1049),
+        (lambda: corpus.load_fixture("cubic20.edges"), 1108),
+        (lambda: corpus.complete_bipartite(4, 5), 660),
+    ],
+    ids=["grid_4x5", "cubic20", "k45"],
+)
+def test_cycle_counts_do_not_depend_on_the_labelling(graph, total):
+    # The first step each root skips, and how many neighbours above it a
+    # root has, follow the labelling; the cycles found must not.
+    g = graph()
+    counts = cycle_length_counts(g)
+    assert sum(counts.values()) == total
+    rng = random.Random(2027)
+    for _ in range(10):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert cycle_length_counts(corpus.relabel(g, perm)) == counts, perm
 
 
 def tuple_cycles(succ, roots, shortest):

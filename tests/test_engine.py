@@ -505,6 +505,19 @@ def test_counts_as_found_match_the_sorted_cycle_list():
         assert classify_efficient(g) == want, g.edges
 
 
+def test_family_cap_admits_exactly_the_families_of_a_piece(monkeypatch):
+    # cubic20 is one piece, so its report counts that piece's families.
+    g = corpus.load_fixture("cubic20.edges")
+    report = permanent_auto(g)
+    assert report.pieces == () and report.families > 1
+    monkeypatch.setattr(cycles_module, "DEFAULT_FAMILY_CAP", report.families)
+    assert permanent_auto(g).value == report.value == 5776
+    cap = report.families - 1
+    monkeypatch.setattr(cycles_module, "DEFAULT_FAMILY_CAP", cap)
+    with pytest.raises(EnumerationCapExceeded, match=f"^disjoint family .* cap of {cap}$"):
+        permanent_auto(g)
+
+
 def _caps_out(run, g) -> bool:
     try:
         run(g)

@@ -6,8 +6,11 @@ Each mutant is one ``(file, old, new)`` replacement of text that occurs
 exactly once in ``file``.  For each, the repository's ``src``, ``tests``
 and ``fixtures`` and its ``pyproject.toml`` are copied to a temporary
 directory, the replacement is made there, and ``python -m pytest -x -q``
-runs in the copy.  A mutant that passes the tests survives.  The
-unmutated copy runs first and must pass, so that a failure is the
+runs in the copy: first on the mutated module's own test file
+(``tests/test_cycles.py`` for ``src/permdet/cycles.py``), where most
+mutants fail within seconds, then, if that passes, on the rest of the
+suite.  A mutant that passes both runs survives.  The unmutated copy
+runs the whole suite first and must pass, so that a failure is the
 mutant's.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
@@ -57,6 +60,11 @@ MUTANTS = (
     ("src/permdet/cycles.py", "            for v in members[i]:", "            for v in members[i][1:]:"),
     # ... or the last vertex's.
     ("src/permdet/cycles.py", "            for v in members[i]:", "            for v in members[i][:-1]:"),
+    # A block root searches its highest first step too, whose walks all
+    # come back reversed: only the exact path counts see it.
+    ("src/permdet/cycles.py", "up ^ (1 << up.bit_length() >> 1)", "up"),
+    # ... or skips its lowest first step instead, and with it cycles.
+    ("src/permdet/cycles.py", "up ^ (1 << up.bit_length() >> 1)", "up ^ (up & -up)"),
     # The whole graph keeps both directions, or the two-vertex closures.
     ("src/permdet/cycles.py", "if path[1] < path[-1]:", "if path[1] != path[-1]:"),
     ("src/permdet/cycles.py", "if path[1] < path[-1]:", "if path[1] <= path[-1]:"),
@@ -92,26 +100,36 @@ def _copy(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
+def _pytest(tree: Path, *args: str) -> bool:
+    """Whether ``python -m pytest -x -q`` with ``args`` passes in ``tree``."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args],
+        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return done.returncode == 0
+
+
 def _run(mutant) -> bool | None:
-    """Whether the tests pass on a copy with ``mutant`` applied, or on
-    an unmutated copy when ``mutant`` is None.  None when the mutant's
-    ``old`` text is not in its file exactly once."""
+    """Whether the tests pass on a copy with ``mutant`` applied, its
+    module's own test file first, or on an unmutated copy when ``mutant``
+    is None.  None when the mutant's ``old`` text is not in its file
+    exactly once."""
     with tempfile.TemporaryDirectory(prefix="permdet-mutant-") as tmp:
         tree = Path(tmp)
         _copy(tree)
-        if mutant is not None:
-            name, old, new = mutant
-            path = tree / name
-            text = path.read_text()
-            if text.count(old) != 1:
-                return None
-            path.write_text(text.replace(old, new))
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        return done.returncode == 0
+        if mutant is None:
+            return _pytest(tree)
+        name, old, new = mutant
+        path = tree / name
+        text = path.read_text()
+        if text.count(old) != 1:
+            return None
+        path.write_text(text.replace(old, new))
+        own = f"tests/test_{path.stem}.py"
+        if not (tree / own).exists():
+            return _pytest(tree)
+        return _pytest(tree, own) and _pytest(tree, f"--ignore={own}")
 
 
 def main() -> int:
