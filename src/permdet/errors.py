@@ -40,7 +40,8 @@ class EnumerationCapExceeded(PermdetError):
 
     ``what`` names the enumeration: ``cycle`` (``cycles.DEFAULT_CYCLE_CAP``),
     ``disjoint family`` (``cycles.DEFAULT_FAMILY_CAP``) or ``Sachs
-    subgraph`` (``oracles.DEFAULT_SACHS_CAP``); or the paths extended by
+    subgraph`` (``oracles.DEFAULT_SACHS_CAP``, which counts the components
+    that search tries, not the subgraphs it finds); or the paths extended by
     the one cycle search, ``cycles.simple_cycles``: ``cycle path``
     (``cycles.DEFAULT_PATH_CAP``) for the whole graph's cycles and
     ``alternating path`` (``matching.DEFAULT_SIGNING_CAP``) for a

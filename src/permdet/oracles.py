@@ -21,9 +21,9 @@ vertex-disjoint 4k-cycles.
 
 Everything here is exponential and bounded by a module constant read
 at call time: a size guard (``RYSER_GUARD``, ``NAIVE_GUARD``,
-``SACHS_GUARD``, ``REMOVAL_GUARD``, ``SUBSET_GUARD``) on the input, and
-``DEFAULT_SACHS_CAP`` on the Sachs subgraphs listed.  Passing one raises
-instead of truncating.
+``SACHS_GUARD``, ``SUBSET_GUARD``) on the input, and
+``DEFAULT_SACHS_CAP`` on the components the Sachs search tries.  Passing
+one raises instead of truncating.
 """
 
 from __future__ import annotations
@@ -35,12 +35,14 @@ from .determinant import det_after_removal
 from .errors import EnumerationCapExceeded, SizeGuardExceeded
 from .graphs import Frozen, Graph, VertexSet, bipartition, induced_subgraph
 
-RYSER_GUARD = 30
+# Ryser takes about 2 s at n = 20, and 4.5x that per two more columns.
+RYSER_GUARD = 20
 NAIVE_GUARD = 10
 SACHS_GUARD = 14
-REMOVAL_GUARD = 12
 SUBSET_GUARD = 14
-DEFAULT_SACHS_CAP = 10**7
+# Component trials per Sachs search, about 60 ns each: K_{5,5} needs
+# 33,084,790, and K_{6,6} stops here within about 3 s.
+DEFAULT_SACHS_CAP = 5 * 10**7
 
 
 def _check_square(matrix):
@@ -156,35 +158,35 @@ def enumerate_sachs(g: Graph, i: int) -> list:
     once and the output order is deterministic.  ``i = 0`` yields the
     single empty subgraph.  The cycles are ``cycles.enumerate_cycles(g)``,
     listed on each call.  Raises EnumerationCapExceeded past
-    ``DEFAULT_SACHS_CAP`` subgraphs.
+    ``DEFAULT_SACHS_CAP`` component trials, each one pass of the loop
+    over the components; no subgraph is found without a trial.
     """
     cap = DEFAULT_SACHS_CAP
     if not 0 <= i <= g.n:
         raise ValueError(f"i={i} outside 0..{g.n}")
-    comps = [((1 << u) | (1 << v), 2, (u, v), None) for u, v in g.edges]
-    comps.extend((cy.mask, cy.length, None, cy) for cy in enumerate_cycles(g))
+    comps = [((1 << u) | (1 << v), 2, (u, v)) for u, v in g.edges]
+    comps.extend((cy.mask, cy.length, cy) for cy in enumerate_cycles(g))
     out = []
-    chosen_edges = []
-    chosen_cycles = []
+    chosen = []  # positions in comps, increasing, so edges come first
+    trials = 0
 
     def backtrack(start, remaining, covered):
+        nonlocal trials
         if remaining == 0:
-            out.append(SachsSubgraph(tuple(chosen_edges), tuple(chosen_cycles), VertexSet(covered)))
-            if len(out) > cap:
-                raise EnumerationCapExceeded("Sachs subgraph", cap)
+            edges = sum(k < len(g.edges) for k in chosen)
+            items = [comps[k][2] for k in chosen]
+            out.append(SachsSubgraph(tuple(items[:edges]), tuple(items[edges:]), VertexSet(covered)))
             return
+        # The loop never breaks, so its trials are counted on entry.
+        trials += len(comps) - start
+        if trials > cap:
+            raise EnumerationCapExceeded("Sachs subgraph", cap)
         for k in range(start, len(comps)):
-            mask, size, edge, cycle = comps[k]
+            mask, size, _ = comps[k]
             if size <= remaining and covered & mask == 0:
-                if edge is not None:
-                    chosen_edges.append(edge)
-                else:
-                    chosen_cycles.append(cycle)
+                chosen.append(k)
                 backtrack(k + 1, remaining - size, covered | mask)
-                if edge is not None:
-                    chosen_edges.pop()
-                else:
-                    chosen_cycles.pop()
+                chosen.pop()
 
     backtrack(0, i, 0)
     return out
@@ -230,21 +232,18 @@ def check_parity_identity(g: Graph) -> bool:
 
 def check_removal_identity(g: Graph) -> bool:
     """Summing det(G \\ R) over all 4k-cycles R equals the same sum
-    written through spanning Sachs subgraphs that contain R.
+    written through spanning Sachs subgraphs that contain R.  A spanning
+    subgraph u contains exactly its ``u.s`` 4k-cycle components, so the
+    right side is one pass: u.s (-1)^(s - 1 + n/2) 2^(s + t - 1) per u.
     """
-    if g.n > REMOVAL_GUARD:
-        raise SizeGuardExceeded("check_removal_identity", g.n, REMOVAL_GUARD)
-    c4k = four_k_cycles(enumerate_cycles(g))
-    lhs = sum(det_after_removal(g, VertexSet(r.mask)) for r in c4k)
-    # Cycles compare by value, so those of a second enumeration match.
-    spanning = enumerate_sachs(g, g.n)
+    if g.n > SACHS_GUARD:
+        raise SizeGuardExceeded("check_removal_identity", g.n, SACHS_GUARD)
+    lhs = sum(det_after_removal(g, VertexSet(r.mask)) for r in four_k_cycles(enumerate_cycles(g)))
     half = g.n // 2
     rhs = 0
-    for r in c4k:
-        for u in spanning:
-            if r in u.cycle_components:
-                term = 1 << (u.s + u.t - 1)
-                rhs += -term if (u.s - 1 + half) & 1 else term
+    for u in enumerate_sachs(g, g.n):
+        term = u.s << (u.s + u.t) >> 1  # 0 when u.s is 0
+        rhs += -term if (u.s - 1 + half) & 1 else term
     return lhs == rhs
 
 

@@ -505,17 +505,17 @@ BOUNDS = [
      "verify", ("naive: skipped(guard)",)),
     (oracles, "SACHS_GUARD", 9, per_via_sachs, SizeGuardExceeded,
      "verify", ("sachs-per: skipped(guard)",)),
-    (oracles, "REMOVAL_GUARD", 9, check_removal_identity, SizeGuardExceeded,
-     "verify", ("removal-identity: skipped(guard)",)),
     (oracles, "SUBSET_GUARD", 9, lambda g: verify_theorem2(g, 2), SizeGuardExceeded,
      "verify", ("theorem2(m=2): skipped(guard)",)),
     (oracles, "DEFAULT_SACHS_CAP", 1, per_via_sachs, EnumerationCapExceeded, "verify", None),
+    # The Sachs guard bounds the removal check too, hence its own id.
+    (oracles, "SACHS_GUARD", 9, check_removal_identity, SizeGuardExceeded,
+     "verify", ("removal-identity: skipped(guard)",)),
 ]
+BOUND_IDS = [b[1] for b in BOUNDS[:-1]] + ["SACHS_GUARD-removal"]
 
 
-@pytest.mark.parametrize(
-    "module,name,value,call,error,argv,expected", BOUNDS, ids=[b[1] for b in BOUNDS]
-)
+@pytest.mark.parametrize("module,name,value,call,error,argv,expected", BOUNDS, ids=BOUND_IDS)
 def test_bound_constants_apply_at_call_time(
     capsys, monkeypatch, module, name, value, call, error, argv, expected
 ):

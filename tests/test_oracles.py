@@ -4,14 +4,20 @@ import random
 import corpus
 import pytest
 from permdet import (
+    EnumerationCapExceeded,
     Graph,
     SizeGuardExceeded,
     VertexSet,
     check_parity_identity,
     check_removal_identity,
+    det_after_removal,
     det_via_sachs,
     determinant,
+    enumerate_cycles,
     enumerate_sachs,
+    four_k_cycles,
+    induced_subgraph,
+    oracles,
     per_naive,
     per_ryser,
     per_via_sachs,
@@ -51,7 +57,7 @@ def test_ryser_agrees_with_naive_on_random_matrices():
 
 
 def test_oracle_guards():
-    big = [[0] * 31 for _ in range(31)]
+    big = [[0] * 21 for _ in range(21)]
     with pytest.raises(SizeGuardExceeded):
         per_ryser(big)
     with pytest.raises(SizeGuardExceeded):
@@ -63,8 +69,9 @@ def test_oracle_guards():
         det_via_sachs(wide)
     with pytest.raises(SizeGuardExceeded):
         verify_theorem2(wide, 0)
+    # The removal check shares the Sachs guard: 15 vertices, one past it.
     with pytest.raises(SizeGuardExceeded):
-        check_removal_identity(Graph.from_edges(13, []))
+        check_removal_identity(wide)
 
 
 def test_ryser_rejects_nonsquare():
@@ -77,6 +84,24 @@ def test_sachs_subgraph_counts_example10():
     assert len(enumerate_sachs(g, 2)) == 12
     assert len(enumerate_sachs(g, 4)) == 51
     assert len(enumerate_sachs(g, 6)) == 94
+
+
+def test_sachs_cap_counts_component_trials(monkeypatch):
+    # example10's spanning search tries 1,196 components to find its 18
+    # subgraphs; the empty subgraph takes no trial.
+    g = corpus.example10()
+    monkeypatch.setattr(oracles, "DEFAULT_SACHS_CAP", 1196)
+    assert len(enumerate_sachs(g, g.n)) == 18
+    monkeypatch.setattr(oracles, "DEFAULT_SACHS_CAP", 1195)
+    with pytest.raises(EnumerationCapExceeded, match="cap of 1195"):
+        enumerate_sachs(g, g.n)
+    monkeypatch.setattr(oracles, "DEFAULT_SACHS_CAP", 0)
+    assert len(enumerate_sachs(g, 0)) == 1
+    # K_{6,6} has 113,865 cycles to try; the cap stops its search long
+    # before the spanning subgraphs run out.
+    monkeypatch.setattr(oracles, "DEFAULT_SACHS_CAP", 10**6)
+    with pytest.raises(EnumerationCapExceeded, match="cap of 1000000"):
+        enumerate_sachs(corpus.complete_bipartite(6, 6), 12)
 
 
 def test_sachs_component_classification():
@@ -169,6 +194,49 @@ def test_identities_on_small_corpus():
 def test_removal_identity_trivial_when_no_4k_cycles():
     assert check_removal_identity(corpus.cycle_graph(6))
     assert check_removal_identity(corpus.path_graph(5))
+
+
+def _pairwise_removal_sums(g):
+    """Both sides of the cycle-removal identity, the right one summed over
+    the pairs (R, u) of a 4k-cycle R and a spanning Sachs subgraph u that
+    has R as a component: the reference for the one-pass check."""
+    c4k = four_k_cycles(enumerate_cycles(g))
+    lhs = sum(det_after_removal(g, VertexSet(r.mask)) for r in c4k)
+    spanning = enumerate_sachs(g, g.n)
+    half = g.n // 2
+    rhs = 0
+    for r in c4k:
+        for u in spanning:
+            if r in u.cycle_components:
+                term = 1 << (u.s + u.t - 1)
+                rhs += -term if (u.s - 1 + half) & 1 else term
+    return lhs, rhs
+
+
+REMOVAL_CORPORA = {
+    "connected_upto_8": lambda: corpus.connected_bipartite_upto(8),
+    "random_corpus": lambda: [g for g in corpus.random_corpus() if g.n <= 12],
+    "k44": lambda: [corpus.complete_bipartite(4, 4)],
+    # 13 and 14 vertices, inside SACHS_GUARD: the 2 x 7 ladder, and the
+    # ladder less a corner, where both sides are 0 (odd n).
+    "n13_n14": lambda: [
+        corpus.grid_graph(2, 7),
+        induced_subgraph(corpus.grid_graph(2, 7), VertexSet((1 << 13) - 1)),
+    ],
+}
+
+
+@pytest.mark.parametrize("graphs", REMOVAL_CORPORA.values(), ids=REMOVAL_CORPORA)
+def test_one_pass_removal_check_matches_the_pairwise_sum(graphs):
+    # The check computes the same left side, so passing it and matching
+    # the pairwise sum means its one-pass right side is the pairwise one.
+    nonzero = 0
+    for g in graphs():
+        lhs, rhs = _pairwise_removal_sums(g)
+        assert lhs == rhs, g.edges
+        assert check_removal_identity(g), g.edges
+        nonzero += lhs != 0
+    assert nonzero
 
 
 def test_theorem2_example10():

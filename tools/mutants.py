@@ -6,12 +6,12 @@ Each mutant is one ``(file, old, new)`` replacement of text that occurs
 exactly once in ``file``.  For each, the repository's ``src``, ``tests``
 and ``fixtures`` and its ``pyproject.toml`` are copied to a temporary
 directory, the replacement is made there, and ``python -m pytest -x -q``
-runs in the copy: first on the mutated module's own test file
-(``tests/test_cycles.py`` for ``src/permdet/cycles.py``), where most
-mutants fail within seconds, then, if that passes, on the rest of the
-suite.  A mutant that passes both runs survives.  The unmutated copy
-runs the whole suite first and must pass, so that a failure is the
-mutant's.
+runs in the copy: first on the mutated module's own test files
+(``tests/test_cycles.py`` for ``src/permdet/cycles.py``, more where
+``OWN_TESTS`` names them), where most mutants fail within seconds, then,
+if those pass, on the rest of the suite.  A mutant that passes both runs
+survives.  The unmutated copy runs the whole suite first and must pass,
+so that a failure is the mutant's.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
 the unmutated tests fail or a mutant's ``old`` text is not found exactly
@@ -30,6 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "pyproject.toml")
+# A module's own test files, where they are more than tests/test_<module>.py.
+OWN_TESTS = {"matching": ("tests/test_matching.py", "tests/test_signing.py")}
 
 MUTANTS = (
     # The expansion's weight 4^|T| in place of 2^|T|.
@@ -54,6 +56,10 @@ MUTANTS = (
     ("src/permdet/matching.py", "if on_stack[x] and index[x] < low[u]:", "if index[x] < low[u]:"),
     # No size check before the matching search.
     ("src/permdet/matching.py", "    if 2 * len(rows) != g.n:\n", "    if len(rows) > g.n:\n"),
+    # The removal check's one-pass term without its u.s factor.
+    ("src/permdet/oracles.py", "term = u.s << (u.s + u.t) >> 1", "term = 1 << (u.s + u.t) >> 1"),
+    # Sachs trial cap off-by-one.
+    ("src/permdet/oracles.py", "if trials > cap:", "if trials >= cap:"),
     # Unsigned entries in the signed block.
     ("src/permdet/determinant.py", "row[k] = -1 if minus >> j & 1 else 1", "row[k] = 1"),
     # The family search skips the first vertex's avoid mask of each cycle.
@@ -112,7 +118,7 @@ def _pytest(tree: Path, *args: str) -> bool:
 
 def _run(mutant) -> bool | None:
     """Whether the tests pass on a copy with ``mutant`` applied, its
-    module's own test file first, or on an unmutated copy when ``mutant``
+    module's own test files first, or on an unmutated copy when ``mutant``
     is None.  None when the mutant's ``old`` text is not in its file
     exactly once."""
     with tempfile.TemporaryDirectory(prefix="permdet-mutant-") as tmp:
@@ -126,10 +132,11 @@ def _run(mutant) -> bool | None:
         if text.count(old) != 1:
             return None
         path.write_text(text.replace(old, new))
-        own = f"tests/test_{path.stem}.py"
-        if not (tree / own).exists():
+        own = [f for f in OWN_TESTS.get(path.stem, (f"tests/test_{path.stem}.py",))
+               if (tree / f).exists()]
+        if not own:
             return _pytest(tree)
-        return _pytest(tree, own) and _pytest(tree, f"--ignore={own}")
+        return _pytest(tree, *own) and _pytest(tree, *(f"--ignore={f}" for f in own))
 
 
 def main() -> int:
