@@ -54,16 +54,15 @@ from .graphs import Frozen, Graph, VertexSet, bipartition, mask_indices
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
 # Path extensions the cycle search may make per call.  An extension
-# costs about 0.35 us (2-vCPU Intel Xeon, Python 3.11.7: 89,081 on the
-# 4 x 6 grid in 32 ms, 10**7 on the 2 x 22 ladder in 3.4 s), so the cap
-# stops a search within about 3.5 s: the 2 x 22 ladder in 3.4 s, the
-# 2 x 30 ladder in 3.5 s and the 6 x 6 grid, which yields 363,621 cycles
-# on the way, in 3.3 s (5-8.5 s when that machine runs slow); each
-# reaches the cap before its first root's skipped first step.  The count
-# depends on the vertex order: the 4 x 6 grid numbered row by row needs
-# 89,081, and ten random labellings of it 53,827-72,584.  The tests,
-# demos and benchmark need at most 223,619 (a 24-vertex random cubic
-# graph in the signing tests).
+# costs about 0.35 us (2-vCPU Intel Xeon, Python 3.11.7: 43,595 on the
+# 4 x 6 grid in 13 ms, 10**7 on the 2 x 22 ladder in 3.5 s), so the cap
+# stops a search within about 3.5 s: the 2 x 22 ladder in 3.5 s, the
+# 2 x 30 ladder in 3.6 s and the 6 x 6 grid, which yields 569,035 cycles
+# on the way, in 3.4 s (up to twice that when that machine runs slow).
+# The count depends on the vertex order: the 4 x 6 grid numbered row by
+# row needs 43,595, and ten random labellings of it 32,529-56,959.  The
+# tests, demos and benchmark need at most 227,760 (K_{6,6} in the Sachs
+# cap test).
 DEFAULT_PATH_CAP = 10**7
 
 
@@ -174,22 +173,23 @@ def simple_cycles(searches, what: str, cap: int):
     ``searches`` holds pairs ``(succ, roots)``, the i-th in its own
     numbering of its vertices from 0, each vertex named by its bit (vertex
     j is ``1 << j``): ``succ[b]`` is the bitmask of b's successors.  For
-    each ``(root, first, free)`` in ``roots``, paths grow from ``root``
-    through the vertices of the bitmask ``free`` that are not on the
-    path, and the first step goes to a vertex of the bitmask ``first``,
-    which the caller chooses from ``succ[root] & free``.  Every later step
-    from the last vertex b takes the next of its candidates, lowest bit
-    first, from one AND of ``succ[b]`` with ``avail``, the free vertices
-    off the path plus the root; the root takes its place in that order.
-    Each time it comes up, i and the live ``path`` list of bits (the root
-    first; copy it to keep it) are yielded.  From a root whose ``free``
-    holds only vertices above it, a directed cycle so comes out once, from
-    its smallest vertex.  On an undirected graph a cycle comes out once
-    for each of its two first steps that ``first`` holds, and each first
-    step also closes a two-vertex path straight back to the root, which is
-    no cycle.  The last vertex's candidates are kept in a local and those
-    of the vertices before it on a stack, so a step turns no bit into an
-    index, and no path overflows the recursion limit.
+    each ``(root, first, free, closers)`` in ``roots``, paths grow from
+    ``root`` through the vertices of the bitmask ``free`` that are not on
+    the path, and the first step goes to a vertex of the bitmask
+    ``first``, which the caller chooses from ``succ[root] & free``.  The
+    walk may return to the root only from a vertex of the bitmask
+    ``closers``, which the caller chooses from the root's predecessors in
+    ``free``.  Every later step from the last vertex b takes the next of
+    its candidates, lowest bit first: one AND of ``succ[b]`` with the free
+    vertices off the path, plus the root when b is a closer, in its place
+    in that order.  When b was the last closer off the path, no longer
+    walk can close, so the root is b's only candidate.  Each time the root
+    comes up, i and the live ``path`` list of bits (the root first; copy
+    it to keep it) are yielded.  The cut branches close nothing, so the
+    yields and their order are those of the search that walks them.  The
+    last vertex's candidates are kept in a local and those of the vertices
+    before it on a stack, so a step turns no bit into an index, and no
+    path overflows the recursion limit.
 
     Raises EnumerationCapExceeded(what, cap) past ``cap`` path
     extensions over all searches: a graph with few cycles can have
@@ -197,8 +197,8 @@ def simple_cycles(searches, what: str, cap: int):
     """
     steps = cap
     for i, (succ, roots) in enumerate(searches):
-        for root, first, free in roots:
-            avail = free | root
+        for root, first, free, closers in roots:
+            avail = free
             path = [root]
             stack = []
             cands = first
@@ -220,7 +220,12 @@ def simple_cycles(searches, what: str, cap: int):
                 path.append(low)
                 avail ^= low
                 stack.append(cands)
-                cands = succ[low] & avail
+                if not low & closers:
+                    cands = succ[low] & avail
+                elif closers & avail:
+                    cands = succ[low] & avail | root
+                else:
+                    cands = root
 
 
 def _block_search(g: Graph, block: tuple) -> tuple:
@@ -238,14 +243,19 @@ def _block_search(g: Graph, block: tuple) -> tuple:
         succ[bit[v]] = out
     top = 1 << len(block)
     roots = []
-    # A cycle rooted at j needs two more vertices above j in the block.  A
-    # walk whose first step is the root's highest neighbour above it comes
-    # back through a lower one, the reverse of a walk from that one, so the
-    # first steps leave out that highest bit (0 when up is 0).
+    # A cycle rooted at j is walked from its smaller neighbour a of j to
+    # its larger one, so the walk whose first step is a may close only
+    # from j's neighbours above a, ``above`` once a is taken off it.  The
+    # highest first step has none, and is left out.  A cycle rooted at j
+    # also needs two more vertices above j in the block.
     for j in range(len(block) - 2):
         free = top - (2 << j)
-        up = succ[1 << j] & free
-        roots.append((1 << j, up ^ (1 << up.bit_length() >> 1), free))
+        above = succ[1 << j] & free
+        while above:
+            a = above & -above
+            above ^= a
+            if above:
+                roots.append((1 << j, a, free, above))
     return succ, roots
 
 
@@ -254,12 +264,10 @@ def whole_graph_cycles(g: Graph):
     search finds it: the cycle's biconnected block (a sorted vertex
     tuple), then the live path of bits in canonical order (copy it to
     keep it), in the block's numbering, where bit j names vertex
-    block[j].  No root searches its highest first step, through which
-    every cycle comes out reversed; of the walks left, the one towards
-    the root's smaller neighbour is kept.  That drops a cycle's reverse
-    walk when it starts at a lower first step, and a two-vertex path back
-    to the root, whose second vertex is also its last, fails the same
-    test.  The path cap counts across the blocks.
+    block[j].  Each root's walk from a first step a may close only from
+    the root's neighbours above a, so the search yields every cycle in
+    its canonical direction and no reverse walk or two-vertex path back
+    to the root.  The path cap counts across the blocks.
 
     Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
     (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
@@ -269,11 +277,10 @@ def whole_graph_cycles(g: Graph):
     searches = (_block_search(g, block) for block in blocks)
     count = 0
     for i, path in simple_cycles(searches, "cycle path", DEFAULT_PATH_CAP):
-        if path[1] < path[-1]:
-            count += 1
-            if count > cap:
-                raise EnumerationCapExceeded("cycle", cap)
-            yield blocks[i], path
+        count += 1
+        if count > cap:
+            raise EnumerationCapExceeded("cycle", cap)
+        yield blocks[i], path
 
 
 def block_vertices(block: tuple, path) -> tuple:

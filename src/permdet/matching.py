@@ -44,13 +44,13 @@ from .cycles import simple_cycles
 from .graphs import Graph, mask_indices
 
 # Path extensions the alternating-cycle search may make per piece before
-# it raises EnumerationCapExceeded.  An extension costs 0.24-1.4 us,
-# more where each one closes more cycles (2-vCPU AMD EPYC, Python
-# 3.11.7: 9,797 on the 6 x 8 grid in 2.4 ms, 2,365 on K_{7,7} in
-# 2.7 ms, 16,064 on K_{8,8} in 22 ms), so the cap stops a search within
-# about 1 s: K_{10,10} and K_{11,11} stop at it in 0.8 s, where K_{9,9}
-# needs 125,664.  The tests, demos and benchmark need at most 923 per
-# piece, apart from the test that pins K_{8,8}'s count.
+# it raises EnumerationCapExceeded.  An extension costs 0.6-2.4 us,
+# more where each one closes more cycles (2-vCPU Intel Xeon, Python
+# 3.11.7: 5,837 on the 6 x 8 grid in 3.4 ms, 2,365 on K_{7,7} in
+# 4.9 ms, 16,064 on K_{8,8} in 38 ms), so the cap stops a search within
+# about 1.3 s: K_{10,10} and K_{11,11} stop at it in 1.2 s, where
+# K_{9,9} needs 125,664.  The demos and benchmark need at most 644 per
+# piece, and the tests 82,457 (a grid in the tiling tests).
 DEFAULT_SIGNING_CAP = 10**6
 
 
@@ -209,23 +209,27 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
     ``negative`` maps a vertex to the bitmask of its neighbours across a
     negative edge, for both ends of the edge; every other edge, and every
     edge of ``mate``, is positive.  ``cycles.simple_cycles`` lists the
-    directed cycles of the piece's alternating digraph (an arc
-    u -> mate(w) per non-matching edge uw inside the piece), each once,
-    from its smallest left vertex, as a path of the vertices' bits, and
-    each is kept as one int, its row: the bitmask of its non-matching
-    edges, read from the arcs keyed by those bits.  On a cycle of length
-    2l, which has l of them, that row gives the equation "the number of
-    negative edges is l + 1 mod 2", which makes the cycle good.  Once the
-    search is done the rows are reduced in the order found: a consistent
-    one is kept and an inconsistent one rejected, and the signing
-    satisfies every kept one.  So it satisfies every consistent row, a
-    sum of kept ones, and violates every rejected row, a sum of kept ones
-    with the right-hand side flipped: the bad cycles (l + 1 plus their
-    negative edges odd) are exactly the rejected rows.  ``bad`` holds
-    their vertex masks in the order found, the ends of their rows' edges:
-    each vertex of an alternating cycle lies on one of its non-matching
-    edges.  It is empty exactly when every equation was consistent, which
-    certifies the signing as Pfaffian; otherwise no signing is.
+    directed cycles of the piece's alternating digraph (an arc u ->
+    mate(w) per non-matching edge uw inside the piece), each once, from
+    its smallest left vertex, as a path of the vertices' bits: a root's
+    walks use only the vertices after it and close only from its
+    predecessors among them, its closers, and a root with no closer is not
+    searched.  Each cycle is kept as one int, its row: the bitmask of its
+    non-matching edges, read from the arcs keyed by those bits.  The cut
+    walks close nothing, so the rows come in the order of a search that
+    walks them.  On a cycle of length 2l, which has l of them, that row
+    gives the equation "the number of negative edges is l + 1 mod 2",
+    which makes the cycle good.  Once the search is done the rows are
+    reduced in the order found: a consistent one is kept and an
+    inconsistent one rejected, and the signing satisfies every kept one.
+    So it satisfies every consistent row, a sum of kept ones, and violates
+    every rejected row, a sum of kept ones with the right-hand side
+    flipped: the bad cycles (l + 1 plus their negative edges odd) are
+    exactly the rejected rows.  ``bad`` holds their vertex masks in the
+    order found, the ends of their rows' edges: each vertex of an
+    alternating cycle lies on one of its non-matching edges.  It is empty
+    exactly when every equation was consistent, which certifies the
+    signing as Pfaffian; otherwise no signing is.
 
     Raises EnumerationCapExceeded (``alternating path``) after
     ``DEFAULT_SIGNING_CAP`` path extensions, since the expansion is
@@ -240,14 +244,18 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
     bit = {w: 1 << j for j, w in enumerate(mask_indices(piece & ~left))}
     # arcs[x] maps each successor of x to the bit of its edge, succ[x] is
     # the bitmask of those successors, and a root may step only to the
-    # left vertices after it in vertex order, ``after``.  ``edges`` maps
-    # an edge's bit back to its ends.
+    # left vertices after it in vertex order, ``after``.  Its closers are
+    # its predecessors there: x is one for each successor y before it.
+    # ``edges`` maps an edge's bit back to its ends.
     arcs = {}
     succ = {}
-    roots = []
+    closers = {}
+    order = []
     edges = []
     after = (1 << len(bit)) - 1
     for u in mask_indices(piece & left):
+        x = bit[mate[u]]
+        after ^= x
         out = {}
         bits = 0
         for w in g.neighbors[u]:
@@ -256,11 +264,13 @@ def pfaffian_signing(g: Graph, left: int, mate: list, piece: int) -> tuple:
                 out[y] = 1 << len(edges)
                 bits |= y
                 edges.append((u, w))
-        x = bit[mate[u]]
+                if not after & y:
+                    closers[y] |= x
         arcs[x] = out
         succ[x] = bits
-        after ^= x
-        roots.append((x, bits & after, after))
+        closers[x] = 0
+        order.append((x, after))
+    roots = [(x, succ[x] & free, free, closers[x]) for x, free in order if closers[x]]
     closed = []
     for _, path in simple_cycles([(succ, roots)], "alternating path", DEFAULT_SIGNING_CAP):
         row = 0

@@ -32,7 +32,7 @@ from itertools import permutations
 
 from .cycles import enumerate_cycles, enumerate_disjoint_families, four_k_cycles
 from .determinant import det_after_removal
-from .errors import EnumerationCapExceeded, SizeGuardExceeded
+from .errors import EnumerationCapExceeded, NotBipartiteError, SizeGuardExceeded
 from .graphs import Frozen, Graph, VertexSet, bipartition, induced_subgraph
 
 # Ryser takes about 2 s at n = 20, and 4.5x that per two more columns.
@@ -159,11 +159,20 @@ def enumerate_sachs(g: Graph, i: int) -> list:
     single empty subgraph.  The cycles are ``cycles.enumerate_cycles(g)``,
     listed on each call.  Raises EnumerationCapExceeded past
     ``DEFAULT_SACHS_CAP`` component trials, each one pass of the loop
-    over the components; no subgraph is found without a trial.
+    over the components; no subgraph is found without a trial.  A
+    bipartite ``g`` has only even components, so an odd ``i`` returns
+    ``[]`` at once, with no cycle listed and no trial.
     """
     cap = DEFAULT_SACHS_CAP
     if not 0 <= i <= g.n:
         raise ValueError(f"i={i} outside 0..{g.n}")
+    if i & 1:
+        try:
+            bipartition(g)
+        except NotBipartiteError:
+            pass
+        else:
+            return []
     comps = [((1 << u) | (1 << v), 2, (u, v)) for u, v in g.edges]
     comps.extend((cy.mask, cy.length, cy) for cy in enumerate_cycles(g))
     out = []

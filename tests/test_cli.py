@@ -15,6 +15,7 @@ from permdet import (
     cycles,
     matching,
     oracles,
+    parse_edge_list,
     per_naive,
     per_ryser,
     per_via_sachs,
@@ -175,6 +176,27 @@ def test_verify_truncation_uses_the_full_expansion_m(capsys, monkeypatch):
     # every piece is a single edge: no signing, no bad cycle, the corollary
     assert "path: corollary_fast_path" in out
     assert "theorem2(m=1): ok" in out
+    assert "verify: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "text, m",
+    [
+        ("5 4\n1 2\n2 3\n3 4\n4 1\n", 1),
+        ("9 8\n1 2\n2 3\n3 4\n4 1\n5 6\n6 7\n7 8\n8 5\n", 2),
+    ],
+    ids=["c4_plus_vertex", "two_c4_plus_vertex"],
+)
+def test_verify_takes_theorem2_m_from_the_families_on_odd_n(capsys, monkeypatch, text, m):
+    # The reference table of an odd graph is empty, and its m is 0; the
+    # truncation at 0 drops the 4-cycles' terms and fails on the even
+    # subgraphs that hold them.  Theorem 2 holds at the largest family.
+    g = parse_edge_list(text)
+    assert not verify_theorem2(g, m - 1).holds_for_all
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "verify", "-")
+    assert code == 0
+    assert f"theorem2(m={m}): ok" in out
     assert "verify: PASS" in out
 
 
@@ -494,10 +516,10 @@ def test_biadjacency_with_one_empty_side_exits_1(capsys, monkeypatch):
 # exits 3 (a cap) or reports the oracle as skipped (a size guard).
 BOUNDS = [
     (cycles, "DEFAULT_CYCLE_CAP", 3, permanent_auto, EnumerationCapExceeded, "per", None),
-    # example10's whole-graph cycle search makes 14 path extensions.
-    (cycles, "DEFAULT_PATH_CAP", 13, permanent_auto, EnumerationCapExceeded, "per", None),
-    # example10's two pieces need 3 path extensions in all.
-    (matching, "DEFAULT_SIGNING_CAP", 2, permanent_auto, EnumerationCapExceeded, "per", None),
+    # example10's whole-graph cycle search makes 12 path extensions.
+    (cycles, "DEFAULT_PATH_CAP", 11, permanent_auto, EnumerationCapExceeded, "per", None),
+    # example10's pieces need 2 and 1 path extensions; the cap is per piece.
+    (matching, "DEFAULT_SIGNING_CAP", 1, permanent_auto, EnumerationCapExceeded, "per", None),
     # Theorem 2's check is bounded by SUBSET_GUARD alone, not by Ryser's.
     (oracles, "RYSER_GUARD", 9, lambda g: per_ryser(g.adj), SizeGuardExceeded,
      "verify", ("ryser: skipped(guard)", "theorem2(m=2): ok")),

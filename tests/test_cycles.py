@@ -268,7 +268,8 @@ def test_path_cap_counts_across_blocks(monkeypatch):
     from permdet import cycles
 
     # One 8-cycle block takes 7 path extensions, and six take 6 * 7: each
-    # block's lowest vertex alone has two first steps, and searches one.
+    # block's lowest vertex alone has two neighbours above it, and only
+    # the walk from the lower one may close, through the higher.
     monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 7)
     assert len(enumerate_cycles(corpus.bridged_c8_chain(1))) == 1
     monkeypatch.setattr(cycles, "DEFAULT_PATH_CAP", 6)
@@ -285,8 +286,8 @@ def test_path_cap_counts_across_blocks(monkeypatch):
 @pytest.mark.parametrize(
     "name, graph, steps",
     [
-        ("grid_4x6", lambda: corpus.grid_graph(4, 6), 89_081),
-        ("cubic20", lambda: corpus.load_fixture("cubic20.edges"), 9_427),
+        ("grid_4x6", lambda: corpus.grid_graph(4, 6), 43_595),
+        ("cubic20", lambda: corpus.load_fixture("cubic20.edges"), 7_014),
     ],
     ids=["grid_4x6", "cubic20"],
 )
@@ -306,10 +307,9 @@ def test_path_cap_boundary_on_cycle_rich_graphs(monkeypatch, name, graph, steps)
 
 def test_cycle_search_yield_count_is_exact(monkeypatch):
     # A cycle through its smallest vertex r, whose neighbours on it are
-    # a < c, is kept as the walk r -> a ... c -> r.  No root searches its
-    # highest first step, so besides the kept walks the kernel yields only
-    # the reverse walk r -> c ... a -> r when c is not r's highest
-    # neighbour above it, and a two-vertex closure per searched first step.
+    # a < c, is kept as the walk r -> a ... c -> r.  The walk from a first
+    # step a may close only from r's neighbours above a, so the kernel
+    # yields no reverse walk and no two-vertex closure: one per cycle.
     from permdet import cycles
 
     yields = 0
@@ -325,17 +325,9 @@ def test_cycle_search_yield_count_is_exact(monkeypatch):
     graphs += [corpus.complete_bipartite(n, n) for n in (3, 4)]
     for g in graphs:
         yields = 0
-        expected = 0
-        for block, path in whole_graph_cycles(g):
-            root, _, c = block_vertices(block, [path[0], path[1], path[-1]])
-            highest = max(w for w in g.neighbors[root] if w > root and w in block)
-            expected += 1 + (c != highest)
-        for block in biconnected_blocks(g):
-            # Blocks are sorted, and the last two vertices are no roots.
-            for j, v in enumerate(block[:-2]):
-                above = sum(w in block[j + 1 :] for w in g.neighbors[v])
-                expected += max(above - 1, 0)
-        assert yields == expected, g.edges
+        found = enumerate_cycles(g)
+        # The reference search keeps one walk per cycle by a filter.
+        assert yields == len(found) == len(_reference_whole_graph_cycles(g)), g.edges
 
 
 def _complete_bipartite_counts(p: int, q: int) -> dict:
@@ -349,8 +341,9 @@ def _complete_bipartite_counts(p: int, q: int) -> dict:
 
 @pytest.mark.parametrize("n, total", [(2, 1), (3, 15), (4, 204), (5, 3940)])
 def test_complete_bipartite_cycle_counts_match_closed_form(n, total):
-    # A left root of K_{n,n} has n neighbours above it, so the search
-    # skips one first step of up to five, which no grid root has.
+    # A left root of K_{n,n} has up to n neighbours above it, so up to
+    # n - 1 root entries, one per first step with its own closers; a grid
+    # root has at most one.
     counts = cycle_length_counts(corpus.complete_bipartite(n, n))
     assert counts == _complete_bipartite_counts(n, n)
     assert sum(counts.values()) == total
@@ -366,8 +359,8 @@ def test_complete_bipartite_cycle_counts_match_closed_form(n, total):
     ids=["grid_4x5", "cubic20", "k45"],
 )
 def test_cycle_counts_do_not_depend_on_the_labelling(graph, total):
-    # The first step each root skips, and how many neighbours above it a
-    # root has, follow the labelling; the cycles found must not.
+    # The root entries, their first steps and closers, follow the
+    # labelling; the cycles found must not.
     g = graph()
     counts = cycle_length_counts(g)
     assert sum(counts.values()) == total

@@ -237,11 +237,19 @@ def test_parse_biadjacency():
         (parse_adjacency_matrix, "0 1\n1 1\n", ParseError, "nonzero diagonal at vertex 2", None),
         (lambda text: Graph.from_edges(-1, []), "", ValueError,
          "vertex count must be nonnegative", None),
+        # int() alone reads "1_0" as 10 and an Arabic-Indic digit as its value.
+        (parse_edge_list, "1_0 0\n", ParseError, "line 1: non-integer token '1_0'", 1),
+        (parse_edge_list, "2 1\n1 \u0662\n", ParseError, "line 2: non-integer token '\u0662'", 2),
+        (parse_biadjacency, "1 1\n\u0661\n", ParseError, "line 2: non-integer token '\u0661'", 2),
+        (parse_adjacency_matrix, "0 \u0661\n\u0661 0\n", ParseError,
+         "line 1: non-integer token '\u0661'", 1),
     ],
     ids=["biadj empty", "biadj malformed header", "biadj non-integer header",
          "biadj negative p", "biadj negative q", "biadj short row", "edge-list negative n",
          "edge-list negative m", "adjacency empty", "adjacency asymmetric",
-         "adjacency entry", "adjacency diagonal", "from_edges negative n"],
+         "adjacency entry", "adjacency diagonal", "from_edges negative n",
+         "edge-list underscore", "edge-list arabic-indic two", "biadjacency arabic-indic one",
+         "adjacency arabic-indic one"],
 )
 def test_input_checks_raise_with_message_and_line(parse, text, kind, message, line_no):
     with pytest.raises(kind) as exc:

@@ -122,6 +122,19 @@ def test_sachs_empty_and_odd_sizes():
         enumerate_sachs(g, 11)
 
 
+def test_sachs_odd_size_on_a_bipartite_graph_takes_no_trial(monkeypatch):
+    # Edges and even cycles cover an even number of vertices, so an odd i
+    # returns [] before a cycle is listed or a component tried: K_{6,7}
+    # has 526,155 cycles.  The triangle's cycle is odd; its search runs.
+    monkeypatch.setattr(oracles, "DEFAULT_SACHS_CAP", 0)
+    assert enumerate_sachs(corpus.complete_bipartite(6, 7), 13) == []
+    k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(EnumerationCapExceeded, match="cap of 0"):
+        enumerate_sachs(k3, 3)
+    monkeypatch.undo()
+    assert [u.c for u in enumerate_sachs(k3, 3)] == [1]
+
+
 def test_sachs_handles_odd_cycles():
     k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     spanning = enumerate_sachs(k3, 3)

@@ -221,13 +221,26 @@ def test_signing_cap_raises(capsys, monkeypatch, cap):
 
 def test_signing_cap_boundary_on_cubic20(monkeypatch):
     # The alternating-cycle search's work on a non-Pfaffian piece: exactly
-    # 142 path extensions, whatever the kernel's step looks like.
+    # 123 path extensions, whatever the kernel's step looks like.
     g = corpus.load_fixture("cubic20.edges")
-    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 142)
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 123)
     assert permanent_auto(g).value == 5776
-    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 141)
-    with pytest.raises(EnumerationCapExceeded, match="^alternating path .* cap of 141$"):
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 122)
+    with pytest.raises(EnumerationCapExceeded, match="^alternating path .* cap of 122$"):
         permanent_auto(g)
+
+
+def test_signing_searches_only_roots_with_a_closer(monkeypatch):
+    # Row i has 1s in columns i and i + 1 mod 1000: the alternating digraph
+    # is one directed cycle, and only its first root has its predecessor
+    # after it.  Its walk takes 999 extensions; searched too, the other
+    # roots would walk 998 + 997 + ... + 1 more and close nothing.
+    b = tuple(tuple(int(j in (i, (i + 1) % 1000)) for j in range(1000)) for i in range(1000))
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 999)
+    assert count_perfect_matchings(b) == 2
+    monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 998)
+    with pytest.raises(EnumerationCapExceeded, match="^alternating path .* cap of 998$"):
+        count_perfect_matchings(b)
 
 
 def test_signing_cap_boundary_on_a_dense_piece(monkeypatch):

@@ -66,20 +66,26 @@ MUTANTS = (
     ("src/permdet/cycles.py", "            for v in members[i]:", "            for v in members[i][1:]:"),
     # ... or the last vertex's.
     ("src/permdet/cycles.py", "            for v in members[i]:", "            for v in members[i][:-1]:"),
-    # A block root searches its highest first step too, whose walks all
-    # come back reversed: only the exact path counts see it.
-    ("src/permdet/cycles.py", "up ^ (1 << up.bit_length() >> 1)", "up"),
-    # ... or skips its lowest first step instead, and with it cycles.
-    ("src/permdet/cycles.py", "up ^ (1 << up.bit_length() >> 1)", "up ^ (up & -up)"),
-    # The whole graph keeps both directions, or the two-vertex closures.
-    ("src/permdet/cycles.py", "if path[1] < path[-1]:", "if path[1] != path[-1]:"),
-    ("src/permdet/cycles.py", "if path[1] < path[-1]:", "if path[1] <= path[-1]:"),
+    # The root a candidate off its closers too: paths that are no cycles.
+    ("src/permdet/cycles.py", "cands = succ[low] & avail\n", "cands = succ[low] & avail | root\n"),
+    # The walk grows on past the root's last closer: only the exact path
+    # counts see it.
+    ("src/permdet/cycles.py", "cands = root\n", "cands = succ[low] & avail | root\n"),
+    # A whole-graph walk may close from its own first step a: two-vertex
+    # closures.
+    ("src/permdet/cycles.py", "roots.append((1 << j, a, free, above))", "roots.append((1 << j, a, free, above | a))"),
+    # The signing's roots close from every free vertex, not only from their
+    # predecessors.
+    ("src/permdet/matching.py", "free, closers[x]) for x, free in order", "free, free) for x, free in order"),
+    # ... or it searches the roots that have no closer: only the exact
+    # path counts see it.
+    ("src/permdet/matching.py", "for x, free in order if closers[x]]", "for x, free in order]"),
     # Cap off-by-ones: path extensions, cycles and families.
     ("src/permdet/cycles.py", "if steps < 0:", "if steps <= 0:"),
     (
         "src/permdet/cycles.py",
-        '            if count > cap:\n                raise EnumerationCapExceeded("cycle", cap)',
-        '            if count >= cap:\n                raise EnumerationCapExceeded("cycle", cap)',
+        '        if count > cap:\n            raise EnumerationCapExceeded("cycle", cap)',
+        '        if count >= cap:\n            raise EnumerationCapExceeded("cycle", cap)',
     ),
     (
         "src/permdet/cycles.py",
