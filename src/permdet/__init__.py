@@ -55,16 +55,14 @@ from .graphs import (
 from .oracles import (
     FamilyTerm,
     SachsSubgraph,
+    SachsSums,
     Theorem1Report,
     Theorem2Report,
-    check_parity_identity,
-    check_removal_identity,
-    det_via_sachs,
     enumerate_sachs,
     per_naive,
     per_ryser,
-    per_via_sachs,
     permanent_theorem1,
+    sachs_sums,
     verify_theorem2,
 )
 
@@ -87,6 +85,7 @@ __all__ = [
     "PermanentReport",
     "PermdetError",
     "SachsSubgraph",
+    "SachsSums",
     "SizeGuardExceeded",
     "Theorem1Report",
     "Theorem2Report",
@@ -94,12 +93,9 @@ __all__ = [
     "VertexSet",
     "adjacency_after_removal",
     "bipartition",
-    "check_parity_identity",
-    "check_removal_identity",
     "classify_efficient",
     "count_perfect_matchings",
     "det_after_removal",
-    "det_via_sachs",
     "determinant",
     "enumerate_cycles",
     "enumerate_disjoint_families",
@@ -112,8 +108,8 @@ __all__ = [
     "parse_edge_list",
     "per_naive",
     "per_ryser",
-    "per_via_sachs",
     "permanent_auto",
     "permanent_theorem1",
+    "sachs_sums",
     "verify_theorem2",
 ]

@@ -4,12 +4,12 @@ Three permanents that share no code with the engine:
 
 * ``per_ryser``   - inclusion-exclusion over column subsets, O(2^n * n);
 * ``per_naive``   - the definition, a sum over all n! permutations;
-* ``per_via_sachs`` - a sum of 2^c over spanning subgraphs whose
+* ``sachs_sums`` - a sum of 2^c over spanning subgraphs whose
   components are single edges and cycles.
 
-The same subgraph enumeration also evaluates the determinant as a
-signed sum, and backs empirical checks of the parity identity and the
-cycle-removal identity.
+``sachs_sums`` reads those subgraphs in one pass, which also evaluates
+the determinant as a signed sum and checks the parity identity and the
+cycle-removal identity empirically.
 
 ``permanent_theorem1`` is the reference for Theorem 1 itself: the
 paper's whole-graph term table, one term per disjoint 4k-cycle family,
@@ -117,6 +117,14 @@ def per_naive(matrix) -> int:
     return total
 
 
+def _bipartite(g: Graph) -> bool:
+    try:
+        bipartition(g)
+    except NotBipartiteError:
+        return False
+    return True
+
+
 class SachsSubgraph(Frozen):
     """A subgraph whose every component is a single edge or a cycle.
 
@@ -166,13 +174,8 @@ def enumerate_sachs(g: Graph, i: int) -> list:
     cap = DEFAULT_SACHS_CAP
     if not 0 <= i <= g.n:
         raise ValueError(f"i={i} outside 0..{g.n}")
-    if i & 1:
-        try:
-            bipartition(g)
-        except NotBipartiteError:
-            pass
-        else:
-            return []
+    if i & 1 and _bipartite(g):
+        return []
     comps = [((1 << u) | (1 << v), 2, (u, v)) for u, v in g.edges]
     comps.extend((cy.mask, cy.length, cy) for cy in enumerate_cycles(g))
     out = []
@@ -201,59 +204,48 @@ def enumerate_sachs(g: Graph, i: int) -> list:
     return out
 
 
-def det_via_sachs(g: Graph) -> int:
-    """Determinant as the signed Sachs sum over spanning subgraphs."""
-    if g.n > SACHS_GUARD:
-        raise SizeGuardExceeded("det_via_sachs", g.n, SACHS_GUARD)
-    total = 0
-    for u in enumerate_sachs(g, g.n):
-        term = 1 << u.c
-        total += -term if (g.n - u.p) & 1 else term
-    return total
+class SachsSums(Frozen):
+    """One pass over the spanning Sachs subgraphs: the unsigned sum
+    ``per``, the signed sum ``det``, and whether the parity identity and
+    the cycle-removal identity hold."""
+
+    __slots__ = _fields = ("per", "det", "parity_holds", "removal_holds")
 
 
-def per_via_sachs(g: Graph) -> int:
-    """Permanent as the unsigned Sachs sum over spanning subgraphs."""
-    if g.n > SACHS_GUARD:
-        raise SizeGuardExceeded("per_via_sachs", g.n, SACHS_GUARD)
-    return sum(1 << u.c for u in enumerate_sachs(g, g.n))
+def sachs_sums(g: Graph) -> SachsSums:
+    """per(G) as the sum of 2^c and det(G) as the sum of (-1)^(n - p) 2^c
+    over the spanning Sachs subgraphs, and two identities checked on them.
 
+    Parity: every spanning subgraph has n/2 == t + r (mod 2), and det(G)
+    regrouped as the sum of (-1)^(s + n/2) 2^(s + t) is the signed sum;
+    vacuously true when no spanning subgraph exists.  Removal: summing
+    det(G \\ R) over all 4k-cycles R equals the same sum written through
+    the spanning subgraphs that contain R.  A spanning subgraph u contains
+    exactly its ``u.s`` 4k-cycle components, so that right side is
+    u.s (-1)^(s - 1 + n/2) 2^(s + t - 1) per u.
 
-def check_parity_identity(g: Graph) -> bool:
-    """Every spanning Sachs subgraph has n/2 == t + r (mod 2), and the
-    determinant regrouped as sum of (-1)^(s + n/2) 2^(s+t) matches the
-    plainly signed sum.  Vacuously true when no spanning subgraph exists.
+    A bipartite graph of odd order has no spanning subgraph, and each
+    G \\ R is bipartite of odd order, with det 0.  So there the sums are
+    0 and both identities hold, returned at once with no cycle listed.
     """
     if g.n > SACHS_GUARD:
-        raise SizeGuardExceeded("check_parity_identity", g.n, SACHS_GUARD)
+        raise SizeGuardExceeded("sachs_sums", g.n, SACHS_GUARD)
+    if g.n & 1 and _bipartite(g):
+        return SachsSums(0, 0, True, True)
     half = g.n // 2
-    det_sum = 0
-    regrouped = 0
+    per = det = regrouped = rhs = 0
+    parity_holds = True
     for u in enumerate_sachs(g, g.n):
-        if (half - (u.t + u.r)) % 2 != 0:
-            return False
         term = 1 << u.c
-        det_sum += -term if (g.n - u.p) & 1 else term
+        per += term
+        det += -term if (g.n - u.p) & 1 else term
+        parity_holds &= (half - (u.t + u.r)) % 2 == 0
         term = 1 << (u.s + u.t)
         regrouped += -term if (u.s + half) & 1 else term
-    return det_sum == regrouped
-
-
-def check_removal_identity(g: Graph) -> bool:
-    """Summing det(G \\ R) over all 4k-cycles R equals the same sum
-    written through spanning Sachs subgraphs that contain R.  A spanning
-    subgraph u contains exactly its ``u.s`` 4k-cycle components, so the
-    right side is one pass: u.s (-1)^(s - 1 + n/2) 2^(s + t - 1) per u.
-    """
-    if g.n > SACHS_GUARD:
-        raise SizeGuardExceeded("check_removal_identity", g.n, SACHS_GUARD)
-    lhs = sum(det_after_removal(g, VertexSet(r.mask)) for r in four_k_cycles(enumerate_cycles(g)))
-    half = g.n // 2
-    rhs = 0
-    for u in enumerate_sachs(g, g.n):
         term = u.s << (u.s + u.t) >> 1  # 0 when u.s is 0
         rhs += -term if (u.s - 1 + half) & 1 else term
-    return lhs == rhs
+    lhs = sum(det_after_removal(g, VertexSet(r.mask)) for r in four_k_cycles(enumerate_cycles(g)))
+    return SachsSums(per, det, parity_holds and det == regrouped, lhs == rhs)
 
 
 class FamilyTerm(Frozen):

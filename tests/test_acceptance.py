@@ -17,11 +17,8 @@ from permdet import (
     SizeGuardExceeded,
     VertexSet,
     cli,
-    check_parity_identity,
-    check_removal_identity,
     count_perfect_matchings,
     det_after_removal,
-    det_via_sachs,
     determinant,
     enumerate_cycles,
     enumerate_disjoint_families,
@@ -29,9 +26,9 @@ from permdet import (
     four_k_cycles,
     graph_from_biadjacency,
     per_ryser,
-    per_via_sachs,
     permanent_auto,
     permanent_theorem1,
+    sachs_sums,
     verify_theorem2,
 )
 
@@ -115,8 +112,9 @@ def test_criterion_3_oracle_triangle():
             value = permanent_theorem1(g).value
             assert permanent_auto(g).value == value, g.edges
             assert value == per_ryser(g.adj), g.edges
-            assert value == per_via_sachs(g), g.edges
-            assert determinant(g.adj) == det_via_sachs(g), g.edges
+            sums = sachs_sums(g)
+            assert value == sums.per, g.edges
+            assert determinant(g.adj) == sums.det, g.edges
         elapsed = time.perf_counter() - start
         assert elapsed < 300.0, f"took {elapsed:.2f}s"
 
@@ -194,8 +192,9 @@ def test_criterion_7_parity_and_removal_identities():
         for g in graphs:
             if g.n > 12:
                 continue
-            assert check_parity_identity(g), g.edges
-            assert check_removal_identity(g), g.edges
+            sums = sachs_sums(g)
+            assert sums.parity_holds, g.edges
+            assert sums.removal_holds, g.edges
             checked += 1
         assert checked > 700
 

@@ -10,7 +10,6 @@ import pytest
 from permdet import (
     EnumerationCapExceeded,
     SizeGuardExceeded,
-    check_removal_identity,
     cli,
     cycles,
     matching,
@@ -18,8 +17,8 @@ from permdet import (
     parse_edge_list,
     per_naive,
     per_ryser,
-    per_via_sachs,
     permanent_auto,
+    sachs_sums,
     verify_theorem2,
 )
 
@@ -155,6 +154,18 @@ def test_verify_pass_on_example10(capsys, monkeypatch):
     assert "ryser: ok (36)" in out
     assert "naive: skipped(guard)" in out
     assert "theorem2(m=2): ok" in out
+
+
+def test_verify_lists_the_spanning_sachs_subgraphs_once(capsys, monkeypatch):
+    # The four Sachs checks read one pass over one list.
+    calls = []
+    listed = oracles.enumerate_sachs
+    monkeypatch.setattr(oracles, "enumerate_sachs", lambda g, i: calls.append(i) or listed(g, i))
+    code, out, _ = run(capsys, "verify", fixture("example10.edges"))
+    assert code == 0
+    assert calls == [10]
+    assert {"sachs-per: ok (36)", "sachs-det: ok (0)", "parity-identity: ok",
+            "removal-identity: ok"} <= set(out.splitlines())
 
 
 def test_verify_skips_guarded_oracles_on_big_input(capsys):
@@ -525,13 +536,14 @@ BOUNDS = [
      "verify", ("ryser: skipped(guard)", "theorem2(m=2): ok")),
     (oracles, "NAIVE_GUARD", 9, lambda g: per_naive(g.adj), SizeGuardExceeded,
      "verify", ("naive: skipped(guard)",)),
-    (oracles, "SACHS_GUARD", 9, per_via_sachs, SizeGuardExceeded,
+    (oracles, "SACHS_GUARD", 9, sachs_sums, SizeGuardExceeded,
      "verify", ("sachs-per: skipped(guard)",)),
     (oracles, "SUBSET_GUARD", 9, lambda g: verify_theorem2(g, 2), SizeGuardExceeded,
      "verify", ("theorem2(m=2): skipped(guard)",)),
-    (oracles, "DEFAULT_SACHS_CAP", 1, per_via_sachs, EnumerationCapExceeded, "verify", None),
-    # The Sachs guard bounds the removal check too, hence its own id.
-    (oracles, "SACHS_GUARD", 9, check_removal_identity, SizeGuardExceeded,
+    (oracles, "DEFAULT_SACHS_CAP", 1, sachs_sums, EnumerationCapExceeded, "verify", None),
+    # The one Sachs pass serves the removal check too, which its guard
+    # skips as well, hence its own id.
+    (oracles, "SACHS_GUARD", 9, sachs_sums, SizeGuardExceeded,
      "verify", ("removal-identity: skipped(guard)",)),
 ]
 BOUND_IDS = [b[1] for b in BOUNDS[:-1]] + ["SACHS_GUARD-removal"]

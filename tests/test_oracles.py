@@ -6,12 +6,11 @@ import pytest
 from permdet import (
     EnumerationCapExceeded,
     Graph,
+    SachsSums,
     SizeGuardExceeded,
     VertexSet,
-    check_parity_identity,
-    check_removal_identity,
+    cycles,
     det_after_removal,
-    det_via_sachs,
     determinant,
     enumerate_cycles,
     enumerate_sachs,
@@ -20,8 +19,8 @@ from permdet import (
     oracles,
     per_naive,
     per_ryser,
-    per_via_sachs,
     permanent_theorem1,
+    sachs_sums,
     verify_theorem2,
 )
 
@@ -62,16 +61,12 @@ def test_oracle_guards():
         per_ryser(big)
     with pytest.raises(SizeGuardExceeded):
         per_naive([[0] * 11 for _ in range(11)])
+    # 15 vertices, one past the Sachs guard, which bounds all four sums.
     wide = Graph.from_edges(15, [])
-    with pytest.raises(SizeGuardExceeded):
-        per_via_sachs(wide)
-    with pytest.raises(SizeGuardExceeded):
-        det_via_sachs(wide)
+    with pytest.raises(SizeGuardExceeded, match="sachs_sums"):
+        sachs_sums(wide)
     with pytest.raises(SizeGuardExceeded):
         verify_theorem2(wide, 0)
-    # The removal check shares the Sachs guard: 15 vertices, one past it.
-    with pytest.raises(SizeGuardExceeded):
-        check_removal_identity(wide)
 
 
 def test_ryser_rejects_nonsquare():
@@ -140,14 +135,30 @@ def test_sachs_handles_odd_cycles():
     spanning = enumerate_sachs(k3, 3)
     assert len(spanning) == 1
     assert spanning[0].c == 1 and spanning[0].s == 0 and spanning[0].t == 0
-    assert det_via_sachs(k3) == determinant(k3.adj) == 2
-    assert per_via_sachs(k3) == per_ryser(k3.adj) == 2
+    sums = sachs_sums(k3)
+    assert sums.det == determinant(k3.adj) == 2
+    assert sums.per == per_ryser(k3.adj) == 2
 
 
 def test_sachs_oracles_match_on_small_corpus():
     for g in corpus.connected_bipartite_upto(6):
-        assert per_via_sachs(g) == per_ryser(g.adj), g.edges
-        assert det_via_sachs(g) == determinant(g.adj), g.edges
+        sums = sachs_sums(g)
+        assert sums.per == per_ryser(g.adj), g.edges
+        assert sums.det == determinant(g.adj), g.edges
+
+
+def test_sachs_sums_on_odd_bipartite_order_list_no_cycle(monkeypatch):
+    # K_{6,7} has 526,155 cycles, but on odd n a bipartite graph has no
+    # spanning Sachs subgraph and every det(G - R) is 0, so no cycle is
+    # listed.  The triangle is not bipartite: its pass lists its cycle.
+    monkeypatch.setattr(cycles, "DEFAULT_CYCLE_CAP", 0)
+    assert sachs_sums(corpus.complete_bipartite(6, 7)) == SachsSums(0, 0, True, True)
+    k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(EnumerationCapExceeded, match="cap of 0"):
+        sachs_sums(k3)
+    monkeypatch.undo()
+    sums = sachs_sums(k3)
+    assert (sums.per, sums.det) == (2, 2)
 
 
 def test_theorem1_reference_is_independent_of_the_engine(monkeypatch):
@@ -193,20 +204,21 @@ def test_sachs_size_monotone_on_bipartite():
 
 
 def test_identities_on_example10():
-    g = corpus.example10()
-    assert check_parity_identity(g)
-    assert check_removal_identity(g)
+    sums = sachs_sums(corpus.example10())
+    assert sums.parity_holds
+    assert sums.removal_holds
 
 
 def test_identities_on_small_corpus():
     for g in corpus.connected_bipartite_upto(6):
-        assert check_parity_identity(g), g.edges
-        assert check_removal_identity(g), g.edges
+        sums = sachs_sums(g)
+        assert sums.parity_holds, g.edges
+        assert sums.removal_holds, g.edges
 
 
 def test_removal_identity_trivial_when_no_4k_cycles():
-    assert check_removal_identity(corpus.cycle_graph(6))
-    assert check_removal_identity(corpus.path_graph(5))
+    assert sachs_sums(corpus.cycle_graph(6)).removal_holds
+    assert sachs_sums(corpus.path_graph(5)).removal_holds
 
 
 def _pairwise_removal_sums(g):
@@ -247,7 +259,7 @@ def test_one_pass_removal_check_matches_the_pairwise_sum(graphs):
     for g in graphs():
         lhs, rhs = _pairwise_removal_sums(g)
         assert lhs == rhs, g.edges
-        assert check_removal_identity(g), g.edges
+        assert sachs_sums(g).removal_holds, g.edges
         nonzero += lhs != 0
     assert nonzero
 

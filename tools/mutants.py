@@ -60,6 +60,10 @@ MUTANTS = (
     ("src/permdet/oracles.py", "term = u.s << (u.s + u.t) >> 1", "term = 1 << (u.s + u.t) >> 1"),
     # Sachs trial cap off-by-one.
     ("src/permdet/oracles.py", "if trials > cap:", "if trials >= cap:"),
+    # The parity check reads t alone, without the edge components r.
+    ("src/permdet/oracles.py", "(half - (u.t + u.r)) % 2", "(half - u.t) % 2"),
+    # The Sachs sums' odd-order shortcut taken on even n too.
+    ("src/permdet/oracles.py", "if g.n & 1 and _bipartite(g):", "if _bipartite(g):"),
     # Unsigned entries in the signed block.
     ("src/permdet/determinant.py", "row[k] = -1 if minus >> j & 1 else 1", "row[k] = 1"),
     # The family search skips the first vertex's avoid mask of each cycle.
