@@ -31,7 +31,13 @@ import os
 import sys
 from functools import cache
 
-from .cycles import classify_efficient, enumerate_cycles, enumerate_disjoint_families, four_k_cycles
+from .cycles import (
+    classify_efficient,
+    enumerate_cycles,
+    enumerate_disjoint_families,
+    four_k_cycles,
+    largest_disjoint_family,
+)
 from .determinant import determinant
 from .engine import count_perfect_matchings, permanent_auto
 from .errors import (
@@ -208,11 +214,13 @@ def _cmd_verify(args, text: str):
     check("removal-identity", lambda: (sums().removal_holds, None))
     # Theorem 2 is about the whole graph's largest 4k-cycle family, the
     # reference table's m.  On odd n the table is empty and its m is 0,
-    # so the families are listed here.  The engine's m sums the pieces'
-    # largest families of bad alternating cycles and can fall below it.
+    # so the largest family is searched for here; no 4k-cycle has fewer
+    # than 4 vertices, so a family of n // 4 ends the search.  The
+    # engine's m sums the pieces' largest families of bad alternating
+    # cycles and can fall below it.
     m = full.m
     if g.n & 1:
-        m = enumerate_disjoint_families(four_k_cycles(enumerate_cycles(g)))[-1].size
+        m = largest_disjoint_family(four_k_cycles(enumerate_cycles(g)), g.n // 4)
     check(f"theorem2(m={m})", lambda: (verify_theorem2(g, m).holds_for_all, None))
 
     failed = [c["name"] for c in checks if c["status"] == "mismatch"]

@@ -19,13 +19,16 @@ between blocks are never walked, and since two blocks share no edge, no
 cycle is found twice.  A block of 30 or fewer vertices keeps every mask
 and vertex name of its search in one digit of a CPython int.  That
 search is one stream, ``whole_graph_cycles``, of ``(block, path)``
-pairs, with two readers: ``enumerate_cycles`` maps its bits back to the
-graph's vertices and sorts it into the one list of cycles, and
-``cycle_length_counts`` counts its cycles by length as they are found,
-for the engine's 4k-cycle count and for ``classify_efficient``.  The
-search yields each closed path and nothing else: its readers need a
-cycle's length, its vertices or its edges, and each reads them off the
-path.
+pairs, which ``enumerate_cycles`` maps back to the graph's vertices and
+sorts into the one list of cycles.  The search yields each closed path
+and nothing else: its readers need a cycle's length, its vertices or
+its edges, and each reads them off the path.
+
+Counting the cycles by length, for the engine's 4k-cycle count and for
+``classify_efficient``, does not need them listed.
+``cycle_length_counts`` sends a narrow block with many cycles to the
+frontier transfer matrix of the ``frontier`` module, which walks no
+path, and counts every other block's cycles as the search finds them.
 
 Cycles whose length is divisible by four are the raw material of the
 permanent expansion; unordered families of mutually vertex-disjoint
@@ -43,11 +46,14 @@ cycle masks, built in O(n * c) time, keep the extra memory at O(n * c)
 bits; a conflict mask per cycle would need O(c^2).  Both enumerations
 have a cap, a module constant read at call time, and the cycle search
 a second one on the paths it walks; passing a cap raises a typed error
-rather than exhausting memory or running for minutes.
+rather than exhausting memory or running for minutes.  The frontier
+count's cycles go under the same cycle cap, and its gate keeps its
+worst case within the path cap's budget.
 """
 
 from __future__ import annotations
 
+from . import frontier
 from .errors import EnumerationCapExceeded, InternalInvariantError
 from .graphs import Frozen, Graph, VertexSet, bipartition, mask_indices
 
@@ -62,7 +68,13 @@ DEFAULT_FAMILY_CAP = 10**6
 # The count depends on the vertex order: the 4 x 6 grid numbered row by
 # row needs 43,595, and ten random labellings of it 32,529-56,959.  The
 # tests, demos and benchmark need at most 227,760 (K_{6,6} in the Sachs
-# cap test).
+# cap test).  The cycle counts search only the blocks that the frontier
+# gate leaves to the search, and the gate admits a block to the frontier
+# count only when the count's worst case, its state updates and the bits
+# of their values, fits in this budget; so the 2 x 30 ladder and the
+# 6 x 6 grid are counted in milliseconds, while ``permdet cycles``,
+# which lists every cycle, still stops at this cap on them, and so do
+# the counts on ladders longer than 2 x 432.
 DEFAULT_PATH_CAP = 10**7
 
 
@@ -259,6 +271,20 @@ def _block_search(g: Graph, block: tuple) -> tuple:
     return succ, roots
 
 
+def _searched_cycles(blocks: list, searches, found: int):
+    """Yield ``(block, path)`` for each cycle that ``simple_cycles`` finds
+    in ``blocks``, whose searches ``searches`` holds in the same order.
+    Raises EnumerationCapExceeded once these cycles and the ``found``
+    counted before them pass ``DEFAULT_CYCLE_CAP``.  The path cap counts
+    across the blocks."""
+    cap = DEFAULT_CYCLE_CAP
+    for i, path in simple_cycles(searches, "cycle path", DEFAULT_PATH_CAP):
+        found += 1
+        if found > cap:
+            raise EnumerationCapExceeded("cycle", cap)
+        yield blocks[i], path
+
+
 def whole_graph_cycles(g: Graph):
     """Yield ``(block, path)`` once per elementary cycle of ``g``, as the
     search finds it: the cycle's biconnected block (a sorted vertex
@@ -267,20 +293,13 @@ def whole_graph_cycles(g: Graph):
     block[j].  Each root's walk from a first step a may close only from
     the root's neighbours above a, so the search yields every cycle in
     its canonical direction and no reverse walk or two-vertex path back
-    to the root.  The path cap counts across the blocks.
+    to the root.
 
     Raises EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles, or
     (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path extensions.
     """
-    cap = DEFAULT_CYCLE_CAP
     blocks = biconnected_blocks(g)
-    searches = (_block_search(g, block) for block in blocks)
-    count = 0
-    for i, path in simple_cycles(searches, "cycle path", DEFAULT_PATH_CAP):
-        count += 1
-        if count > cap:
-            raise EnumerationCapExceeded("cycle", cap)
-        yield blocks[i], path
+    yield from _searched_cycles(blocks, (_block_search(g, block) for block in blocks), 0)
 
 
 def block_vertices(block: tuple, path) -> tuple:
@@ -300,13 +319,42 @@ def enumerate_cycles(g: Graph):
 
 
 def cycle_length_counts(g: Graph) -> dict:
-    """How many cycles of the whole graph have each length, counted as the
-    search (``whole_graph_cycles``) finds them, each checked to be even."""
+    """How many cycles of the whole graph have each length, each checked to
+    be even.
+
+    A block that the gate (``frontier.route``) sends to the frontier
+    count is counted there, with no cycle listed and no path walked.
+    Every other block's cycles are counted as the search finds them
+    (``_searched_cycles``, as in ``whole_graph_cycles``), after the
+    frontier blocks.  Both add to one count, which raises
+    EnumerationCapExceeded past ``DEFAULT_CYCLE_CAP`` cycles; the search
+    also raises (as ``cycle path``) past ``DEFAULT_PATH_CAP`` path
+    extensions.
+    """
+    cap = DEFAULT_CYCLE_CAP
     counts = {}
-    for block, path in whole_graph_cycles(g):
+    found = 0
+    blocks = []
+    searches = []
+    for block in biconnected_blocks(g):
+        search = _block_search(g, block)
+        route = frontier.route(search, DEFAULT_PATH_CAP)
+        if route is None:
+            blocks.append(block)
+            searches.append(search)
+            continue
+        block_counts = frontier.cycle_counts(*route, cap - found)
+        if block_counts is None:
+            raise EnumerationCapExceeded("cycle", cap)
+        for length, k in block_counts.items():
+            if length & 1:
+                # The host was bipartition-checked: an odd cycle is a bug.
+                raise InternalInvariantError(f"odd cycle of length {length} in bipartite host")
+            counts[length] = counts.get(length, 0) + k
+            found += k
+    for block, path in _searched_cycles(blocks, searches, found):
         length = len(path)
         if length & 1:
-            # The host was bipartition-checked: an odd cycle is a bug.
             labels = tuple(v + 1 for v in block_vertices(block, path))
             raise InternalInvariantError(f"odd cycle {labels} in bipartite host")
         counts[length] = counts.get(length, 0) + 1
@@ -351,23 +399,22 @@ def _avoid_masks(members: list) -> dict:
     return {v: ~int(row, 2) for v, row in rows.items()}
 
 
-def disjoint_families(masks: list) -> list:
-    """All families of pairwise disjoint vertex masks from ``masks``, as
-    ``(indices, covered)``: the tuple of their indices and the union.
-
-    Includes the empty family ``((), 0)``.  Output is sorted by (size,
-    indices).
+def _disjoint_search(masks: list):
+    """Yield every family of pairwise disjoint vertex masks from ``masks``
+    as ``(indices, covered)``: the tuple of their indices and the union,
+    the empty family ``((), 0)`` first.
 
     ``avoid[v]`` is the complement of the bitmask of the masks holding
     vertex v.  A search node holds ``cands``, the bitmask of later masks
     disjoint from its family; it takes them lowest index first, and the
     child's candidates are the remaining ones ANDed with ``avoid[v]`` for
-    every vertex v of the mask taken.  Every step therefore produces a
+    every vertex v of the mask taken.  Every step therefore yields a
     family, so the search costs O(L) c-bit mask operations per family (L
     the largest mask's size, c = len(masks)) instead of a rescan of all
-    later masks.  Depth-first order lists each size's families in
-    increasing index order, so bucketing by size yields the sorted output
-    without a sort.
+    later masks.  Each family on the path from the empty one leaves its
+    remaining candidates and its union on a stack, with no recursion.
+    The families come depth first, so each size's come in increasing
+    index order.
 
     Raises EnumerationCapExceeded when there are more than
     ``DEFAULT_FAMILY_CAP`` families, the empty one included.
@@ -375,34 +422,49 @@ def disjoint_families(masks: list) -> list:
     cap = DEFAULT_FAMILY_CAP
     members = [mask_indices(mask) for mask in masks]
     avoid = _avoid_masks(members)
-    by_size = []
-    count = 0
-
-    def extend(cands, chosen, covered):
-        nonlocal count
+    chosen = []
+    stack = []
+    cands = (1 << len(masks)) - 1
+    covered = count = 0
+    while True:
         count += 1
         if count > cap:
             raise EnumerationCapExceeded("disjoint family", cap)
-        if len(by_size) == len(chosen):
-            by_size.append([])
-        by_size[len(chosen)].append((tuple(chosen), covered))
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            i = low.bit_length() - 1
-            child = cands
-            for v in members[i]:
-                child &= avoid[v]
-            chosen.append(i)
-            extend(child, chosen, covered | masks[i])
+        yield tuple(chosen), covered
+        while not cands:
+            if not stack:
+                return
+            cands, covered = stack.pop()
             chosen.pop()
+        low = cands & -cands
+        cands ^= low
+        i = low.bit_length() - 1
+        stack.append((cands, covered))
+        for v in members[i]:
+            cands &= avoid[v]
+        chosen.append(i)
+        covered |= masks[i]
 
-    try:
-        extend((1 << len(masks)) - 1, [], 0)
-    finally:
-        # extend refers to itself through its closure cell; emptying the
-        # cell frees the search state now, not at the next cyclic GC.
-        extend = None
+
+def disjoint_families(masks: list) -> list:
+    """All families of pairwise disjoint vertex masks from ``masks``, as
+    ``(indices, covered)``: the tuple of their indices and the union.
+
+    Includes the empty family ``((), 0)``.  Output is sorted by (size,
+    indices): ``_disjoint_search`` lists each size's families in
+    increasing index order, so bucketing by size sorts them without a
+    sort.
+
+    Raises EnumerationCapExceeded when there are more than
+    ``DEFAULT_FAMILY_CAP`` families, the empty one included.
+    """
+    by_size = []
+    for family in _disjoint_search(masks):
+        size = len(family[0])
+        if size == len(by_size):
+            by_size.append([family])
+        else:
+            by_size[size].append(family)
     return [family for level in by_size for family in level]
 
 
@@ -419,3 +481,20 @@ def enumerate_disjoint_families(c4k) -> list:
         for indices, covered in disjoint_families([c.mask for c in c4k])
     ]
 
+
+def largest_disjoint_family(c4k, bound: int) -> int:
+    """The size of the largest family of pairwise vertex-disjoint cycles
+    from ``c4k``, by the search of ``disjoint_families`` with no list
+    kept.  It stops as soon as a family reaches ``bound`` cycles, and
+    otherwise tries every family.
+
+    Raises EnumerationCapExceeded when it tries more than
+    ``DEFAULT_FAMILY_CAP`` families, the empty one included.
+    """
+    largest = 0
+    for indices, _ in _disjoint_search([c.mask for c in c4k]):
+        if len(indices) > largest:
+            largest = len(indices)
+            if largest >= bound:
+                break
+    return largest

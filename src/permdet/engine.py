@@ -49,7 +49,9 @@ The order of work, each step on the graph the parser built:
 1. ``bipartition``, whose left side every later step reads as one
    bitmask, ``left``; an odd n stops here with per 0.
    ``count_perfect_matchings`` skips it: its rows are one side.
-2. ``cycles.cycle_length_counts``, for ``permanent_auto``'s 4k count alone.
+2. ``cycles.cycle_length_counts``, for ``permanent_auto``'s 4k count
+   alone: a frontier transfer matrix on each narrow block with many
+   cycles, and the cycle search on every other block.
 3. One perfect matching M (``matching.perfect_matching``); with none,
    pm = 0 with no elimination.
 4. The elementary pieces of M (``matching.elementary_pieces``): M splits
@@ -57,8 +59,8 @@ The order of work, each step on the graph the parser built:
    product over the pieces.
 5. Per piece of more than two vertices: its signing and its bad
    alternating cycles (``matching.pfaffian_signing``, whose cycles come
-   from ``cycles.simple_cycles``, the search that also finds the whole
-   graph's cycles in step 2), the families of those cycles
+   from ``cycles.simple_cycles``, the search that step 2 runs on the
+   blocks it searches), the families of those cycles
    (``cycles.disjoint_families``, on vertex masks), and one determinant
    per family (``signed_block_det``).
 

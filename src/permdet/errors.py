@@ -43,9 +43,12 @@ class EnumerationCapExceeded(PermdetError):
     subgraph`` (``oracles.DEFAULT_SACHS_CAP``, which counts the components
     that search tries, not the subgraphs it finds); or the paths extended by
     the one cycle search, ``cycles.simple_cycles``: ``cycle path``
-    (``cycles.DEFAULT_PATH_CAP``) for the whole graph's cycles and
-    ``alternating path`` (``matching.DEFAULT_SIGNING_CAP``) for a
-    piece's alternating cycles.
+    (``cycles.DEFAULT_PATH_CAP``) for the whole graph's cycles, on the
+    blocks that the cycle counts leave to the search and on every block
+    that ``cycles.enumerate_cycles`` lists, and ``alternating path``
+    (``matching.DEFAULT_SIGNING_CAP``) for a piece's alternating
+    cycles.  The blocks that the frontier transfer matrix counts walk no
+    path; their cycles count towards ``cycle``.
     """
 
     def __init__(self, what, cap):

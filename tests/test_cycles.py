@@ -21,6 +21,7 @@ from permdet.cycles import (
     biconnected_blocks,
     block_vertices,
     cycle_length_counts,
+    largest_disjoint_family,
     simple_cycles,
     whole_graph_cycles,
 )
@@ -552,6 +553,41 @@ def test_disjoint_families_match_rescanning_oracle(c4k_lists):
     # equality adds the order.
     for c4k in c4k_lists():
         assert enumerate_disjoint_families(c4k) == rescanning_families(c4k)
+
+
+def test_largest_disjoint_family_matches_the_full_listing():
+    # verify's search on odd n, bound n // 4, and with a bound no family
+    # reaches, so that every family is tried.
+    graphs = [g for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus() if g.n & 1]
+    graphs += [corpus.complete_bipartite(3, 4), corpus.complete_bipartite(4, 5)]
+    sizes = []
+    for g in graphs:
+        c4k = four_k_cycles(enumerate_cycles(g))
+        want = enumerate_disjoint_families(c4k)[-1].size
+        assert largest_disjoint_family(c4k, g.n // 4) == want, g.edges
+        assert largest_disjoint_family(c4k, g.n) == want, g.edges
+        sizes.append(want)
+    assert len(graphs) >= 200 and set(sizes) == {0, 1, 2}
+
+
+def test_largest_disjoint_family_stops_at_its_bound(monkeypatch):
+    from permdet import cycles
+
+    # K_{4,5}'s 4-cycles hold 2 disjoint ones, n // 4 = 2: the search
+    # tries the empty family, one 4-cycle and one disjoint pair.
+    c4k = four_k_cycles(enumerate_cycles(corpus.complete_bipartite(4, 5)))
+    total = len(enumerate_disjoint_families(c4k))
+    monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", 3)
+    assert largest_disjoint_family(c4k, 2) == 2
+    monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", 2)
+    with pytest.raises(EnumerationCapExceeded, match="^disjoint family .* cap of 2$"):
+        largest_disjoint_family(c4k, 2)
+    # Past a bound no family reaches, the cap counts every family.
+    monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", total)
+    assert largest_disjoint_family(c4k, 3) == 2
+    monkeypatch.setattr(cycles, "DEFAULT_FAMILY_CAP", total - 1)
+    with pytest.raises(EnumerationCapExceeded):
+        largest_disjoint_family(c4k, 3)
 
 
 def test_family_cap_raises(monkeypatch):

@@ -16,6 +16,7 @@ from permdet import (
     PATH_ODD,
     PATH_PFAFFIAN,
     PATH_THEOREM1,
+    VertexSet,
     bipartition,
     classify_efficient,
     count_perfect_matchings,
@@ -29,6 +30,7 @@ from permdet import (
     permanent_theorem1,
 )
 from permdet import cycles as cycles_module
+from permdet import frontier
 from permdet import engine
 from permdet.matching import elementary_pieces, perfect_matching
 
@@ -358,13 +360,26 @@ def test_negative_matching_count_raises_invariant_error(monkeypatch):
 
 
 def test_odd_cycle_from_enumerator_raises_invariant_error(monkeypatch):
-    # Both readers count the whole graph's cycles from the one stream.
-    # A block and a path of bits in its numbering, bit j for block[j].
-    triangle = ((0, 1, 2), [0b001, 0b010, 0b100])
-    monkeypatch.setattr(cycles_module, "whole_graph_cycles", lambda g: iter([triangle]))
+    # Both readers of the cycle counts run the bipartition check first.
+    # With it skipped, an odd cycle still raises on each counting route:
+    # the search names its vertices, the frontier count its length.
+    monkeypatch.setattr(engine, "bipartition", lambda g: VertexSet(0))
+    monkeypatch.setattr(cycles_module, "bipartition", lambda g: None)
+    # A triangle with a pendant vertex: one small block, searched.
+    kite = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+    # The 2 x 6 ladder with a diagonal across each square: mu = 10 and a
+    # narrow plan, so the frontier count takes it.
+    strip = corpus.grid_graph(2, 6)
+    strip = Graph.from_edges(12, list(strip.edges) + [(j, 7 + j) for j in range(5)])
+    for g, taken in ((kite, False), (strip, True)):
+        (block,) = cycles_module.biconnected_blocks(g)
+        search = cycles_module._block_search(g, block)
+        assert (frontier.route(search, cycles_module.DEFAULT_PATH_CAP) is not None) == taken
     for run in (permanent_auto, classify_efficient):
-        with pytest.raises(InternalInvariantError, match=r"odd cycle \(1, 2, 3\)"):
-            run(corpus.cycle_graph(4))
+        with pytest.raises(InternalInvariantError, match=r"^odd cycle \(1, 2, 3\) in"):
+            run(kite)
+        with pytest.raises(InternalInvariantError, match="^odd cycle of length 3 in"):
+            run(strip)
 
 
 def test_a_solve_leaves_no_cyclic_garbage():

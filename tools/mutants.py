@@ -67,9 +67,9 @@ MUTANTS = (
     # Unsigned entries in the signed block.
     ("src/permdet/determinant.py", "row[k] = -1 if minus >> j & 1 else 1", "row[k] = 1"),
     # The family search skips the first vertex's avoid mask of each cycle.
-    ("src/permdet/cycles.py", "            for v in members[i]:", "            for v in members[i][1:]:"),
+    ("src/permdet/cycles.py", "        for v in members[i]:", "        for v in members[i][1:]:"),
     # ... or the last vertex's.
-    ("src/permdet/cycles.py", "            for v in members[i]:", "            for v in members[i][:-1]:"),
+    ("src/permdet/cycles.py", "        for v in members[i]:", "        for v in members[i][:-1]:"),
     # The root a candidate off its closers too: paths that are no cycles.
     ("src/permdet/cycles.py", "cands = succ[low] & avail\n", "cands = succ[low] & avail | root\n"),
     # The walk grows on past the root's last closer: only the exact path
@@ -84,13 +84,46 @@ MUTANTS = (
     # ... or it searches the roots that have no closer: only the exact
     # path counts see it.
     ("src/permdet/matching.py", "for x, free in order if closers[x]]", "for x, free in order]"),
+    # The frontier count closes a path into a cycle while another is open.
+    (
+        "src/permdet/frontier.py",
+        "s.count(_UNTOUCHED) - s.count(_DONE) == 2:",
+        "s.count(_UNTOUCHED) - s.count(_DONE) >= 2:",
+    ),
+    # ... or keeps a state whose freed slot held a path end.
+    ("src/permdet/frontier.py", "                if s[a] >= 0:\n                    continue\n", ""),
+    # The gate without its margin, without its floor on mu, without the
+    # cost of a state update (K_{9,9} would take the count) or without
+    # that of its value's bits (so would the 2 x 2,000 ladder).
+    ("src/permdet/frontier.py", "if MARGIN * bound >= 1 << rank", "if bound >= 1 << rank"),
+    ("src/permdet/frontier.py", "if rank < MIN_RANK:", "if rank < 0:"),
+    (
+        "src/permdet/frontier.py",
+        "bits = UPDATE_COST * EXTENSION_BITS + n * (edges + 1)",
+        "bits = n * (edges + 1)",
+    ),
+    (
+        "src/permdet/frontier.py",
+        "bits = UPDATE_COST * EXTENSION_BITS + n * (edges + 1)",
+        "bits = UPDATE_COST * EXTENSION_BITS",
+    ),
+    # The frontier count's totals fold only the low half of their fields.
+    (
+        "src/permdet/frontier.py",
+        "packed = (packed >> shift) + (packed & ((1 << shift) - 1))",
+        "packed = packed & ((1 << shift) - 1)",
+    ),
+    # verify's family search runs on past its bound.
+    ("src/permdet/cycles.py", "if largest >= bound:", "if largest > bound:"),
     # Cap off-by-ones: path extensions, cycles and families.
     ("src/permdet/cycles.py", "if steps < 0:", "if steps <= 0:"),
     (
         "src/permdet/cycles.py",
-        '        if count > cap:\n            raise EnumerationCapExceeded("cycle", cap)',
-        '        if count >= cap:\n            raise EnumerationCapExceeded("cycle", cap)',
+        '        found += 1\n        if found > cap:',
+        '        found += 1\n        if found >= cap:',
     ),
+    # ... and the cycle cap on the frontier count's totals.
+    ("src/permdet/frontier.py", "field_total(packed, field) > room:", "field_total(packed, field) >= room:"),
     (
         "src/permdet/cycles.py",
         '        if count > cap:\n            raise EnumerationCapExceeded("disjoint family", cap)',
