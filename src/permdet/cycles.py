@@ -70,11 +70,13 @@ DEFAULT_FAMILY_CAP = 10**6
 # tests, demos and benchmark need at most 227,760 (K_{6,6} in the Sachs
 # cap test).  The cycle counts search only the blocks that the frontier
 # gate leaves to the search, and the gate admits a block to the frontier
-# count only when the count's worst case, its state updates and the bits
-# of their values, fits in this budget; so the 2 x 30 ladder and the
-# 6 x 6 grid are counted in milliseconds, while ``permdet cycles``,
-# which lists every cycle, still stops at this cap on them, and so do
-# the counts on ladders longer than 2 x 432.
+# count only when the count's worst case, its successor states and the
+# bits of their values, fits in this budget; so the 2 x 30 ladder, the
+# 6 x 6 grid and the 40-vertex cubic graph of ``fixtures/cubic40.edges``
+# (759,033 cycles) are counted in milliseconds, while ``permdet
+# cycles``, which lists every cycle, still stops at this cap on them
+# (the cubic graph in about 3.7 s), and so do the counts on ladders
+# longer than 2 x 1,373.
 DEFAULT_PATH_CAP = 10**7
 
 

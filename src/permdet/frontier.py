@@ -9,6 +9,12 @@ matrix (Knuth's SIMPATH, TAOCP 4A, 7.1.4, and Enting's transfer
 matrices for self-avoiding polygons, J. Phys. A 13, 1980) whose work
 grows with that width and not with the block's paths: it lists no cycle
 and walks no path, and the 2 x 30 ladder's 435 cycles take about 1 ms.
+The order, ``plan``'s, places next the vertex that leaves the fewest
+slots held (Kawahara, Inoue, Iwashita and Minato, "Frontier-based search
+for enumerating all constrained subgraphs with compressed
+representation", IEICE Trans. Fundamentals, 2017, on how the order sets
+the width), and the count takes each vertex's edges in one pass over its
+states.
 
 The count's cycles go under the search's cycle cap, which it checks
 after each vertex, and the gate keeps the count's worst case within the
@@ -24,36 +30,41 @@ import math
 from .graphs import mask_indices
 
 # The gate (``route``), fitted on the per-block times of the count and
-# the search over 278 blocks: grids, ladders, K_{p,q}, random cubic
-# graphs, mixed_batch's blocks and random_corpus (2-vCPU Intel Xeon,
-# Python 3.11.7).  Below mu = 9 the count saves at most 0.1 ms a block,
-# while the gate's plan costs about 40 us on every block it looks at.
-# The margin 4 gave mixed_batch's blocks 32.4 ms in all against 32.0 ms
-# for the faster route of each and 36.1 ms for the search alone; a
-# margin of 1 or 2 gave 46.5 and 36.2 ms.
+# the search over 540 blocks with mu >= 5, mixed_batch's under six
+# labellings, and checked on grids, ladders, K_{p,q}, random cubic graphs
+# and random_corpus (2-vCPU Intel Xeon, Python 3.11.7).  In all,
+# mixed_batch's blocks took 271.6 ms by the search alone and 185.8 ms by
+# the faster route of each.  The floor 9 with the margins 1, 2, 4 and 8
+# gave 200.4, 199.8, 216.0 and 245.3 ms; the floors 8 and 10 with the
+# margin 2 gave 202.0 and 201.8 ms.  Below the floor the count saves
+# little, while the gate's plan costs about 50 us on every block it
+# looks at.
 MIN_RANK = 9
-MARGIN = 4
-# The gate's worst case for the count, in path extensions: e * M(w)
-# state updates, each ``UPDATE_COST`` extensions plus one per
-# ``EXTENSION_BITS`` bits of the value it shifts and adds, which holds
-# at most n fields of e + 1 bits.  Fitted against the search's
-# extensions, timed in the same process (2-vCPU Intel Xeon, Python
-# 3.11.7: 0.48-0.55 us each on the 2 x 40 ladder).  Per bound update,
-# the counts of K_{5,5}, K_{6,6}, K_{6,7}, K_{7,7}, K_{7,8} and K_{8,8}
-# cost 0.5, 0.6, 0.7, 0.8-1.4, 1.4 and 1.6-2.0 extensions, rising with
-# the size of the state table; K_{8,8} is the largest complete bipartite
-# block the gate admits.  The 2 x 200, 2 x 300 and 2 x 400 ladders, whose
-# 3 slots make the values the whole cost, shifted and added 95, 323 and
-# 766 million bits at 3,100, 5,400 and 3,600 bits per extension, so
-# 2,048 bits, under the least of these, are charged as one.  The bound
+MARGIN = 2
+# The gate's worst case for the count, in bits, against the path
+# extensions of the search at ``EXTENSION_BITS`` bits each: at most
+# M(w) states, each making 1 + d + d(d - 1) / 2 successors at a vertex
+# with d back edges, each successor ``UPDATE_COST`` bits plus the bits of
+# the value it shifts and adds, which holds at most n fields of e + 1
+# bits.  Fitted against the search's extensions, timed in the same
+# process (0.41-0.61 us each on the 2 x 40 ladder).  Per bound
+# successor, the full counts of K_{5,5}, K_{6,6}, K_{6,7}, K_{7,7},
+# K_{7,8} and K_{8,8} cost 0.14, 0.15, 0.14, 0.17, 0.19 and 0.23
+# extensions, rising with the size of the state table, so a successor is
+# charged 40,000 bits, about 0.3 extensions.  The 2 x k ladders for k =
+# 200 to 1,373 and the 3 x k, 4 x k and 5 x k grids, whose values make
+# most of the cost, shifted and added 1.6-2.4 * 10^5 bits per extension,
+# so 2^17 bits, under the least of these, are charged as one.  The bound
 # is loose where the states stay far below M(w) and the values below n
 # fields: the last 2 x k, 3 x k, 4 x k and 5 x k grids it admits (k =
-# 432, 185, 90, 46), each priced at about 10^7 extensions, count in
-# 0.16-0.22 s.  K_{8,8}, priced at 4.7 * 10^6, would take 1.5-2.0 s to
-# count in full, and the cycle cap stops it part way in 0.6-1.0 s;
-# K_{9,9}, at 2.7 * 10^7, stays with the search.
-UPDATE_COST = 2
-EXTENSION_BITS = 2048
+# 1,373, 586, 285, 146), each priced at about 10^7 extensions, count in
+# full in 2.6-3.4 s, and the 40-vertex cubic graph of
+# ``fixtures/cubic40.edges`` (w = 10), priced at 5.0 * 10^6, in 30-40
+# ms.  K_{8,8}, priced at 2.5 * 10^6, counts in full in 0.85 s, and the
+# cycle cap stops it part way in about 0.5 s; K_{8,9} and K_{9,9} (w =
+# 10), at 1.3 and 1.5 * 10^7, stay with the search.
+UPDATE_COST = 40_000
+EXTENSION_BITS = 131_072
 # A frontier slot's vertex: untouched, or done (two edges taken); a path
 # end holds the slot of its path's other end instead.
 _UNTOUCHED = -1
@@ -62,18 +73,26 @@ _DONE = -2
 
 def plan(succ: dict) -> tuple:
     """``(steps, width)``: the order in which ``cycle_counts`` takes
-    the edges of a block given by its successor bitmasks ``succ`` (as
-    ``cycles._block_search`` makes them), and the most vertices it holds
-    at once.
+    the vertices of a block given by its successor bitmasks ``succ`` (as
+    ``cycles._block_search`` makes them), and the most slots it holds at
+    once.
 
-    The vertices come in breadth-first order, lowest first, from a vertex
-    of least degree among the farthest from vertex 0.  Each vertex
-    takes a slot when it comes, and its slot is free again once every
-    neighbour has come.  Step i is ``(edges, leaving)``: the slot pairs
-    (u's, v's) of the edges from the i-th vertex v back to those before
-    it, then the slots freed after them.
+    The first vertex is one of least degree among the farthest from
+    vertex 0.  Each vertex takes a slot when it comes, and its slot is
+    free again once every neighbour has come.  Every later vertex is the
+    one, among the neighbours of those placed, that leaves the fewest
+    slots held: the slot it opens, when it has a neighbour still to come,
+    less the slots it frees, of the placed neighbours whose last
+    neighbour to come it is.  Ties go to the first found in a
+    breadth-first search from the first vertex, lowest first, which keeps
+    K_{n,n} at n + 1 slots, one side and then the other, under any
+    labelling.  The candidates wait in bitmasks by growth, so a step
+    costs a few operations per edge.  Step i is ``(slot, back,
+    leaving)``: the i-th vertex v's slot, the slots of its neighbours
+    before it, and the slots freed once its edges are taken.
     """
-    nbrs = [succ[1 << j] for j in range(len(succ))]
+    n = len(succ)
+    nbrs = [succ[1 << j] for j in range(n)]
     seen = layer = 1
     while layer:
         far = layer
@@ -89,29 +108,61 @@ def plan(succ: dict) -> tuple:
         new = nbrs[v] & ~seen
         seen |= new
         order.extend(mask_indices(new))
-    slot = [0] * len(order)
-    pending = [0] * len(order)
+    # The vertices found and still to come, by growth: 1 while a vertex
+    # has a neighbour to come, less one for each placed vertex whose one
+    # neighbour to come it is.  Growth only falls.  Level g + d, for the
+    # most neighbours d of a vertex, holds the bits of the places in the
+    # breadth-first order of the vertices of growth g, so the next vertex
+    # is the lowest bit of the lowest level that holds one.
+    place = [0] * n
+    for i, v in enumerate(order):
+        place[v] = 1 << i
+    top = max(map(int.bit_count, nbrs)) + 1
+    level = [top] * n
+    levels = [0] * top + [place[start]]
+    seen = 1 << start
+    slot = [0] * n
+    pending = nbrs[:]
     free = []
     steps = []
-    placed = width = 0
-    for v in order:
+    width = 0
+    unplaced = (1 << n) - 1
+    for _ in range(n):
+        for i, m in enumerate(levels):
+            if m:
+                break
+        low = m & -m
+        levels[i] ^= low
+        v = order[low.bit_length() - 1]
         if free:
             slot[v] = free.pop()
         else:
             slot[v] = width
             width += 1
-        back = nbrs[v] & placed
-        placed |= 1 << v
-        pending[v] = nbrs[v] & ~placed
-        edges = []
-        leaving = [] if pending[v] else [slot[v]]
-        for u in mask_indices(back):
-            edges.append((slot[u], slot[v]))
-            pending[u] ^= 1 << v
-            if not pending[u]:
+        unplaced ^= 1 << v
+        back = mask_indices(nbrs[v] & ~unplaced)
+        leaving = []
+        falls = []
+        for u in [v, *back]:
+            pending[u] &= unplaced
+            p = pending[u]
+            if not p:
                 leaving.append(slot[u])
+            elif not p & p - 1:
+                falls.append(p.bit_length() - 1)
+        new = nbrs[v] & ~seen
+        seen |= new
+        for w in mask_indices(new):
+            levels[top] |= place[w]
+        for w in mask_indices(nbrs[v] & unplaced):
+            if not nbrs[w] & unplaced:
+                falls.append(w)
+        for w in falls:
+            levels[level[w]] ^= place[w]
+            level[w] -= 1
+            levels[level[w]] |= place[w]
         free.extend(leaving)
-        steps.append((edges, leaving))
+        steps.append((slot[v], [slot[u] for u in back], leaving))
     return steps, width
 
 
@@ -136,17 +187,18 @@ def route(search: tuple, budget: int):
     The search's work grows with the block's cycles, up to about 2^mu of
     them for the cyclomatic number mu = e - n + 1, read off the popcounts
     of ``succ``.  The count's work grows with its states, at most M(w) =
-    ``state_bound(w)`` for its plan's width w, and each of its e edges
-    updates each state once.  An update shifts and adds a value of at
-    most n fields of e + 1 bits, so a long block pays for its values as
-    much as for its states.  The count takes a block when mu is at least
+    ``state_bound(w)`` for its plan's width w: at a vertex with d back
+    edges each state makes at most 1 + d + d(d - 1) / 2 successors, S in
+    all over the plan.  A successor shifts and adds a value of at most n
+    fields of e + 1 bits, so a long block pays for its values as much as
+    for its states.  The count takes a block when mu is at least
     ``MIN_RANK`` and ``MARGIN`` * M(w) < 2^mu, and only when its worst
-    case, e * M(w) updates at ``UPDATE_COST`` path extensions plus one
-    per ``EXTENSION_BITS`` value bits each, fits in the search's own
-    budget.  Under ``cycles.DEFAULT_PATH_CAP``, K_{9,9} (w = 10, e * M(w)
-    = 9,971,829) and the 2 x k ladders from k = 433 on (M(w) = 14,
-    n * (e + 1) = 6k^2 - 2k bits) stay with the search, which stops at a
-    cap within seconds.
+    case, S * M(w) successors of ``UPDATE_COST`` bits plus their value
+    bits, at ``EXTENSION_BITS`` bits a path extension, fits in the
+    search's own budget.  Under ``cycles.DEFAULT_PATH_CAP``, K_{9,9} (w =
+    10, S * M(w) = 47,643,183) and the 2 x k ladders from k = 1,374 on
+    (M(w) = 14, n * (e + 1) = 6k^2 - 2k bits) stay with the search, which
+    stops at a cap within seconds.
 
     Each vertex has a root entry per neighbour above it but the highest,
     so ``roots`` holds at least e - (n - 1) = mu entries.  A block with
@@ -165,8 +217,9 @@ def route(search: tuple, budget: int):
     bound = state_bound(width)
     if MARGIN * bound >= 1 << rank:
         return None
-    bits = UPDATE_COST * EXTENSION_BITS + n * (edges + 1)
-    if edges * bound * bits > budget * EXTENSION_BITS:
+    successors = sum(1 + len(back) * (len(back) + 1) // 2 for _, back, _ in steps)
+    bits = UPDATE_COST + n * (edges + 1)
+    if successors * bound * bits > budget * EXTENSION_BITS:
         return None
     return steps, width, edges
 
@@ -197,61 +250,66 @@ def cycle_counts(steps: list, width: int, edges: int, room: int):
     which slot holds that path's other end.  Its value packs the counts
     of the edge sets that reach it by size, e + 1 bits a size, which no
     count of e-edge subsets overflows: taking an edge shifts it by one
-    field, and two edge sets that reach one state add.  An edge closes
-    the path it joins the ends of into a cycle only when no other path
-    is open, and a vertex whose slot is freed while a path ends in it
-    kills its state.  After each vertex whose edges closed a cycle, the
-    cycles so far are totalled against ``room``, so a block with far more
-    cycles than the cap stops part way.
+    field, and two edge sets that reach one state add.  Each vertex
+    comes untouched and takes none, one or two of its back edges, so one
+    pass over the states makes every successor, and the slots freed
+    after the vertex are settled in each successor as it is made.  Two
+    edges that join the ends of one path close it into a cycle only when
+    no other path is open, and a successor with a path end in a freed
+    slot is dropped.  After each vertex that closed a cycle, the cycles
+    so far are totalled against ``room``, so a block with far more cycles
+    than the cap stops part way.
     """
     field = edges + 1
     top = (1 << field) - 1
     states = {(_UNTOUCHED,) * width: 1}
     packed = 0
-    for step, leaving in steps:
+    for b, back, leaving in steps:
         closed = packed
-        for a, b in step:
-            after = dict(states)
-            for s, value in states.items():
+        after = {}
+        for s, value in states.items():
+            # The vertex's slot b is untouched in s.  A path end at a
+            # (or the untouched a itself) goes on to b: p is the far end.
+            one = value << field
+            made = [(list(s), value)]
+            ends = []
+            for a in back:
                 x = s[a]
-                y = s[b]
-                if x == _DONE or y == _DONE:
+                if x == _DONE:
                     continue
-                if x == b:
-                    if width - s.count(_UNTOUCHED) - s.count(_DONE) == 2:
-                        packed += value << field
-                    continue
+                ends.append((a, x))
+                p = a if x == _UNTOUCHED else x
                 t = list(s)
-                if x == _UNTOUCHED:
-                    if y == _UNTOUCHED:
-                        t[a] = b
-                        t[b] = a
-                    else:
-                        t[a] = y
-                        t[y] = a
-                        t[b] = _DONE
-                elif y == _UNTOUCHED:
-                    t[b] = x
-                    t[x] = b
-                    t[a] = _DONE
+                t[a] = _DONE
+                t[p] = b
+                t[b] = p
+                made.append((t, one))
+            two = one << field
+            for i, (a, x) in enumerate(ends):
+                for c, y in ends[i + 1:]:
+                    if x == c:
+                        if width - s.count(_UNTOUCHED) - s.count(_DONE) == 2:
+                            packed += two
+                        continue
+                    # b joins the path or vertex at a to the one at c.
+                    p = a if x == _UNTOUCHED else x
+                    q = c if y == _UNTOUCHED else y
+                    t = list(s)
+                    t[a] = t[c] = t[b] = _DONE
+                    t[p] = q
+                    t[q] = p
+                    made.append((t, two))
+            for t, count in made:
+                for a in leaving:
+                    if t[a] >= 0:
+                        break
+                    t[a] = _UNTOUCHED
                 else:
-                    t[x] = y
-                    t[y] = x
-                    t[a] = t[b] = _DONE
-                t = tuple(t)
-                after[t] = after.get(t, 0) + (value << field)
-            states = after
+                    t = tuple(t)
+                    after[t] = after.get(t, 0) + count
+        states = after
         if packed != closed and field_total(packed, field) > room:
             return None
-        for a in leaving:
-            kept = {}
-            for s, value in states.items():
-                if s[a] >= 0:
-                    continue
-                if s[a] == _DONE:
-                    s = s[:a] + (_UNTOUCHED,) + s[a + 1:]
-                kept[s] = kept.get(s, 0) + value
-            states = kept
     counts = {}
     length = 0
     while packed:

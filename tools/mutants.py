@@ -90,23 +90,23 @@ MUTANTS = (
         "s.count(_UNTOUCHED) - s.count(_DONE) == 2:",
         "s.count(_UNTOUCHED) - s.count(_DONE) >= 2:",
     ),
-    # ... or keeps a state whose freed slot held a path end.
-    ("src/permdet/frontier.py", "                if s[a] >= 0:\n                    continue\n", ""),
+    # ... or keeps a successor whose freed slot held a path end.
+    ("src/permdet/frontier.py", "                    if t[a] >= 0:\n                        break\n", ""),
+    # The plan's ties broken by vertex index, not by breadth-first order.
+    (
+        "src/permdet/frontier.py",
+        "    for i, v in enumerate(order):\n        place[v] = 1 << i\n",
+        "    order.sort()\n    for i, v in enumerate(order):\n        place[v] = 1 << i\n",
+    ),
+    # ... or the vertex of most frontier growth placed first.
+    ("src/permdet/frontier.py", "for i, m in enumerate(levels):", "for i, m in reversed([*enumerate(levels)]):"),
     # The gate without its margin, without its floor on mu, without the
-    # cost of a state update (K_{9,9} would take the count) or without
+    # cost of a successor state (K_{9,9} would take the count) or without
     # that of its value's bits (so would the 2 x 2,000 ladder).
     ("src/permdet/frontier.py", "if MARGIN * bound >= 1 << rank", "if bound >= 1 << rank"),
     ("src/permdet/frontier.py", "if rank < MIN_RANK:", "if rank < 0:"),
-    (
-        "src/permdet/frontier.py",
-        "bits = UPDATE_COST * EXTENSION_BITS + n * (edges + 1)",
-        "bits = n * (edges + 1)",
-    ),
-    (
-        "src/permdet/frontier.py",
-        "bits = UPDATE_COST * EXTENSION_BITS + n * (edges + 1)",
-        "bits = UPDATE_COST * EXTENSION_BITS",
-    ),
+    ("src/permdet/frontier.py", "bits = UPDATE_COST + n * (edges + 1)", "bits = n * (edges + 1)"),
+    ("src/permdet/frontier.py", "bits = UPDATE_COST + n * (edges + 1)", "bits = UPDATE_COST"),
     # The frontier count's totals fold only the low half of their fields.
     (
         "src/permdet/frontier.py",
