@@ -59,12 +59,17 @@ from .graphs import Frozen, Graph, VertexSet, bipartition, mask_indices
 
 DEFAULT_CYCLE_CAP = 10**6
 DEFAULT_FAMILY_CAP = 10**6
-# Path extensions the cycle search may make per call.  An extension
-# costs about 0.35 us (2-vCPU Intel Xeon, Python 3.11.7: 43,595 on the
-# 4 x 6 grid in 13 ms, 10**7 on the 2 x 22 ladder in 3.5 s), so the cap
-# stops a search within about 3.5 s: the 2 x 22 ladder in 3.5 s, the
-# 2 x 30 ladder in 3.6 s and the 6 x 6 grid, which yields 569,035 cycles
-# on the way, in 3.4 s (up to twice that when that machine runs slow).
+# Path extensions the cycle search may make per call.  On small blocks
+# an extension costs about 0.35 us (2-vCPU Intel Xeon, Python 3.11.7:
+# 43,595 on the 4 x 6 grid in 13 ms, 10**7 on the 2 x 22 ladder in
+# 3.5 s), so the cap stops a search there within about 3.5 s: the 2 x 22
+# ladder in 3.5 s, the 2 x 30 ladder in 3.6 s and the 6 x 6 grid, which
+# yields 569,035 cycles on the way, in 3.4 s (up to twice that when that
+# machine runs slow).  An extension ANDs bitmasks as wide as the block,
+# so it costs more on large blocks: ``permdet per`` on the 2 x 2,000
+# ladder (4,000 vertices) stops at the cap only after 16.5-30 s, about
+# 3 us an extension (28.6 and 29.8 s in the latest two runs, same kind
+# of host).
 # The count depends on the vertex order: the 4 x 6 grid numbered row by
 # row needs 43,595, and ten random labellings of it 32,529-56,959.  The
 # tests, demos and benchmark need at most 227,760 (K_{6,6} in the Sachs

@@ -57,18 +57,28 @@ The order of work, each step on the graph the parser built:
 4. The elementary pieces of M (``matching.elementary_pieces``): M splits
    the graph at the edges that lie in no perfect matching, and pm is the
    product over the pieces.
-5. Per piece of more than two vertices: its signing and its bad
-   alternating cycles (``matching.pfaffian_signing``, whose cycles come
-   from ``cycles.simple_cycles``, the search that step 2 runs on the
-   blocks it searches), the families of those cycles
+5. Per piece of more than two vertices: a walk of its alternating
+   digraph (``_one_cycle``), and when that digraph is one cycle, the
+   piece is a cycle C_n with pm 2, solved in closed form (below).
+   Every other piece: its signing and its bad alternating cycles
+   (``matching.pfaffian_signing``, whose cycles come from
+   ``cycles.simple_cycles``, the search that step 2 runs on the blocks
+   it searches), the families of those cycles
    (``cycles.disjoint_families``, on vertex masks), and one determinant
    per family (``signed_block_det``).
 
 On a piece with no 4k-cycle every alternating cycle has odd l, so every
 equation of the search asks for an even number of negative edges: the
 signing is empty, no cycle is bad, and the sum is the one determinant
-sigma_M * det(B), the paper's corollary.  ``permanent_auto`` reports
-per(G) = pm^2; ``count_perfect_matchings`` returns pm itself.
+sigma_M * det(B), the paper's corollary.  A piece that is one cycle
+C_2l needs neither: for l even the paper's Theorem 1 gives
+(-1)^l (det C + 4 det of the empty graph) = 0 + 4, and for l odd the
+corollary gives det(B)^2 = 4, so pm = 2 either way, with no search and
+no determinant.  Its label is the search's: the cycle is its own only
+alternating cycle, whose one equation asks for l + 1 negative edges mod
+2, so ``PATH_PFAFFIAN`` when n = 0 mod 4 and ``PATH_COROLLARY``
+otherwise.  ``permanent_auto`` reports per(G) = pm^2;
+``count_perfect_matchings`` returns pm itself.
 """
 
 from __future__ import annotations
@@ -106,6 +116,10 @@ class PermanentReport(Frozen):
     negative edge; and ``PATH_COROLLARY`` when every piece's signing is
     empty with no bad cycle, or there is no perfect matching (then
     det(B) = 0 = pm).  Every graph with no 4k-cycle takes the corollary.
+    A piece that is one cycle C_n is solved without a signing search and
+    labelled as the search would label it: ``PATH_PFAFFIAN`` when n = 0
+    mod 4, whose one alternating cycle asks for one negative edge, and
+    ``PATH_COROLLARY`` otherwise, with m 0 and families 1.
 
     ``m`` is the size of the largest family expanded and ``families``
     the number of families expanded, the empty one included, both summed
@@ -156,9 +170,49 @@ def _signed_sum(g: Graph, left: int, mate: list, piece: int, negative: dict, bad
     return total, families
 
 
+def _one_cycle(g: Graph, left: int, mate: list, piece: int) -> bool:
+    """Whether the alternating digraph of ``piece`` is one cycle through
+    all of its left vertices: each left vertex met has exactly one
+    non-matching neighbour in the piece, and the arcs from the first left
+    vertex come back to it first after visiting all of them.  A walk that
+    comes back sooner met each of its vertices once, so it is a shorter
+    cycle and the piece has other vertices; one that has not come back
+    after as many steps as the piece has left vertices never will."""
+    rows = piece & left
+    start = (rows & -rows).bit_length() - 1
+    steps = rows.bit_count()
+    u = start
+    while steps:
+        x = -1
+        for w in g.neighbors[u]:
+            if w != mate[u] and piece >> w & 1:
+                if x >= 0:
+                    return False
+                x = mate[w]
+        if x < 0:
+            return False
+        steps -= 1
+        if x == start:
+            return not steps
+        u = x
+    return False
+
+
 def _piece_report(g: Graph, left: int, mate: list, piece: int) -> tuple:
     """pm of the elementary piece ``piece`` and its report: its signing
-    and bad alternating cycles, then the signed sum over their families."""
+    and bad alternating cycles, then the signed sum over their families.
+
+    A piece whose alternating digraph is one cycle is the cycle C_n
+    itself, pm 2, and its report is the one the search would give: the
+    piece is its own only alternating cycle, of length n = 2l, whose
+    equation asks for l + 1 negative edges mod 2.  So for l even (n = 0
+    mod 4) the signing has one negative edge, and for l odd none, the
+    corollary; either way no cycle is bad and the empty family alone is
+    expanded."""
+    if _one_cycle(g, left, mate, piece):
+        n = piece.bit_count()
+        path = PATH_PFAFFIAN if n % 4 == 0 else PATH_COROLLARY
+        return 2, PermanentReport(4, n, 0, 0, 1, path, ())
     negative, bad = pfaffian_signing(g, left, mate, piece)
     path = PATH_THEOREM1 if bad else PATH_PFAFFIAN if negative else PATH_COROLLARY
     pm, families = _signed_sum(g, left, mate, piece, negative, bad)

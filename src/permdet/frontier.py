@@ -78,30 +78,57 @@ def plan(succ: dict) -> tuple:
     once.
 
     The first vertex is one of least degree among the farthest from
-    vertex 0.  Each vertex takes a slot when it comes, and its slot is
-    free again once every neighbour has come.  Every later vertex is the
-    one, among the neighbours of those placed, that leaves the fewest
-    slots held: the slot it opens, when it has a neighbour still to come,
-    less the slots it frees, of the placed neighbours whose last
-    neighbour to come it is.  Ties go to the first found in a
-    breadth-first search from the first vertex, lowest first, which keeps
-    K_{n,n} at n + 1 slots, one side and then the other, under any
-    labelling.  The candidates wait in bitmasks by growth, so a step
-    costs a few operations per edge.  Step i is ``(slot, back,
-    leaving)``: the i-th vertex v's slot, the slots of its neighbours
-    before it, and the slots freed once its edges are taken.
+    vertex 0, and the order grows from it as ``_plan_from`` says.  When
+    that vertex's degree is above the block's least, a second order grows
+    from a vertex of least degree, the farthest from vertex 0 among them,
+    and the narrower order is kept, the first on a tie.  The first alone
+    starts K_{p,q}, p < q, on the side of degree q whenever vertex 0 is
+    on the side of p, and holds q + 1 slots; from the side of degree p
+    the order holds p + 1.
     """
     n = len(succ)
     nbrs = [succ[1 << j] for j in range(n)]
+    layers = []
     seen = layer = 1
     while layer:
-        far = layer
+        layers.append(layer)
         reach = 0
         for j in mask_indices(layer):
             reach |= nbrs[j]
         layer = reach & ~seen
         seen |= layer
-    start = min(mask_indices(far), key=lambda j: nbrs[j].bit_count())
+    start = min(mask_indices(layers[-1]), key=lambda j: nbrs[j].bit_count())
+    steps, width = _plan_from(nbrs, start)
+    least = min(map(int.bit_count, nbrs))
+    if nbrs[start].bit_count() > least:
+        for layer in reversed(layers):
+            low = [j for j in mask_indices(layer) if nbrs[j].bit_count() == least]
+            if low:
+                break
+        other = _plan_from(nbrs, low[0])
+        if other[1] < width:
+            steps, width = other
+    return steps, width
+
+
+def _plan_from(nbrs: list, start: int) -> tuple:
+    """``(steps, width)`` for ``plan``, the order grown from the vertex
+    ``start`` of the block whose neighbour bitmasks are ``nbrs``.
+
+    Each vertex takes a slot when it comes, and its slot is free again
+    once every neighbour has come.  Every later vertex is the one, among
+    the neighbours of those placed, that leaves the fewest slots held:
+    the slot it opens, when it has a neighbour still to come, less the
+    slots it frees, of the placed neighbours whose last neighbour to come
+    it is.  Ties go to the first found in a breadth-first search from the
+    first vertex, lowest first, which keeps K_{n,n} at n + 1 slots, one
+    side and then the other, under any labelling.  The candidates wait in
+    bitmasks by growth, so a step costs a few operations per edge.  Step
+    i is ``(slot, back, leaving)``: the i-th vertex v's slot, the slots of
+    its neighbours before it, and the slots freed once its edges are
+    taken.
+    """
+    n = len(nbrs)
     order = [start]
     seen = 1 << start
     for v in order:

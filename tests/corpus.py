@@ -61,18 +61,33 @@ def complete_bipartite(p: int, q: int) -> Graph:
     return Graph.from_edges(p + q, [(i, p + j) for i in range(p) for j in range(q)])
 
 
-def bridged_c8_chain(blocks: int) -> Graph:
-    """8-cycles in a row, consecutive ones joined by a single bridge edge.
+def bridged_chain(blocks) -> Graph:
+    """The graphs ``blocks`` in a row, the last vertex of each joined to the
+    first of the next by a single bridge edge.
 
-    Bridges lie in no perfect matching, so per = 4^blocks.
+    With every block of even order a bridge lies in no perfect matching,
+    so per is the product of the blocks' permanents.
     """
     edges = []
-    for b in range(blocks):
-        base = 8 * b
-        edges.extend((base + i, base + (i + 1) % 8) for i in range(8))
-        if b:
+    base = 0
+    for g in blocks:
+        if base:
             edges.append((base - 1, base))
-    return Graph.from_edges(8 * blocks, edges)
+        edges.extend((base + u, base + v) for u, v in g.edges)
+        base += g.n
+    return Graph.from_edges(base, edges)
+
+
+def bridged_c8_chain(blocks: int) -> Graph:
+    """8-cycles in a row, consecutive ones joined by a single bridge edge:
+    per = 4^blocks."""
+    return bridged_chain([cycle_graph(8)] * blocks)
+
+
+def naphthalene() -> Graph:
+    """Two hexagons sharing an edge: pm 3, and no 4k-cycle."""
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    return Graph.from_edges(10, hexagon + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 0)])
 
 
 def grid_graph(rows: int, cols: int) -> Graph:

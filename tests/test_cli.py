@@ -325,11 +325,17 @@ def test_exit_code_family_cap_exceeded(capsys, monkeypatch):
     assert "disjoint family enumeration exceeded cap of 2" in err
 
 
-def test_exit_code_internal_invariant(capsys, monkeypatch):
+def test_exit_code_internal_invariant(capsys, monkeypatch, tmp_path):
     from permdet import engine
 
     monkeypatch.setattr(engine, "signed_block_det", lambda *args: 0)
-    code, out, err = run(capsys, "per", fixture("c4.edges"))
+    # The 2 x 3 ladder: one piece, whose signing has a negative edge.  (A
+    # lone cycle is solved in closed form, with no determinant.)
+    ladder = corpus.grid_graph(2, 3)
+    path = tmp_path / "ladder.edges"
+    lines = [f"{ladder.n} {len(ladder.edges)}"] + [f"{u + 1} {v + 1}" for u, v in ladder.edges]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "per", str(path))
     assert code == 5
     assert out == ""
     assert "zero permanent from pfaffian_signing" in err

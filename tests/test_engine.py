@@ -262,9 +262,19 @@ def test_bridged_chain_splits_into_small_determinants(monkeypatch):
     monkeypatch.setattr(
         determinant_module, "_bareiss", lambda a: orders.append(len(a)) or bareiss(a)
     )
+    # Each 8-cycle piece is solved in closed form: no determinant at all.
     chain = corpus.bridged_c8_chain(6)
     report = permanent_auto(chain)
     assert report.value == 4**6
+    assert report.path_taken == PATH_PFAFFIAN
+    assert len(report.pieces) == 6
+    assert all(p.n == 8 and p.path_taken == PATH_PFAFFIAN for p in report.pieces)
+    assert orders == []
+    # Pieces that are no cycle, 2 x 4 ladders (pm 5): one determinant of
+    # half their order each.
+    chain = corpus.bridged_chain([corpus.grid_graph(2, 4)] * 6)
+    report = permanent_auto(chain)
+    assert report.value == 25**6
     assert report.path_taken == PATH_PFAFFIAN
     assert len(report.pieces) == 6
     assert all(p.n == 8 and p.path_taken == PATH_PFAFFIAN for p in report.pieces)
@@ -339,9 +349,10 @@ def test_unbalanced_remainders_skip_elimination(monkeypatch):
 
 def test_zero_permanent_with_a_matching_raises_invariant_error(monkeypatch):
     monkeypatch.setattr(engine, "signed_block_det", lambda *args: 0)
-    # C6: corollary path; C4: a certified piece; K_{3,3}: the expansion
-    for g, path in ((corpus.cycle_graph(6), PATH_COROLLARY),
-                    (corpus.cycle_graph(4), PATH_PFAFFIAN),
+    # Naphthalene: corollary path; the 2 x 3 ladder: a certified piece;
+    # K_{3,3}: the expansion.  (A lone cycle takes no determinant.)
+    for g, path in ((corpus.naphthalene(), PATH_COROLLARY),
+                    (corpus.grid_graph(2, 3), PATH_PFAFFIAN),
                     (corpus.complete_bipartite(3, 3), PATH_THEOREM1)):
         with pytest.raises(InternalInvariantError, match=f"zero permanent from {path}"):
             permanent_auto(g)
@@ -352,7 +363,7 @@ def test_zero_permanent_with_a_matching_raises_invariant_error(monkeypatch):
 def test_negative_matching_count_raises_invariant_error(monkeypatch):
     # per = pm^2 would hide the sign; the signed sum itself must be pm
     monkeypatch.setattr(engine, "signed_block_det", lambda *args: -2)
-    for g, path in ((corpus.cycle_graph(4), PATH_PFAFFIAN),
+    for g, path in ((corpus.grid_graph(2, 3), PATH_PFAFFIAN),
                     (corpus.complete_bipartite(3, 3), PATH_THEOREM1)):
         message = f"negative matching count -\\d+ from {path}"
         with pytest.raises(InternalInvariantError, match=message):
@@ -564,3 +575,103 @@ def test_grid_solve_keeps_no_cycle_list():
         tracemalloc.stop()
     assert report.num_4k_cycles == 2530
     assert peak < 64 * 1024
+
+
+# A piece that is one cycle is solved in closed form: its report must be
+# the one the signing search and the signed sum give.
+
+
+def _both_routes(monkeypatch, run, arg):
+    """``run(arg)`` with the closed form, then with every piece searched."""
+    closed = run(arg)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_one_cycle", lambda *args: False)
+        searched = run(arg)
+    return closed, searched
+
+
+def _cycle_pieces(g) -> int:
+    """How many of the engine's pieces of ``g`` are one cycle."""
+    left = bipartition(g).mask
+    mate = perfect_matching(g, left)
+    if mate is None:
+        return 0
+    pieces = elementary_pieces(g, left, mate)
+    return sum(engine._one_cycle(g, left, mate, p) for p in pieces if p.bit_count() > 2)
+
+
+def _check_both_routes(monkeypatch, g):
+    closed, searched = _both_routes(monkeypatch, permanent_auto, g)
+    assert closed == searched, g.edges
+    b = corpus.biadjacency_of(g, bipartition(g).indices())
+    pm, pm_searched = _both_routes(monkeypatch, count_perfect_matchings, b)
+    assert pm == pm_searched and pm * pm == closed.value
+    # Ryser takes about 2 s at its guard's 20 columns, 2 ms at 12.
+    if len(b) <= 12:
+        assert pm == per_ryser(b), g.edges
+    return closed
+
+
+def _signing_calls(monkeypatch) -> list:
+    """The list that each call of the engine's signing search appends to."""
+    calls = []
+    signing = engine.pfaffian_signing
+    monkeypatch.setattr(engine, "pfaffian_signing", lambda *a: calls.append(a) or signing(*a))
+    return calls
+
+
+def test_cycle_closed_form_matches_the_search(monkeypatch):
+    calls = _signing_calls(monkeypatch)
+    for l in range(2, 61):
+        g = corpus.cycle_graph(2 * l)
+        report = _check_both_routes(monkeypatch, g)
+        assert report.value == 4 and (report.m, report.families) == (0, 1)
+        assert report.path_taken == (PATH_PFAFFIAN if l % 2 == 0 else PATH_COROLLARY)
+        calls.clear()
+        permanent_auto(g)
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "lengths", [(6, 8), (8, 6, 6), (6, 6, 8, 8, 6), (8, 6, 8, 6, 8, 6, 8), (10, 4, 12, 6)]
+)
+def test_bridged_cycle_chains_match_the_search(monkeypatch, lengths):
+    g = corpus.bridged_chain([corpus.cycle_graph(n) for n in lengths])
+    report = _check_both_routes(monkeypatch, g)
+    assert report.value == 4 ** len(lengths)
+    assert [p.n for p in report.pieces] == list(lengths)
+    assert [p.path_taken for p in report.pieces] == [
+        PATH_PFAFFIAN if n % 4 == 0 else PATH_COROLLARY for n in lengths
+    ]
+
+
+def test_cactus40_matches_the_search(monkeypatch):
+    g = corpus.load_fixture("cactus40.edges")
+    assert _cycle_pieces(g) > 0
+    assert _check_both_routes(monkeypatch, g).value == 1024
+
+
+def test_corpora_with_a_cycle_piece_match_the_search(monkeypatch):
+    graphs = [g for g in corpus.connected_bipartite_upto(8) + corpus.random_corpus()
+              if _cycle_pieces(g)]
+    assert len(graphs) >= 30
+    for g in graphs:
+        assert _check_both_routes(monkeypatch, g).value == per_ryser(g.adj), g.edges
+
+
+def test_pieces_that_are_no_cycle_take_the_search(monkeypatch):
+    calls = _signing_calls(monkeypatch)
+    # A theta: the 2 x 3 ladder, whose two degree-3 vertices are joined by
+    # three paths.
+    ladder = corpus.grid_graph(2, 3)
+    assert permanent_auto(ladder).value == 9 and len(calls) == 1
+    # Masks that are no elementary piece.  A 4-cycle with pendant edges at
+    # two adjacent vertices has e = n and pm 1; two disjoint 4-cycles, as
+    # one mask, have a walk that comes back after half of the left side.
+    for g, pm in ((Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5)]), 1),
+                  (corpus.load_fixture("two_disjoint_c4.edges"), 4)):
+        left = bipartition(g).mask
+        mate = perfect_matching(g, left)
+        calls.clear()
+        assert engine._piece_report(g, left, mate, (1 << g.n) - 1)[0] == pm
+        assert len(calls) == 1

@@ -74,6 +74,14 @@ def test_plan_width():
     for n in range(3, 10):
         g = corpus.complete_bipartite(n, n)
         assert [_width(g)] + [_width(_relabelled(g, rng)) for _ in range(3)] == [n + 1] * 4, n
+    # K_{p,q}, p < q, holds p + 1 slots whichever side vertex 0 is on.
+    # Started only among the farthest from vertex 0, with vertex 0 on the
+    # side of p, the plan began on the side of degree q and held q + 1.
+    for p in range(2, 7):
+        for q in range(p + 1, 10):
+            graphs = [corpus.complete_bipartite(p, q), corpus.complete_bipartite(q, p)]
+            graphs += [_relabelled(graphs[0], rng) for _ in range(3)]
+            assert [_width(g) for g in graphs] == [p + 1] * 5, (p, q)
     for k in range(4, 10):
         assert [_width(_relabelled(corpus.grid_graph(4, k), rng)) for _ in range(3)] == [5] * 3, k
     for k in (3, 4, 7, 12, 20, 31, 50):
@@ -185,6 +193,11 @@ def test_frontier_gate_routes(monkeypatch, capsys, tmp_path):
     # K_{6,6}: the plan holds 7 slots (mu = 25, S * M(w) = 227,550), and
     # the count takes about a fifth of the search's time.
     assert _to_frontier(corpus.complete_bipartite(6, 6)) == [True]
+    # K_{3,8} (mu 14): its plan holds 4 slots, not the 9 of a start on
+    # the side of degree 8, so it takes the count; K_{3,5} (mu 8) is
+    # under the floor.
+    assert _to_frontier(corpus.complete_bipartite(3, 8)) == [True]
+    assert _to_frontier(corpus.complete_bipartite(3, 5)) == [False]
     # A long ladder has 3 slots, but each successor shifts a value of up
     # to n * (e + 1) bits, which the gate charges: the 2 x 400 ladder's
     # 14 * 2,397 successors of up to 959,200 bits take the count, and the

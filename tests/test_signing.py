@@ -235,12 +235,21 @@ def test_signing_searches_only_roots_with_a_closer(monkeypatch):
     # is one directed cycle, and only its first root has its predecessor
     # after it.  Its walk takes 999 extensions; searched too, the other
     # roots would walk 998 + 997 + ... + 1 more and close nothing.
+    # The engine solves such a piece in closed form, so the search is
+    # called directly.
     b = tuple(tuple(int(j in (i, (i + 1) % 1000)) for j in range(1000)) for i in range(1000))
+    g = graph_from_biadjacency(b)
+    left = (1 << 1000) - 1
+    mate = perfect_matching(g, left)
+    piece = (1 << 2000) - 1
     monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 999)
-    assert count_perfect_matchings(b) == 2
+    # l = 1,000 is even: one negative edge, and the cycle is good.
+    negative, bad = pfaffian_signing(g, left, mate, piece)
+    assert sum(map(int.bit_count, negative.values())) == 2 and bad == []
     monkeypatch.setattr(matching, "DEFAULT_SIGNING_CAP", 998)
     with pytest.raises(EnumerationCapExceeded, match="^alternating path .* cap of 998$"):
-        count_perfect_matchings(b)
+        pfaffian_signing(g, left, mate, piece)
+    assert count_perfect_matchings(b) == 2
 
 
 def test_signing_cap_boundary_on_a_dense_piece(monkeypatch):

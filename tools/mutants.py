@@ -3,15 +3,16 @@
 Usage: python tools/mutants.py
 
 Each mutant is one ``(file, old, new)`` replacement of text that occurs
-exactly once in ``file``.  For each, the repository's ``src``, ``tests``
-and ``fixtures`` and its ``pyproject.toml`` are copied to a temporary
-directory, the replacement is made there, and ``python -m pytest -x -q``
-runs in the copy: first on the mutated module's own test files
-(``tests/test_cycles.py`` for ``src/permdet/cycles.py``, more where
-``OWN_TESTS`` names them), where most mutants fail within seconds, then,
-if those pass, on the rest of the suite.  A mutant that passes both runs
-survives.  The unmutated copy runs the whole suite first and must pass,
-so that a failure is the mutant's.
+exactly once in ``file``.  For each, the repository's ``src``, ``tests``,
+``fixtures`` and ``tools`` (for the digest test) and its
+``pyproject.toml`` are copied to a temporary directory, the replacement
+is made there, and ``python -m pytest -x -q`` runs in the copy: first
+on the mutated module's own test files (``tests/test_cycles.py`` for
+``src/permdet/cycles.py``, more where ``OWN_TESTS`` names them), where
+most mutants fail within seconds, then, if those pass, on the rest of
+the suite.  A mutant that passes both runs survives.  The unmutated
+copy runs the whole suite first and must pass, so that a failure is the
+mutant's.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
 the unmutated tests fail or a mutant's ``old`` text is not found exactly
@@ -29,13 +30,26 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "fixtures", "pyproject.toml")
+COPIED = ("src", "tests", "fixtures", "tools", "pyproject.toml")
 # A module's own test files, where they are more than tests/test_<module>.py.
 OWN_TESTS = {"matching": ("tests/test_matching.py", "tests/test_signing.py")}
 
 MUTANTS = (
     # The expansion's weight 4^|T| in place of 2^|T|.
     ("src/permdet/engine.py", "total += d << len(indices)", "total += d << 2 * len(indices)"),
+    # A piece that is one cycle gets pm 1, not 2.
+    ("src/permdet/engine.py", "return 2, PermanentReport(4,", "return 1, PermanentReport(4,"),
+    # ... or the other label: the corollary for n = 0 mod 4.
+    ("src/permdet/engine.py", "path = PATH_PFAFFIAN if n % 4 == 0 else", "path = PATH_PFAFFIAN if n % 4 else"),
+    # ... or the walk accepts a return to its first vertex before it has
+    # visited every left vertex.
+    ("src/permdet/engine.py", "            return not steps\n", "            return True\n"),
+    # ... or a left vertex's second non-matching neighbour is let through.
+    (
+        "src/permdet/engine.py",
+        "                if x >= 0:\n                    return False\n",
+        "",
+    ),
     # Pieces of four vertices skipped, not only the single matched edges.
     ("src/permdet/engine.py", "piece.bit_count() > 2]", "piece.bit_count() > 4]"),
     # The signing equation's parity: l in place of l + 1.
@@ -100,6 +114,10 @@ MUTANTS = (
     ),
     # ... or the vertex of most frontier growth placed first.
     ("src/permdet/frontier.py", "for i, m in enumerate(levels):", "for i, m in reversed([*enumerate(levels)]):"),
+    # The plan never tries a start of least degree, or keeps the wider of
+    # its two orders.
+    ("src/permdet/frontier.py", "if nbrs[start].bit_count() > least:", "if nbrs[start].bit_count() < least:"),
+    ("src/permdet/frontier.py", "if other[1] < width:", "if other[1] > width:"),
     # The gate without its margin, without its floor on mu, without the
     # cost of a successor state (K_{9,9} would take the count) or without
     # that of its value's bits (so would the 2 x 2,000 ladder).
