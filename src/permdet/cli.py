@@ -33,8 +33,8 @@ from functools import cache
 
 from .cycles import (
     classify_efficient,
+    disjoint_families,
     enumerate_cycles,
-    enumerate_disjoint_families,
     four_k_cycles,
     largest_disjoint_family,
 )
@@ -162,14 +162,14 @@ def _cmd_cycles(args, text: str) -> list:
     g = _load_graph(text, args.format)
     cycles = enumerate_cycles(g)
     c4k = four_k_cycles(cycles)
-    families = enumerate_disjoint_families(c4k)
+    # Sorted by size, so the last family is the largest.
+    families = disjoint_families([cy.mask for cy in c4k])
     recs = [dict(record="cycle", index=idx, vertices=list(cy.labels()),
                  length=cy.length, is_4k=cy.is_4k)
             for idx, cy in enumerate(cycles, start=1)]
     recs.append(dict(record="cycle-summary", num_cycles=len(cycles),
                      num_4k=len(c4k), num_4k_plus_2=sum(cy.length % 4 == 2 for cy in cycles),
-                     num_families=len(families),
-                     m=max((f.size for f in families), default=0)))
+                     num_families=len(families), m=len(families[-1][0])))
     return recs
 
 

@@ -9,8 +9,9 @@ matrix (Knuth's SIMPATH, TAOCP 4A, 7.1.4, and Enting's transfer
 matrices for self-avoiding polygons, J. Phys. A 13, 1980) whose work
 grows with that width and not with the block's paths: it lists no cycle
 and walks no path, and the 2 x 30 ladder's 435 cycles take about 1 ms.
-The order, ``plan``'s, places next the vertex that leaves the fewest
-slots held (Kawahara, Inoue, Iwashita and Minato, "Frontier-based search
+The order, ``plan``'s, one per block, starts from a vertex of least
+degree and places next the vertex that leaves the fewest slots held
+(Kawahara, Inoue, Iwashita and Minato, "Frontier-based search
 for enumerating all constrained subgraphs with compressed
 representation", IEICE Trans. Fundamentals, 2017, on how the order sets
 the width), and the count takes each vertex's edges in one pass over its
@@ -77,17 +78,26 @@ def plan(succ: dict) -> tuple:
     ``cycles._block_search`` makes them), and the most slots it holds at
     once.
 
-    The first vertex is one of least degree among the farthest from
-    vertex 0, and the order grows from it as ``_plan_from`` says.  When
-    that vertex's degree is above the block's least, a second order grows
-    from a vertex of least degree, the farthest from vertex 0 among them,
-    and the narrower order is kept, the first on a tie.  The first alone
-    starts K_{p,q}, p < q, on the side of degree q whenever vertex 0 is
-    on the side of p, and holds q + 1 slots; from the side of degree p
-    the order holds p + 1.
+    The first vertex is one of least degree, the farthest from vertex 0
+    among those, the lowest on a tie; so K_{p,q}, p < q, starts on the
+    side of degree p, whichever side vertex 0 is on, and holds p + 1
+    slots.  Each vertex takes a slot when it comes, and its slot is free
+    again once every neighbour has come.  Every later vertex is the one,
+    among the neighbours of those placed, that leaves the fewest slots
+    held: the slot it opens, when it has a neighbour still to come, less
+    the slots it frees, of the placed neighbours whose last neighbour to
+    come it is.  Ties go to the first found in a breadth-first search
+    from the first vertex, lowest first, which keeps K_{n,n} at n + 1
+    slots, one side and then the other, under any labelling.  The
+    candidates wait in bitmasks by growth, so a step costs a few
+    operations per edge.  Step i is ``(slot, back, leaving)``: the i-th
+    vertex v's slot, the slots of its neighbours before it, and the
+    slots freed once its edges are taken.
     """
     n = len(succ)
     nbrs = [succ[1 << j] for j in range(n)]
+    least = min(map(int.bit_count, nbrs))
+    low = sum(1 << j for j, m in enumerate(nbrs) if m.bit_count() == least)
     layers = []
     seen = layer = 1
     while layer:
@@ -97,38 +107,11 @@ def plan(succ: dict) -> tuple:
             reach |= nbrs[j]
         layer = reach & ~seen
         seen |= layer
-    start = min(mask_indices(layers[-1]), key=lambda j: nbrs[j].bit_count())
-    steps, width = _plan_from(nbrs, start)
-    least = min(map(int.bit_count, nbrs))
-    if nbrs[start].bit_count() > least:
-        for layer in reversed(layers):
-            low = [j for j in mask_indices(layer) if nbrs[j].bit_count() == least]
-            if low:
-                break
-        other = _plan_from(nbrs, low[0])
-        if other[1] < width:
-            steps, width = other
-    return steps, width
-
-
-def _plan_from(nbrs: list, start: int) -> tuple:
-    """``(steps, width)`` for ``plan``, the order grown from the vertex
-    ``start`` of the block whose neighbour bitmasks are ``nbrs``.
-
-    Each vertex takes a slot when it comes, and its slot is free again
-    once every neighbour has come.  Every later vertex is the one, among
-    the neighbours of those placed, that leaves the fewest slots held:
-    the slot it opens, when it has a neighbour still to come, less the
-    slots it frees, of the placed neighbours whose last neighbour to come
-    it is.  Ties go to the first found in a breadth-first search from the
-    first vertex, lowest first, which keeps K_{n,n} at n + 1 slots, one
-    side and then the other, under any labelling.  The candidates wait in
-    bitmasks by growth, so a step costs a few operations per edge.  Step
-    i is ``(slot, back, leaving)``: the i-th vertex v's slot, the slots of
-    its neighbours before it, and the slots freed once its edges are
-    taken.
-    """
-    n = len(nbrs)
+    for layer in reversed(layers):
+        if layer & low:
+            break
+    low &= layer
+    start = (low & -low).bit_length() - 1
     order = [start]
     seen = 1 << start
     for v in order:

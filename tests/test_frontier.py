@@ -74,9 +74,11 @@ def test_plan_width():
     for n in range(3, 10):
         g = corpus.complete_bipartite(n, n)
         assert [_width(g)] + [_width(_relabelled(g, rng)) for _ in range(3)] == [n + 1] * 4, n
-    # K_{p,q}, p < q, holds p + 1 slots whichever side vertex 0 is on.
-    # Started only among the farthest from vertex 0, with vertex 0 on the
-    # side of p, the plan began on the side of degree q and held q + 1.
+    # K_{p,q}, p < q, holds p + 1 slots whichever side vertex 0 is on:
+    # the plan starts from a vertex of least degree, on the side of
+    # degree p.  A start among the farthest from vertex 0 alone, with
+    # vertex 0 on the side of p, began on the side of degree q and held
+    # q + 1.
     for p in range(2, 7):
         for q in range(p + 1, 10):
             graphs = [corpus.complete_bipartite(p, q), corpus.complete_bipartite(q, p)]

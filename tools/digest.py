@@ -21,11 +21,17 @@ K_{n,n} for n = 2..5 and every fixture.  The keys come in two kinds:
 - *Work keys* (``work.*``): the whole ``permanent_auto`` report, every
   field and the pieces' reports included; each elementary piece's
   ``pfaffian_signing`` (its negative edges, sorted, and its bad cycles in
-  order); ``cycle_length_counts``; and ``classify_efficient``.  A work
-  key may change with a recorded reason.
+  order); ``cycle_length_counts``; ``classify_efficient``; the
+  ``whole_graph_cycles`` stream, each cycle's vertices in the order the
+  search yields them; and ``enumerate_cycles``.  A work key may change
+  with a recorded reason.
 
 An error is hashed as its type and message, so a graph that stops at a
-cap or is not bipartite is in the digest too.  ``--check`` exits 1 and
+cap or is not bipartite is in the digest too.  ``enumerate_cycles``
+lists the whole stream before it returns, so where the stream stops at a
+cap it stops with the same error, and its key hashes that error without
+a second search (``fixtures/cubic40.edges`` reaches the path cap after
+3.7-7 s).  ``--check`` exits 1 and
 names each key that differs from the committed file (or is missing from
 it, or only there); ``--write`` rewrites the file.  Both print the time
 taken.  It proves sameness, not correctness: the tests compare the
@@ -47,10 +53,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import corpus  # noqa: E402
 from permdet import (  # noqa: E402
+    EnumerationCapExceeded,
     bipartition,
     classify_efficient,
     count_perfect_matchings,
     determinant,
+    enumerate_cycles,
     graph_from_biadjacency,
     parse_adjacency_matrix,
     parse_biadjacency,
@@ -58,7 +66,7 @@ from permdet import (  # noqa: E402
     permanent_auto,
     sachs_sums,
 )
-from permdet.cycles import cycle_length_counts  # noqa: E402
+from permdet.cycles import block_vertices, cycle_length_counts, whole_graph_cycles  # noqa: E402
 from permdet.matching import elementary_pieces, perfect_matching, pfaffian_signing  # noqa: E402
 
 DIGEST = Path(__file__).resolve().with_name("digest.json")
@@ -129,6 +137,28 @@ def _sachs(g):
     return s.per, s.det, s.parity_holds, s.removal_holds
 
 
+def _cycle_keys() -> dict:
+    """The keys of the ``whole_graph_cycles`` stream, each cycle's
+    vertices in the order found, and of ``enumerate_cycles``, which
+    raises the cap the stream stopped at, by graph, with no second
+    search."""
+    stops = {}
+
+    def stream(g, b) -> list:
+        try:
+            return [block_vertices(block, path) for block, path in whole_graph_cycles(g)]
+        except EnumerationCapExceeded as exc:
+            stops[g] = exc
+            raise
+
+    def listed(g, b) -> list:
+        if g in stops:
+            raise stops[g]
+        return enumerate_cycles(g)
+
+    return {"work.cycle_stream": stream, "work.cycle_list": listed}
+
+
 KEYS = {
     "answer.permanent": lambda g, b: permanent_auto(g).value,
     "answer.pm_count": _pm_count,
@@ -151,8 +181,9 @@ def _outcome(fn, g, b) -> str:
 def digest() -> dict:
     """Key name -> SHA-256 hex digest, over every group and key."""
     out = {}
+    keys = {**KEYS, **_cycle_keys()}
     for group, items in groups().items():
-        for key, fn in KEYS.items():
+        for key, fn in keys.items():
             h = hashlib.sha256()
             for g, b in items:
                 h.update(f"{g.n} {g.edges!r} -> {_outcome(fn, g, b)}\n".encode())

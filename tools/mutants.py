@@ -114,10 +114,12 @@ MUTANTS = (
     ),
     # ... or the vertex of most frontier growth placed first.
     ("src/permdet/frontier.py", "for i, m in enumerate(levels):", "for i, m in reversed([*enumerate(levels)]):"),
-    # The plan never tries a start of least degree, or keeps the wider of
-    # its two orders.
-    ("src/permdet/frontier.py", "if nbrs[start].bit_count() > least:", "if nbrs[start].bit_count() < least:"),
-    ("src/permdet/frontier.py", "if other[1] < width:", "if other[1] > width:"),
+    # The plan starts in the nearest layer from vertex 0 with a vertex of
+    # least degree, not the farthest: vertex 0 itself on a regular graph.
+    ("src/permdet/frontier.py", "for layer in reversed(layers):", "for layer in layers:"),
+    # ... or from a vertex of greatest degree: K_{p,q} then holds
+    # max(p, q) + 1 slots.
+    ("src/permdet/frontier.py", "least = min(map(int.bit_count, nbrs))", "least = max(map(int.bit_count, nbrs))"),
     # The gate without its margin, without its floor on mu, without the
     # cost of a successor state (K_{9,9} would take the count) or without
     # that of its value's bits (so would the 2 x 2,000 ladder).
